@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import netsim, sweep as sweep_mod, verify as verify_mod
@@ -101,6 +102,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     spec = _load_spec(args.spec)
     report = verify_mod.check_max_entanglement(spec, tol=args.tol)
     doc = report.to_document()

@@ -1,29 +1,26 @@
 """Network-level simulations: control-driven entanglement mapping and the
 hierarchical coordinator/edge-entangler architecture.
 
-Both operations share the same skeleton: a control register whose basis
-states select, per client qubit, one of the two composition orders of its
-gate pair; every control qubit is then measured in the coherent basis and
-each branch is reported with its probability, client state and fidelity to
-the canonical all-|0> / all-|1> superposition in the constructed local-unitary
-frame.
+Both operations run on the switch engine (``switch.controlled_outcomes``): a
+control register whose basis states select, per client qubit, one of the two
+composition orders of its gate pair; every control qubit is then measured in
+the coherent basis. Each branch is reported with its probability, client state
+and fidelity to the canonical all-|0> / all-|1> superposition in the
+constructed local-unitary frame.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from . import gates
 from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import basis_state, kron, kron_all
-from .switch import SwitchSpec, UNREACHABLE_TOL, canonical_phase, superposed_input
+from .linalg import basis_state, kron, kron_all, num_qubits
+from .switch import MAX_QUBITS, SwitchSpec, controlled_outcomes, superposed_input
 from .verify import apply_local_unitaries, canonical_lu, check_max_entanglement
-
-MAX_TOTAL_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -59,9 +56,9 @@ class Topology:
         if any(abs(v) > 0 for v in self.link_loss.values()):
             raise ValueError("link loss is reserved for future use and must be zero")
         total = self.total_clients + len(self.entanglers)
-        if total > MAX_TOTAL_QUBITS:
+        if total > MAX_QUBITS:
             raise ValueError(
-                f"topology needs {total} simulated qubits, cap is {MAX_TOTAL_QUBITS}"
+                f"topology needs {total} simulated qubits, cap is {MAX_QUBITS}"
             )
 
     @property
@@ -94,14 +91,6 @@ def ghz_fidelity_in_frame(state: np.ndarray, lus: Optional[list[np.ndarray]]) ->
     return float((abs(state[0]) + abs(state[-1])) ** 2 / 2.0)
 
 
-def _control_signs(label: str, b: int, m: int) -> float:
-    sign = 1.0
-    for k, s in enumerate(label):
-        if s == "-" and (b >> (m - 1 - k)) & 1:
-            sign = -sign
-    return sign
-
-
 def _branch_results(
     control_amps: np.ndarray,
     cluster_of_qubit: list[int],
@@ -109,35 +98,15 @@ def _branch_results(
     inputs: list[np.ndarray],
     lus: Optional[list[np.ndarray]],
 ) -> list[BranchResult]:
-    m = len(control_amps).bit_length() - 1
-    fwd = [forward_order(p) @ s for p, s in zip(pairs, inputs)]
-    bwd = [backward_order(p) @ s for p, s in zip(pairs, inputs)]
-    branch_vectors = {}
-    for b in range(2**m):
-        if abs(control_amps[b]) <= UNREACHABLE_TOL:
-            continue
-        factors = []
-        for q, cluster in enumerate(cluster_of_qubit):
-            bit = (b >> (m - 1 - cluster)) & 1
-            factors.append(bwd[q] if bit else fwd[q])
-        branch_vectors[b] = kron_all(factors)
-    results = []
-    scale = 2.0 ** (-m / 2.0)
-    for bits in product("+-", repeat=m):
-        label = "".join(bits)
-        raw = scale * sum(
-            control_amps[b] * _control_signs(label, b, m) * vec
-            for b, vec in branch_vectors.items()
-        )
-        prob = float(np.vdot(raw, raw).real)
-        if prob < UNREACHABLE_TOL:
-            results.append(BranchResult(label, max(prob, 0.0), None, None))
-        else:
-            state = canonical_phase(raw / math.sqrt(prob))
-            results.append(
-                BranchResult(label, prob, state, ghz_fidelity_in_frame(state, lus))
-            )
-    return results
+    m = num_qubits(len(control_amps))
+    # control basis state b reverses every qubit whose cluster's control bit is set
+    shifts = m - 1 - np.asarray(cluster_of_qubit)
+    reverse = (np.arange(2**m)[:, None] >> shifts[None, :]) & 1
+    return [
+        BranchResult(o.label, o.probability, o.state,
+                     ghz_fidelity_in_frame(o.state, lus) if o.reachable else None)
+        for o in controlled_outcomes(control_amps, reverse, pairs, inputs)
+    ]
 
 
 def _frame_unitaries(
@@ -160,10 +129,8 @@ def map_entanglement(
     """
     control = np.asarray(control, dtype=complex)
     n = len(pairs)
-    if len(inputs) != n:
-        raise ValueError("pairs and inputs must have the same length")
-    if control.shape != (2**n,):
-        raise ValueError(f"control must be an {n}-qubit state")
+    if n > MAX_QUBITS or control.shape != (2**n,):
+        raise ValueError(f"control must be an {n}-qubit state, with n at most {MAX_QUBITS}")
     return _branch_results(control, list(range(n)), pairs, inputs, _frame_unitaries(pairs, inputs))
 
 
@@ -203,7 +170,7 @@ def controlled_order_operator(
 ) -> np.ndarray:
     """Dense joint operator (clients x control) for small audit instances."""
     n = len(pairs)
-    if n + m > MAX_TOTAL_QUBITS:
+    if n + m > MAX_QUBITS:
         raise ValueError("audit operator too large")
     dim_c = 2**m
     blocks = []

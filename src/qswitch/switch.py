@@ -1,8 +1,9 @@
 """The coherently-controlled-order engine.
 
-Builds the controlled-order operator, applies it to product inputs, measures
+``controlled_outcomes`` lets each control basis state select, per qubit, one
+of the two composition orders of its gate pair on a product input, measures
 the control register in the coherent {|+>, |->} basis and returns the
-postselected outcome ensemble. Two families are supported:
+postselected outcome ensemble. The protocols only choose the control:
 
 * two-order protocols (Bell, GHZ-like): one control qubit selects between
   the two orders of the n-qubit local tensors;
@@ -19,10 +20,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import gates
-from .gates import UnitaryPair, backward_order, forward_order, local_tensor
-from .linalg import basis_state, kron, kron_all
+from .gates import UnitaryPair, backward_order, forward_order
+from .linalg import kron, num_qubits
 
 UNREACHABLE_TOL = 1e-12
+MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
 
 PROTOCOLS = ("bell", "ghz", "w")
 
@@ -114,6 +116,8 @@ class SwitchSpec:
             raise ValueError("bell protocol requires exactly 2 qubits")
         if n < minimum:
             raise ValueError(f"{self.protocol} protocol requires at least {minimum} qubits")
+        if n > MAX_QUBITS:
+            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
     @property
     def n(self) -> int:
@@ -133,10 +137,14 @@ class SwitchSpec:
         if version != 1:
             raise ValueError(f"unsupported spec version {version}")
         protocol = doc["protocol"]
-        n = doc.get("n", len(doc.get("pairs", [])))
         pair_docs = doc["pairs"]
-        if len(pair_docs) == 1 and n > 1:
+        n = doc.get("n", len(pair_docs))
+        if n > MAX_QUBITS:  # before broadcasting a single pair n times
+            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
+        if len(pair_docs) == 1:
             pair_docs = pair_docs * n
+        elif n != len(pair_docs):
+            raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
         names = [(p["u"], p["u_tilde"]) for p in pair_docs]
         pairs = [UnitaryPair(gates.parse_gate(u), gates.parse_gate(ut)) for u, ut in names]
         inp = doc.get("input", {"alpha": 0.5})
@@ -217,8 +225,65 @@ def _make_outcome(label: str, raw: np.ndarray, probability: float) -> Outcome:
     return Outcome(
         label=label,
         probability=probability,
-        state=canonical_phase(raw / np.linalg.norm(raw)),
+        state=canonical_phase(raw / math.sqrt(probability)),
     )
+
+
+def _branch_stack(
+    control: np.ndarray, reverse: np.ndarray, pairs: list[UnitaryPair], inputs: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Live control basis states (|amplitude| > UNREACHABLE_TOL) and, one row
+    each, the product state they select, built one qubit at a time from the
+    forward and backward 2-vectors so that no n-qubit operator is formed."""
+    n = len(pairs)
+    if len(inputs) != n or not pairs:
+        raise ValueError("pairs and inputs must be nonempty and of equal length")
+    live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
+    ends = np.array(
+        [[forward_order(p) @ phi, backward_order(p) @ phi] for p, phi in zip(pairs, inputs)]
+    )
+    factors = ends[np.arange(n), np.asarray(reverse, dtype=np.intp)[live]]  # (live, qubit, 2)
+    stack = factors[:, 0]
+    for q in range(1, n):
+        stack = (stack[:, :, None] * factors[:, q, None, :]).reshape(len(live), 2 ** (q + 1))
+    return live, stack
+
+
+def controlled_outcomes(
+    control: np.ndarray, reverse: np.ndarray, pairs: list[UnitaryPair], inputs: list[np.ndarray]
+) -> OutcomeEnsemble:
+    """Measure every control qubit of a controlled-order superposition.
+
+    ``control`` holds the 2^m control amplitudes, and ``reverse[b][q]`` says
+    whether control basis state b applies the backward order of qubit q's
+    pair instead of the forward one. Each control qubit is measured in the
+    {|+>, |->} basis; labels read the control qubits most significant first.
+    """
+    control = np.asarray(control, dtype=complex)
+    m = num_qubits(len(control))
+    live, stack = _branch_stack(control, reverse, pairs, inputs)
+    # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
+    both = np.arange(2**m)[:, None] & live[None, :]
+    parity = both.copy()
+    for k in range(1, m):
+        parity ^= both >> k
+    raw = ((1.0 - 2.0 * (parity & 1)) * (control[live] * 2.0 ** (-m / 2.0))) @ stack
+    probabilities = np.einsum("ij,ij->i", raw.conj(), raw).real
+    labels = ("".join(bits) for bits in product("+-", repeat=m))
+    return OutcomeEnsemble(
+        tuple(_make_outcome(lb, r, float(p)) for lb, r, p in zip(labels, raw, probabilities))
+    )
+
+
+def _protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # two-order: all-forward and all-backward, evenly weighted; W: uniform over
+    # the first n of 2^d control states, state j reversing qubit j only
+    if protocol != "w":
+        return np.full(2, 1.0 / math.sqrt(2.0)), np.array([[False] * n, [True] * n])
+    d = math.ceil(math.log2(n))
+    control = np.zeros(2**d)
+    control[:n] = 1.0 / math.sqrt(n)
+    return control, np.eye(2**d, n, dtype=bool)
 
 
 def two_order_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEnsemble:
@@ -227,34 +292,7 @@ def two_order_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> Ou
     Works for any n >= 1; the Bell and GHZ protocols are the n = 2 and
     n >= 2 instances.
     """
-    if len(pairs) != len(inputs) or not pairs:
-        raise ValueError("pairs and inputs must be nonempty and of equal length")
-    phi = kron_all(inputs)
-    v, v_tilde = local_tensor(pairs)
-    fwd = v @ v_tilde @ phi
-    bwd = v_tilde @ v @ phi
-    outcomes = []
-    for sign, label in ((1.0, "+"), (-1.0, "-")):
-        raw = fwd + sign * bwd
-        norm_sq = float(np.vdot(raw, raw).real)
-        outcomes.append(_make_outcome(label, raw, norm_sq / 4.0))
-    return OutcomeEnsemble(tuple(outcomes))
-
-
-def _w_branch_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> list[np.ndarray]:
-    n = len(pairs)
-    fwd = [forward_order(p) @ s for p, s in zip(pairs, inputs)]
-    bwd = [backward_order(p) @ s for p, s in zip(pairs, inputs)]
-    return [kron_all([bwd[i] if i == j else fwd[i] for i in range(n)]) for j in range(n)]
-
-
-def _w_sign(label: str, j: int, d: int) -> float:
-    # control qubit k reads bit k of j, most significant bit first
-    sign = 1.0
-    for k, s in enumerate(label):
-        if s == "-" and (j >> (d - 1 - k)) & 1:
-            sign = -sign
-    return sign
+    return controlled_outcomes(*_protocol_control("ghz", len(pairs)), pairs, inputs)
 
 
 def w_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEnsemble:
@@ -264,38 +302,20 @@ def w_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEns
     directions of its 2^d-dimensional space; the remaining directions carry
     zero amplitude, so outcome probabilities need not be equal.
     """
-    n = len(pairs)
-    if n < 3:
+    if len(pairs) < 3:
         raise ValueError("the W protocol requires at least 3 qubits")
-    if len(inputs) != n:
-        raise ValueError("pairs and inputs must have the same length")
-    d = math.ceil(math.log2(n))
-    branches = _w_branch_vectors(pairs, inputs)
-    outcomes = []
-    for bits in product("+-", repeat=d):
-        label = "".join(bits)
-        raw = sum(_w_sign(label, j, d) * branches[j] for j in range(n))
-        norm_sq = float(np.vdot(raw, raw).real)
-        outcomes.append(_make_outcome(label, raw, norm_sq / (n * 2**d)))
-    return OutcomeEnsemble(tuple(outcomes))
+    return controlled_outcomes(*_protocol_control("w", len(pairs)), pairs, inputs)
 
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    if spec.protocol == "w":
-        return w_outcomes(spec.pairs, spec.inputs)
-    return two_order_outcomes(spec.pairs, spec.inputs)
+    return controlled_outcomes(*_protocol_control(spec.protocol, spec.n), spec.pairs, spec.inputs)
 
 
 def joint_state(spec: SwitchSpec) -> np.ndarray:
     """The unmeasured (targets x control) state after the controlled-order unitary."""
-    phi = kron_all(spec.inputs)
-    if spec.protocol == "w":
-        n, d = spec.n, spec.control_qubits
-        branches = _w_branch_vectors(spec.pairs, spec.inputs)
-        out = sum(kron(branches[j], basis_state(d, j)) for j in range(n))
-        return out / math.sqrt(n)
-    v, v_tilde = local_tensor(spec.pairs)
-    fwd = v @ v_tilde @ phi
-    bwd = v_tilde @ v @ phi
-    return (kron(fwd, basis_state(1, 0)) + kron(bwd, basis_state(1, 1))) / math.sqrt(2.0)
+    control, reverse = _protocol_control(spec.protocol, spec.n)
+    live, stack = _branch_stack(control, reverse, spec.pairs, spec.inputs)
+    out = np.zeros((stack.shape[1], len(control)), dtype=complex)
+    out[:, live] = stack.T * control[live]
+    return out.reshape(-1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import dagger, kron_all, reduced_density
+from .linalg import dagger, reduced_density
 from .metrics import concurrence, gme_concurrence, purity
 from .switch import SwitchSpec
 
@@ -84,7 +84,12 @@ def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarra
 
 
 def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarray:
-    return kron_all(lus) @ np.asarray(state, dtype=complex)
+    """Apply lus[q] to qubit q of ``state``, one qubit axis at a time."""
+    n = len(lus)
+    t = np.asarray(state, dtype=complex).reshape([2] * n)
+    for q, u in enumerate(lus):
+        t = u @ t.reshape(2**q, 2, 2 ** (n - q - 1))
+    return t.reshape(-1)
 
 
 def three_tangle(state: np.ndarray) -> float:

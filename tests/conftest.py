@@ -1,9 +1,14 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qswitch import SwitchSpec, UnitaryPair, pauli, ry, superposed_input
+from qswitch.linalg import kron_all
+from qswitch.switch import canonical_phase
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def haar_unitary(rng, dim=2):
@@ -56,6 +61,36 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
     )
     spec.pairs[aligned_qubit] = commuting
     return spec
+
+
+def outcome_labels(m):
+    """Control outcome labels in report order, most significant qubit first."""
+    return ["".join(bits) for bits in product("+-", repeat=m)]
+
+
+def dense_readout(joint, m):
+    """Dense reference readout of a (targets x control) state with m control qubits.
+
+    Applies an explicit H^(x)m to the control register and returns, per
+    outcome in label order, the probability and the normalised, phase-fixed
+    target state (None below the 1e-12 reachability threshold).
+    """
+    rows = kron_all([HADAMARD] * m) @ np.asarray(joint).reshape(-1, 2**m).T
+    reference = []
+    for row in rows:
+        p = float(np.vdot(row, row).real)
+        reference.append((p, canonical_phase(row / math.sqrt(p)) if p >= 1e-12 else None))
+    return reference
+
+
+def assert_matches_reference(results, reference, tol=1e-12):
+    """Compare (probability, state or None) pairs with a dense_readout reference."""
+    assert len(results) == len(reference)
+    for (p, state), (p_ref, state_ref) in zip(results, reference):
+        assert abs(p - p_ref) <= tol
+        assert (state is None) == (state_ref is None)
+        if state is not None:
+            assert np.max(np.abs(state - state_ref)) <= tol
 
 
 @pytest.fixture

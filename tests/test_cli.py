@@ -113,6 +113,36 @@ def test_bad_protocol_reports_pointer(tmp_path, capsys):
     assert "/protocol" in capsys.readouterr().err
 
 
+def test_run_rejects_spec_over_qubit_cap(tmp_path, capsys):
+    path = tmp_path / "w13.json"
+    path.write_text(json.dumps({
+        "protocol": "w",
+        "n": 13,
+        "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}],
+        "input": {"alpha": 0.5},
+    }))
+    assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
+    assert "cap is 12" in capsys.readouterr().err
+
+
+def test_run_rejects_n_disagreeing_with_pairs(tmp_path, capsys):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({
+        "protocol": "ghz",
+        "n": 5,
+        "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 2,
+        "input": {"alpha": 0.5},
+    }))
+    assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
+    assert "2 pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_bad_tol(bell_spec, tol, capsys):
+    assert main(["verify", "--spec", bell_spec, "--tol", tol]) == EXIT_VALIDATION
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

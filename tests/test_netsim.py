@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_pair
-from qswitch import UnitaryPair, pauli, ry, superposed_input
-from qswitch.linalg import basis_state, kron_all, reduced_density
+from conftest import (
+    assert_matches_reference,
+    condition_spec,
+    default_pair,
+    dense_readout,
+    haar_unitary,
+    outcome_labels,
+    random_pure_state,
+)
+from qswitch import SwitchSpec, UnitaryPair, canonical_lu, pauli, ry, superposed_input
+from qswitch.linalg import basis_state, kron, kron_all, reduced_density
 from qswitch.metrics import purity
 from qswitch.netsim import (
     BranchResult,
@@ -151,3 +159,53 @@ def test_coupling_audit_detects_entangling_block():
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     op[:, 0, :, 0] = cnot
     assert max_cross_client_coupling(op.reshape(16, 16), 2, 2) > 0.1
+
+
+def _assert_matches_dense(branches, control, cluster_of_qubit, pairs, inputs):
+    # dense audit operator on (clients x control), then an explicit H^(x)m readout
+    m = len(control).bit_length() - 1
+    joint = controlled_order_operator(pairs, cluster_of_qubit, m) @ kron(kron_all(inputs), control)
+    reference = dense_readout(joint, m)
+    assert [b.control_outcome for b in branches] == outcome_labels(m)
+    assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)
+    try:
+        frame = kron_all(canonical_lu(SwitchSpec("ghz", pairs, inputs)))
+    except ValueError:
+        frame = np.eye(2 ** len(pairs))
+    for b, (_, state) in zip(branches, reference):
+        if state is not None:
+            rotated = frame @ state
+            assert abs(b.ghz_fidelity - (abs(rotated[0]) + abs(rotated[-1])) ** 2 / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])  # the n + n qubit audit operator grows as 16^n
+def test_map_entanglement_matches_dense_reference(rng, n):
+    for _ in range(3):
+        random_pairs = [UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)]
+        random_inputs = [random_pure_state(rng, 1) for _ in range(n)]
+        orthogonal = condition_spec(rng, "ghz", n)
+        for control in (random_pure_state(rng, n), ghz_state(n)):
+            for pairs, inputs in ((random_pairs, random_inputs),
+                                  (orthogonal.pairs, orthogonal.inputs)):
+                branches = map_entanglement(control, pairs, inputs)
+                _assert_matches_dense(branches, control, list(range(n)), pairs, inputs)
+
+
+@pytest.mark.parametrize("clusters", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("control", ["ghz", "plus_product"])
+def test_hierarchy_matches_dense_reference(rng, clusters, control):
+    for _ in range(3):
+        # conjugating (pauli_z, ry(pi/2)) by a real rotation keeps every real
+        # input orthogonal, so the generation condition holds for any alpha
+        a = ry(rng.uniform(0, 2 * math.pi))
+        pair = UnitaryPair(a @ pauli("z") @ a.conj().T, ry(math.pi / 2))
+        topo = Topology(entanglers=[(f"e{j}", k) for j, k in enumerate(clusters)],
+                        pair_template=pair, alpha=rng.uniform(0, 1), control=control)
+        m = len(clusters)
+        amps = (ghz_state(m) if control == "ghz"
+                else kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)] * m))
+        n = topo.total_clients
+        _assert_matches_dense(
+            run_hierarchy(topo), amps, [j for j, k in enumerate(clusters) for _ in range(k)],
+            [pair] * n, [superposed_input(topo.alpha)] * n,
+        )

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import condition_spec, default_pair, haar_unitary, random_pure_state, random_spec
+from conftest import (
+    aligned_spec,
+    assert_matches_reference,
+    condition_spec,
+    default_pair,
+    dense_readout,
+    haar_unitary,
+    outcome_labels,
+    random_pure_state,
+    random_spec,
+)
 from qswitch import (
     SwitchSpec,
     UnitaryPair,
@@ -22,7 +32,8 @@ from qswitch import (
 from qswitch.gates import local_tensor
 from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all, partial_trace
 from qswitch.metrics import gme_concurrence
-from qswitch.switch import canonical_phase
+from qswitch.switch import MAX_QUBITS, canonical_phase
+from qswitch.verify import apply_local_unitaries, canonical_lu
 
 I2 = np.eye(2, dtype=complex)
 
@@ -198,6 +209,8 @@ def test_spec_validation():
         SwitchSpec("ghz", [p] * 3, [eta] * 3, control="biased")
     with pytest.raises(ValueError):
         SwitchSpec("nope", [p] * 2, [eta] * 2)
+    with pytest.raises(ValueError, match="cap"):
+        SwitchSpec("w", [p] * (MAX_QUBITS + 1), [eta] * (MAX_QUBITS + 1))
 
 
 def test_spec_json_round_trip():
@@ -234,3 +247,63 @@ def test_condition_spec_both_outcomes_reachable(rng):
     ens = run(spec)
     for o in ens:
         assert o.reachable and abs(o.probability - 0.5) <= 1e-9
+
+
+def _commuting_spec(rng, protocol, n):
+    # every pair commutes, so both orders coincide and some outcomes are unreachable
+    inputs = [random_pure_state(rng, 1) for _ in range(n)]
+    return SwitchSpec(protocol, [UnitaryPair(pauli("z"), ry(0.0))] * n, inputs)
+
+
+def _dense_reference(spec):
+    # explicit n-qubit order operators on the product input, then an H^(x)m readout
+    n = spec.n
+    if spec.protocol == "w":
+        m = math.ceil(math.log2(n))
+        masks = [[q == j for q in range(n)] for j in range(n)]
+    else:
+        m = 1
+        masks = [[False] * n, [True] * n]
+    phi = kron_all(spec.inputs)
+    joint = 0
+    for b, mask in enumerate(masks):
+        order = kron_all([backward_order(p) if r else forward_order(p)
+                          for p, r in zip(spec.pairs, mask)])
+        joint = joint + kron(order @ phi, basis_state(m, b))
+    return m, joint / math.sqrt(len(masks))
+
+
+@pytest.mark.parametrize(
+    "protocol,n", [("bell", 2), ("ghz", 2), ("ghz", 3), ("ghz", 5), ("w", 3), ("w", 4), ("w", 5)]
+)
+def test_engine_matches_dense_reference(rng, protocol, n):
+    for make in (random_spec, condition_spec, aligned_spec, _commuting_spec):
+        for _ in range(4):
+            spec = make(rng, protocol, n)
+            m, joint = _dense_reference(spec)
+            ens = run(spec)
+            assert [o.label for o in ens] == outcome_labels(m)
+            results = [(o.probability, o.state) for o in ens]
+            assert_matches_reference(results, dense_readout(joint, m))
+            assert np.max(np.abs(joint_state(spec) - joint)) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol", ["ghz", "w"])
+def test_paper_construction_at_qubit_cap(protocol):
+    n = MAX_QUBITS
+    spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.5)] * n)
+    ens = run(spec)
+    lus = canonical_lu(spec)
+    assert abs(ens.total_probability() - 1.0) <= 1e-10
+    if protocol == "ghz":
+        for label, sign in (("+", 1), ("-", -1)):
+            target = (basis_state(n, 0) + sign * basis_state(n, 2**n - 1)) / math.sqrt(2)
+            frame = apply_local_unitaries(lus, ens[label].state)
+            assert abs(ens[label].probability - 0.5) <= 1e-10
+            assert abs(abs(np.vdot(target, frame)) ** 2 - 1.0) <= 1e-10
+    else:
+        weight_one = [2**q for q in range(n)]
+        assert ens.reachable()
+        for o in ens.reachable():
+            frame = apply_local_unitaries(lus, o.state)
+            assert abs(np.sum(np.abs(frame[weight_one]) ** 2) - 1.0) <= 1e-10
