@@ -11,7 +11,6 @@ import math
 import sys
 
 from . import netsim, sweep as sweep_mod, verify as verify_mod
-from .metrics import gme_concurrence
 from .switch import SwitchSpec, run as run_switch
 
 EXIT_OK = 0
@@ -55,10 +54,23 @@ def _ensemble_doc(ensemble) -> dict:
     return {"outcomes": outcomes}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_spec_document(doc) -> None:
     # surfaces the JSON pointer of the first offending field
     if not isinstance(doc, dict):
         raise ValidationError("spec document must be a JSON object (at '')")
+    version = doc.get("version", 1)
+    if version != 1 or isinstance(version, bool):
+        raise ValidationError(f"unsupported spec version {version!r} (at '/version')")
+    if "n" in doc and not _is_integer(doc["n"]):
+        raise ValidationError(f"n must be an integer, got {doc['n']!r} (at '/n')")
     protocol = doc.get("protocol")
     if protocol not in ("bell", "ghz", "w"):
         raise ValidationError(f"invalid protocol {protocol!r} (at '/protocol')")
@@ -74,6 +86,37 @@ def _check_spec_document(doc) -> None:
     inp = doc.get("input", {"alpha": 0.5})
     if not isinstance(inp, dict) or not ({"alpha", "amplitudes"} & inp.keys()):
         raise ValidationError("input needs 'alpha' or 'amplitudes' (at '/input')")
+    if "alpha" in inp and not _is_number(inp["alpha"]):
+        raise ValidationError(f"alpha must be a number, got {inp['alpha']!r} (at '/input/alpha')")
+
+
+def _check_topology_document(doc) -> None:
+    # surfaces the JSON pointer of the first offending field
+    if not isinstance(doc, dict):
+        raise ValidationError("topology document must be a JSON object (at '')")
+    entanglers = doc.get("entanglers")
+    if not isinstance(entanglers, list):
+        raise ValidationError("entanglers must be an array (at '/entanglers')")
+    for i, e in enumerate(entanglers):
+        if not isinstance(e, dict):
+            raise ValidationError(f"entangler must be an object (at '/entanglers/{i}')")
+        if not isinstance(e.get("id"), str):
+            raise ValidationError(f"entangler id must be a string (at '/entanglers/{i}/id')")
+        if not _is_integer(e.get("clients")):
+            raise ValidationError(
+                f"clients must be an integer, got {e.get('clients')!r} (at '/entanglers/{i}/clients')"
+            )
+    gate_doc = doc.get("gates", {})
+    if not isinstance(gate_doc, dict):
+        raise ValidationError("gates must be an object (at '/gates')")
+    for key in ("u", "u_tilde"):
+        if key in gate_doc and not isinstance(gate_doc[key], str):
+            raise ValidationError(f"gate name must be a string (at '/gates/{key}')")
+    if "alpha" in doc and not _is_number(doc["alpha"]):
+        raise ValidationError(f"alpha must be a number, got {doc['alpha']!r} (at '/alpha')")
+    link_loss = doc.get("link_loss", {})
+    if not isinstance(link_loss, dict) or not all(map(_is_number, link_loss.values())):
+        raise ValidationError("link_loss must map node ids to numbers (at '/link_loss')")
 
 
 def _load_spec(path: str) -> SwitchSpec:
@@ -161,6 +204,7 @@ def _cmd_netsim(args) -> int:
         raise OSError(f"cannot read topology file {args.topology}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {args.topology}: {exc}") from exc
+    _check_topology_document(doc)
     try:
         topo = netsim.topology_from_json(doc)
         branches = netsim.run_hierarchy(topo)

@@ -29,14 +29,15 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def ry(angle: float) -> np.ndarray:
+def ry(angle) -> np.ndarray:
     """Rotation exp(-i sigma_y angle/2) as a real 2x2 matrix.
 
     Phase-free convention: ry(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
+    An array of angles gives the stacked rotations, shape (..., 2, 2).
     """
-    half = angle / 2.0
+    half = np.asarray(angle, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
 
 
 @dataclass(frozen=True)

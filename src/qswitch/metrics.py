@@ -41,10 +41,12 @@ def _validate_density(rho: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     return rho
 
 
-def _clamp_unit(value: float) -> float:
-    if value > 1.0 + _CLAMP_SLACK:
-        raise ValueError(f"metric value {value} above 1 beyond numerical slack")
-    return min(max(value, 0.0), 1.0)
+def _clamp_unit(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    worst = np.max(values, initial=-np.inf)
+    if worst > 1.0 + _CLAMP_SLACK:
+        raise ValueError(f"metric value {worst} above 1 beyond numerical slack")
+    return np.clip(values, 0.0, 1.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -59,13 +61,55 @@ def concurrence(rho: np.ndarray) -> float:
     vals = eigvals_hermitian(root @ spin_flip(rho) @ root)
     vals = np.where(vals < _EIGEN_DUST, 0.0, vals)  # sqrt would amplify dust
     mus = np.sqrt(vals)
-    return _clamp_unit(float(mus[0] - mus[1] - mus[2] - mus[3]))
+    return float(_clamp_unit(mus[0] - mus[1] - mus[2] - mus[3]))
+
+
+def pure_concurrence(states: np.ndarray) -> np.ndarray:
+    """Concurrence 2|psi_00 psi_11 - psi_01 psi_10| of normalised two-qubit pure
+    states, over any leading batch axes: (..., 4) -> (...).
+
+    Wootters' closed form, equal to ``concurrence(density(psi))``; like that
+    path, a value whose square is eigenvalue dust reads exactly 0.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.shape[-1] != 4:
+        raise ValueError(f"expected two-qubit states, got dimension {states.shape[-1]}")
+    c = 2.0 * np.abs(states[..., 0] * states[..., 3] - states[..., 1] * states[..., 2])
+    return _clamp_unit(np.where(c * c < _EIGEN_DUST, 0.0, c))
 
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2), between 1/2^n (maximally mixed) and 1 (pure)."""
     rho = np.asarray(rho, dtype=complex)
     return float(np.trace(rho @ rho).real)
+
+
+def _cut_purities(states: np.ndarray) -> np.ndarray:
+    """Tr(rho_q^2) of every single-qubit marginal of pure states: (..., 2^n) -> (..., n)."""
+    n = num_qubits(states.shape[-1])
+    out = []
+    for q in range(n):
+        halves = states.reshape(states.shape[:-1] + (2**q, 2, 2 ** (n - q - 1)))
+        a, b = halves[..., 0, :], halves[..., 1, :]
+        r00 = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+        r11 = (b.real**2 + b.imag**2).sum(axis=(-2, -1))
+        r01 = (a * b.conj()).sum(axis=(-2, -1))
+        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
+    return np.stack(out, axis=-1)
+
+
+def _gme_from_entropy(minimum) -> np.ndarray:
+    # a numerically pure cut (linear entropy below the dust) is biseparable
+    minimum = np.asarray(minimum, dtype=float)
+    root = np.sqrt(2.0 * np.maximum(minimum, 0.0))
+    return _clamp_unit(np.where(minimum < _EIGEN_DUST, 0.0, root))
+
+
+def pure_gme_concurrence(states: np.ndarray) -> np.ndarray:
+    """Single-cut GME concurrence of normalised pure states over any leading
+    batch axes: (..., 2^n) -> (...), equal to ``gme_concurrence(psi).value``."""
+    states = np.asarray(states, dtype=complex)
+    return _gme_from_entropy(np.min(1.0 - _cut_purities(states), axis=-1))
 
 
 def gme_concurrence(state: np.ndarray, all_bipartitions: bool = False) -> MetricReport:
@@ -87,13 +131,12 @@ def gme_concurrence(state: np.ndarray, all_bipartitions: bool = False) -> Metric
         ]
     else:
         cuts = [[q] for q in range(n)]
+    single = 1.0 - _cut_purities(state)
     per_cut = {}
     for cut in cuts:
-        rho_cut = reduced_density(state, cut)
-        per_cut[",".join(map(str, cut))] = 1.0 - purity(rho_cut)
-    minimum = min(per_cut.values())
-    if minimum < _EIGEN_DUST:  # a numerically pure cut: biseparable
-        value = 0.0
-    else:
-        value = _clamp_unit(float(np.sqrt(2.0 * minimum)))
+        per_cut[",".join(map(str, cut))] = (
+            float(single[cut[0]]) if len(cut) == 1
+            else 1.0 - purity(reduced_density(state, cut))
+        )
+    value = float(_gme_from_entropy(min(per_cut.values())))
     return MetricReport(metric="gme_concurrence", value=value, subsystem_values=per_cut)

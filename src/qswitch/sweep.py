@@ -2,29 +2,35 @@
 
 Each grid point fixes u_tilde = ry(2*lambda) (by default) on every qubit and
 the product input eta(alpha)^n, runs the protocol and records one row per
-measurement outcome. Output is deterministic regardless of worker count.
+measurement outcome. The grid is evaluated as one batch of stacked arrays,
+and output is deterministic: a row's bytes do not depend on the grid around it.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from itertools import product
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import gates
-from .gates import UnitaryPair
-from .metrics import concurrence, gme_concurrence
-from .switch import SwitchSpec, run, superposed_input
-from .linalg import density
+from .linalg import is_unitary, num_qubits
+from .metrics import pure_concurrence, pure_gme_concurrence
+from .switch import (
+    UNREACHABLE_TOL,
+    branch_readout,
+    control_labels,
+    protocol_control,
+    superposed_input,
+)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """One sweep row (a named tuple: rows are built by the thousand per grid)."""
+
     lam: float
     alpha: float
     outcome: str
@@ -73,55 +79,34 @@ def default_plan(protocol: str, n: int, lambda_steps: int = 33, alpha_steps: int
     )
 
 
-def _evaluate_lambda(plan: SweepPlan, lam: float) -> list[SweepRecord]:
-    base_u = gates.parse_gate(plan.base_u)
-    pair = UnitaryPair(base_u, gates.ry(2.0 * lam))
-    metric = plan.resolved_metric()
-    rows = []
-    for alpha in plan.alpha_grid:
-        spec = SwitchSpec(
-            protocol=plan.protocol,
-            pairs=[pair] * plan.n,
-            inputs=[superposed_input(alpha)] * plan.n,
-        )
-        for outcome in run(spec):
-            if not outcome.reachable:
-                value = None
-            elif metric == "concurrence":
-                value = concurrence(density(outcome.state))
-            else:
-                value = gme_concurrence(outcome.state).value
-            rows.append(
-                SweepRecord(
-                    lam=lam,
-                    alpha=alpha,
-                    outcome=outcome.label,
-                    probability=outcome.probability,
-                    metric_value=value,
-                    reachable=outcome.reachable,
-                )
-            )
-    return rows
+def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
+    """Evaluate the plan; rows are ordered by lambda, then alpha, then outcome.
 
-
-def worker_count() -> int:
-    env = os.environ.get("SWITCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def run_sweep(plan: SweepPlan, threads: Optional[int] = None) -> list[SweepRecord]:
-    """Evaluate the plan; rows are sorted by lambda, then alpha, then outcome."""
-    threads = threads if threads is not None else worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda lam: _evaluate_lambda(plan, lam), plan.lambda_grid))
-    else:
-        chunks = [_evaluate_lambda(plan, lam) for lam in plan.lambda_grid]
-    rows = [r for chunk in chunks for r in chunk]
-    rows.sort(key=lambda r: (r.lam, r.alpha, r.outcome))
-    return rows
+    The whole grid goes through the engine and the metric as one batch of
+    shape (lambda, alpha), so each row depends only on its own grid point.
+    """
+    u = gates.parse_gate(plan.base_u)
+    if not is_unitary(u):
+        raise ValueError(f"base_u {plan.base_u!r} is not unitary within tolerance")
+    u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))  # (lam, 2, 2)
+    orders = np.stack([u @ u_tilde, u_tilde @ u], 1)  # forward_order, backward_order
+    etas = superposed_input(plan.alpha_grid)  # (alpha, 2)
+    ends = (orders[:, None] @ etas[None, :, None, :, None])[..., 0]  # (lam, alpha, order, 2)
+    ends = np.broadcast_to(ends[:, :, None], ends.shape[:2] + (plan.n,) + ends.shape[2:])
+    control, reverse = protocol_control(plan.protocol, plan.n)
+    raw, probabilities = branch_readout(control, reverse, ends)
+    reachable = probabilities >= UNREACHABLE_TOL
+    states = raw[reachable] / np.sqrt(probabilities[reachable])[:, None]
+    metric = pure_concurrence if plan.resolved_metric() == "concurrence" else pure_gme_concurrence
+    values = np.zeros(probabilities.shape)
+    values[reachable] = metric(states)
+    labels = control_labels(num_qubits(len(control)))
+    keys = product(plan.lambda_grid, plan.alpha_grid, labels)  # the C order of the arrays
+    columns = [c.ravel().tolist() for c in (np.maximum(probabilities, 0.0), values, reachable)]
+    return [
+        SweepRecord(lam, alpha, label, p, value if live else None, live)
+        for (lam, alpha, label), p, value, live in zip(keys, *columns)
+    ]
 
 
 def _fmt(x: float) -> str:

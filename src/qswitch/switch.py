@@ -1,9 +1,11 @@
 """The coherently-controlled-order engine.
 
-``controlled_outcomes`` lets each control basis state select, per qubit, one
-of the two composition orders of its gate pair on a product input, measures
-the control register in the coherent {|+>, |->} basis and returns the
-postselected outcome ensemble. The protocols only choose the control:
+``branch_readout`` lets each control basis state select, per qubit, one of
+the two composition orders of its gate pair on a product input and measures
+the control register in the coherent {|+>, |->} basis, over any number of
+stacked instances at once; ``controlled_outcomes`` is its single-instance
+form, returning the postselected outcome ensemble. The protocols only choose
+the control:
 
 * two-order protocols (Bell, GHZ-like): one control qubit selects between
   the two orders of the n-qubit local tensors;
@@ -47,11 +49,15 @@ def _as_qubit_state(v) -> np.ndarray:
     return v
 
 
-def superposed_input(alpha: float) -> np.ndarray:
-    """sqrt(alpha)|0> + sqrt(1-alpha)|1>, the standard swept input family."""
-    if not 0.0 <= alpha <= 1.0:
+def superposed_input(alpha) -> np.ndarray:
+    """sqrt(alpha)|0> + sqrt(1-alpha)|1>, the standard swept input family.
+
+    An array of alphas gives the stacked inputs, shape (..., 2).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    return np.array([math.sqrt(alpha), math.sqrt(1.0 - alpha)], dtype=complex)
+    return np.stack([np.sqrt(alpha), np.sqrt(1.0 - alpha)], -1).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ class SwitchSpec:
     def from_document(cls, doc: dict) -> "SwitchSpec":
         version = doc.get("version", 1)
         if version != 1:
-            raise ValueError(f"unsupported spec version {version}")
+            raise ValueError(f"unsupported spec version {version!r}")
         protocol = doc["protocol"]
         pair_docs = doc["pairs"]
         n = doc.get("n", len(pair_docs))
@@ -229,24 +235,60 @@ def _make_outcome(label: str, raw: np.ndarray, probability: float) -> Outcome:
     )
 
 
+def _end_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> np.ndarray:
+    """Per qubit, the forward- and backward-order images of its input: (n, 2, 2)."""
+    if len(inputs) != len(pairs) or not pairs:
+        raise ValueError("pairs and inputs must be nonempty and of equal length")
+    return np.array(
+        [[forward_order(p) @ phi, backward_order(p) @ phi] for p, phi in zip(pairs, inputs)]
+    )
+
+
 def _branch_stack(
-    control: np.ndarray, reverse: np.ndarray, pairs: list[UnitaryPair], inputs: list[np.ndarray]
+    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Live control basis states (|amplitude| > UNREACHABLE_TOL) and, one row
     each, the product state they select, built one qubit at a time from the
-    forward and backward 2-vectors so that no n-qubit operator is formed."""
-    n = len(pairs)
-    if len(inputs) != n or not pairs:
-        raise ValueError("pairs and inputs must be nonempty and of equal length")
+    end vectors so that no n-qubit operator is formed. ``ends`` may carry
+    leading batch axes, which the stack keeps: (..., live, 2^n)."""
+    n = ends.shape[-3]
     live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
-    ends = np.array(
-        [[forward_order(p) @ phi, backward_order(p) @ phi] for p, phi in zip(pairs, inputs)]
-    )
-    factors = ends[np.arange(n), np.asarray(reverse, dtype=np.intp)[live]]  # (live, qubit, 2)
-    stack = factors[:, 0]
+    factors = ends[..., np.arange(n), np.asarray(reverse, dtype=np.intp)[live], :]
+    stack = factors[..., 0, :]  # qubit 0 alone: (..., live, 2)
     for q in range(1, n):
-        stack = (stack[:, :, None] * factors[:, q, None, :]).reshape(len(live), 2 ** (q + 1))
+        stack = (stack[..., :, None] * factors[..., q, None, :]).reshape(
+            stack.shape[:-1] + (2 ** (q + 1),))
     return live, stack
+
+
+def branch_readout(
+    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised outcome amplitudes and probabilities of a controlled order.
+
+    ``control`` holds the 2^m control amplitudes, ``reverse[b][q]`` says
+    whether control basis state b applies the backward order of qubit q's
+    pair, and ``ends[..., q, o]`` is qubit q's input after order o (0 forward,
+    1 backward), with any leading batch axes. Every control qubit is measured
+    in the {|+>, |->} basis, outcomes ordered with the control qubits read
+    most significant first. Returns amplitudes (..., 2^m, 2^n) and
+    probabilities (..., 2^m).
+    """
+    control = np.asarray(control, dtype=complex)
+    m = num_qubits(len(control))
+    live, stack = _branch_stack(control, reverse, np.asarray(ends, dtype=complex))
+    # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
+    both = np.arange(2**m)[:, None] & live[None, :]
+    parity = both.copy()
+    for k in range(1, m):
+        parity ^= both >> k
+    raw = ((1.0 - 2.0 * (parity & 1)) * (control[live] * 2.0 ** (-m / 2.0))) @ stack
+    return raw, np.einsum("...ij,...ij->...i", raw.conj(), raw).real
+
+
+def control_labels(m: int) -> list[str]:
+    """Outcome labels of an m-qubit control readout, in ``branch_readout`` order."""
+    return ["".join(bits) for bits in product("+-", repeat=m)]
 
 
 def controlled_outcomes(
@@ -254,30 +296,23 @@ def controlled_outcomes(
 ) -> OutcomeEnsemble:
     """Measure every control qubit of a controlled-order superposition.
 
-    ``control`` holds the 2^m control amplitudes, and ``reverse[b][q]`` says
-    whether control basis state b applies the backward order of qubit q's
-    pair instead of the forward one. Each control qubit is measured in the
-    {|+>, |->} basis; labels read the control qubits most significant first.
+    The single-instance form of ``branch_readout``: each outcome is
+    thresholded, normalised and phase-fixed, labelled like ``+-`` with the
+    control qubits read most significant first.
     """
-    control = np.asarray(control, dtype=complex)
-    m = num_qubits(len(control))
-    live, stack = _branch_stack(control, reverse, pairs, inputs)
-    # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
-    both = np.arange(2**m)[:, None] & live[None, :]
-    parity = both.copy()
-    for k in range(1, m):
-        parity ^= both >> k
-    raw = ((1.0 - 2.0 * (parity & 1)) * (control[live] * 2.0 ** (-m / 2.0))) @ stack
-    probabilities = np.einsum("ij,ij->i", raw.conj(), raw).real
-    labels = ("".join(bits) for bits in product("+-", repeat=m))
+    raw, probabilities = branch_readout(control, reverse, _end_vectors(pairs, inputs))
+    labels = control_labels(num_qubits(len(control)))
     return OutcomeEnsemble(
         tuple(_make_outcome(lb, r, float(p)) for lb, r, p in zip(labels, raw, probabilities))
     )
 
 
-def _protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # two-order: all-forward and all-backward, evenly weighted; W: uniform over
-    # the first n of 2^d control states, state j reversing qubit j only
+def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (control, reverse) pair of a protocol on n qubits.
+
+    Two-order: all-forward and all-backward, evenly weighted. W: uniform over
+    the first n of 2^d control states, state j reversing qubit j only.
+    """
     if protocol != "w":
         return np.full(2, 1.0 / math.sqrt(2.0)), np.array([[False] * n, [True] * n])
     d = math.ceil(math.log2(n))
@@ -292,7 +327,7 @@ def two_order_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> Ou
     Works for any n >= 1; the Bell and GHZ protocols are the n = 2 and
     n >= 2 instances.
     """
-    return controlled_outcomes(*_protocol_control("ghz", len(pairs)), pairs, inputs)
+    return controlled_outcomes(*protocol_control("ghz", len(pairs)), pairs, inputs)
 
 
 def w_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEnsemble:
@@ -304,18 +339,18 @@ def w_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEns
     """
     if len(pairs) < 3:
         raise ValueError("the W protocol requires at least 3 qubits")
-    return controlled_outcomes(*_protocol_control("w", len(pairs)), pairs, inputs)
+    return controlled_outcomes(*protocol_control("w", len(pairs)), pairs, inputs)
 
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    return controlled_outcomes(*_protocol_control(spec.protocol, spec.n), spec.pairs, spec.inputs)
+    return controlled_outcomes(*protocol_control(spec.protocol, spec.n), spec.pairs, spec.inputs)
 
 
 def joint_state(spec: SwitchSpec) -> np.ndarray:
     """The unmeasured (targets x control) state after the controlled-order unitary."""
-    control, reverse = _protocol_control(spec.protocol, spec.n)
-    live, stack = _branch_stack(control, reverse, spec.pairs, spec.inputs)
+    control, reverse = protocol_control(spec.protocol, spec.n)
+    live, stack = _branch_stack(control, reverse, _end_vectors(spec.pairs, spec.inputs))
     out = np.zeros((stack.shape[1], len(control)), dtype=complex)
     out[:, live] = stack.T * control[live]
     return out.reshape(-1)

@@ -173,3 +173,56 @@ def test_unknown_flag(capsys):
 
 def test_unknown_verb(capsys):
     assert main(["teleport"]) == EXIT_VALIDATION
+
+
+def _bell_doc(**fields):
+    doc = {
+        "version": 1,
+        "protocol": "bell",
+        "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 2,
+        "input": {"alpha": 0.5},
+    }
+    doc.update(fields)
+    return doc
+
+
+def _topology_doc(**fields):
+    doc = {
+        "entanglers": [{"id": "e1", "clients": 3}, {"id": "e2", "clients": 3}],
+        "gates": {"u": "pauli_z", "u_tilde": RY_QUARTER},
+        "alpha": 0.5,
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,pointer", [
+    (_bell_doc(n="3"), "'/n'"),
+    (_bell_doc(n=True), "'/n'"),
+    (_bell_doc(input={"alpha": None}), "'/input/alpha'"),
+    (_bell_doc(input={"alpha": True}), "'/input/alpha'"),
+    (_bell_doc(version="1"), "'/version'"),
+], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string"])
+def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert pointer in err
+    if "version" in pointer:
+        assert "version '1'" in err
+
+
+@pytest.mark.parametrize("doc,pointer", [
+    ([1, 2], "''"),
+    (_topology_doc(entanglers="x"), "'/entanglers'"),
+    (_topology_doc(gates="pauli_z"), "'/gates'"),
+    (_topology_doc(alpha=None), "'/alpha'"),
+    (_topology_doc(entanglers=[{"id": "e1", "clients": 3}, {"id": "e2", "clients": 2.7}]),
+     "'/entanglers/1/clients'"),
+], ids=["not-an-object", "entanglers-string", "gates-string", "alpha-null", "clients-fraction"])
+def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["netsim", "--topology", str(path)]) == EXIT_VALIDATION
+    assert f"(at {pointer})" in capsys.readouterr().err

@@ -4,6 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_pure_state
+from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
+from qswitch.linalg import density, kron_all
+from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
 from qswitch.sweep import SweepPlan, default_plan, export, load_csv, run_sweep
 
 
@@ -32,7 +36,7 @@ def test_metric_resolution():
 
 def test_record_count_and_order():
     plan = small_plan("w", 3)
-    records = run_sweep(plan, threads=1)
+    records = run_sweep(plan)
     assert len(records) == 9 * 5 * 4  # lambda x alpha x outcome
     keys = [(r.lam, r.alpha, r.outcome) for r in records]
     assert keys == sorted(keys)
@@ -40,14 +44,14 @@ def test_record_count_and_order():
 
 def test_ridge_alpha_independent():
     plan = SweepPlan("ghz", 3, [math.pi / 4], list(np.linspace(0, 1, 7)))
-    for r in run_sweep(plan, threads=1):
+    for r in run_sweep(plan):
         assert r.reachable
         assert abs(r.metric_value - 1.0) <= 1e-9
 
 
 def test_edges_separable():
     plan = SweepPlan("bell", 2, [0.0, math.pi / 2], list(np.linspace(0, 1, 5)))
-    for r in run_sweep(plan, threads=1):
+    for r in run_sweep(plan):
         if r.reachable:
             assert r.metric_value <= 1e-9
         else:
@@ -59,7 +63,7 @@ def test_plus_branch_symmetry():
     plan = SweepPlan("bell", 2, lams, [0.3])
     by_lam = {
         round(r.lam, 12): r.metric_value
-        for r in run_sweep(plan, threads=1)
+        for r in run_sweep(plan)
         if r.outcome == "+"
     }
     assert abs(by_lam[round(math.pi / 8, 12)] - by_lam[round(3 * math.pi / 8, 12)]) <= 1e-9
@@ -73,7 +77,7 @@ def test_export_empty_csv(tmp_path):
 
 def test_export_json_round_trip(tmp_path):
     plan = small_plan("bell", 2)
-    records = run_sweep(plan, threads=1)
+    records = run_sweep(plan)
     path = tmp_path / "out.json"
     export(records, "json", str(path))
     docs = json.loads(path.read_text())
@@ -85,7 +89,7 @@ def test_export_json_round_trip(tmp_path):
 
 def test_export_csv_round_trip(tmp_path):
     plan = small_plan("ghz", 3)
-    records = run_sweep(plan, threads=1)
+    records = run_sweep(plan)
     path = tmp_path / "out.csv"
     export(records, "csv", str(path))
     loaded = load_csv(str(path))
@@ -99,10 +103,10 @@ def test_export_csv_round_trip(tmp_path):
 def test_rerun_determinism(tmp_path):
     plan = small_plan("bell", 2)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export(run_sweep(plan, threads=1), "csv", str(p1))
-    export(run_sweep(plan, threads=1), "csv", str(p2))
+    export(run_sweep(plan), "csv", str(p1))
+    export(run_sweep(plan), "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    fresh = run_sweep(plan, threads=1)
+    fresh = run_sweep(plan)
     reloaded = load_csv(str(p1))
     deltas = [
         abs(a.metric_value - b.metric_value)
@@ -112,12 +116,16 @@ def test_rerun_determinism(tmp_path):
     assert max(deltas) < 1e-11
 
 
-def test_thread_count_invariance(tmp_path):
+def test_grid_shape_invariance(tmp_path):
     plan = small_plan("w", 3)
-    p1, p4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    export(run_sweep(plan, threads=1), "csv", str(p1))
-    export(run_sweep(plan, threads=4), "csv", str(p4))
-    assert p1.read_bytes() == p4.read_bytes()
+    full, one = tmp_path / "full.csv", tmp_path / "one.csv"
+    export(run_sweep(plan), "csv", str(full))
+    rows = []
+    for lam in plan.lambda_grid:
+        export(run_sweep(SweepPlan("w", 3, [lam], plan.alpha_grid)), "csv", str(one))
+        rows += one.read_bytes().splitlines()[1:]
+    assert full.read_bytes().splitlines()[1:] == rows
+    assert len(rows) == 9 * 5 * 4
 
 
 def test_export_unknown_format(tmp_path):
@@ -128,3 +136,76 @@ def test_export_unknown_format(tmp_path):
 def test_export_io_error(tmp_path):
     with pytest.raises(OSError):
         export([], "csv", str(tmp_path / "missing" / "x.csv"))
+
+
+@pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4)])
+def test_batched_sweep_matches_per_point_reference(protocol, n):
+    plan = default_plan(protocol, n, lambda_steps=9, alpha_steps=7)
+    assert {0.0, math.pi / 2} <= set(plan.lambda_grid)
+    assert abs(plan.lambda_grid[4] - math.pi / 4) <= 1e-15
+    assert {0.0, 1.0} <= set(plan.alpha_grid)
+    reference = []
+    for lam in plan.lambda_grid:
+        pair = UnitaryPair(pauli("z"), ry(2.0 * lam))
+        for alpha in plan.alpha_grid:
+            spec = SwitchSpec(protocol, [pair] * n, [superposed_input(alpha)] * n)
+            for o in run(spec):
+                if not o.reachable:
+                    value = None
+                elif protocol == "bell":
+                    value = concurrence(density(o.state))
+                else:
+                    value = gme_concurrence(o.state).value
+                reference.append((lam, alpha, o.label, o.probability, value))
+    records = run_sweep(plan)
+    assert len(records) == len(reference)
+    for r, (lam, alpha, label, p, value) in zip(records, reference):
+        assert (r.lam, r.alpha, r.outcome) == (lam, alpha, label)
+        assert abs(r.probability - p) <= 1e-12
+        assert r.reachable == (value is not None)
+        if value is None:
+            assert r.metric_value is None
+        else:
+            assert abs(r.metric_value - value) <= 1e-10
+
+
+def test_batched_grid_inputs_match_scalar_forms(rng):
+    angles = rng.uniform(-10.0, 10.0, size=(4, 5))
+    stacked = ry(angles)
+    assert stacked.shape == (4, 5, 2, 2)
+    assert all(np.array_equal(stacked[i, j], ry(float(angles[i, j])))
+               for i in range(4) for j in range(5))
+    alphas = np.linspace(0.0, 1.0, 11)
+    etas = superposed_input(alphas)
+    assert etas.shape == (11, 2)
+    assert all(np.array_equal(etas[k], superposed_input(float(a))) for k, a in enumerate(alphas))
+    with pytest.raises(ValueError):
+        superposed_input([0.5, 1.0 + 1e-9])
+
+
+def test_batched_metrics_match_mixed_state_paths(rng):
+    two = np.array([random_pure_state(rng, 2) for _ in range(100)])
+    three = np.array([random_pure_state(rng, 3) for _ in range(50)])
+    four = np.array([random_pure_state(rng, 4) for _ in range(50)])
+    c = pure_concurrence(two)
+    assert c.shape == (100,)
+    assert np.max(np.abs(c - [concurrence(density(s)) for s in two])) <= 1e-10
+    assert np.array_equal(pure_concurrence(two.reshape(10, 10, 4)), c.reshape(10, 10))
+    for states in (three, four):
+        g = pure_gme_concurrence(states)
+        assert np.max(np.abs(g - [gme_concurrence(s).value for s in states])) <= 1e-12
+        assert np.array_equal(pure_gme_concurrence(states.reshape(5, 10, -1)), g.reshape(5, 10))
+    products = [kron_all([random_pure_state(rng, 1) for _ in range(k)]) for k in (2, 2, 3, 4)]
+    assert pure_concurrence(np.array(products[:2])).tolist() == [0.0, 0.0]
+    assert [float(pure_gme_concurrence(s)) for s in products] == [0.0] * 4
+
+
+def test_batched_metrics_reject_values_beyond_slack():
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    ghz = np.zeros(8, dtype=complex)
+    ghz[[0, 7]] = 1.0 / math.sqrt(2.0)
+    with pytest.raises(ValueError):
+        pure_concurrence(np.array([bell, 2.0 * bell]))
+    with pytest.raises(ValueError):
+        pure_gme_concurrence(np.array([ghz, 0.5 * ghz]))
+    assert pure_concurrence(bell * (1.0 + 1e-10)) == 1.0  # within slack: clipped
