@@ -84,16 +84,16 @@ _MATRIX_RE = re.compile(r"^matrix\((?P<arg>.+)\)$", re.DOTALL)
 
 
 def _parse_complex(token: str) -> complex:
-    # accepts 'a+bi' as well as python's 'a+bj'
-    token = token.strip().replace("i", "j")
+    # 'a+bi' or python's 'a+bj'; only a trailing i is the unit, so 'inf' stays a float
+    text = token.strip()
     try:
-        return complex(token)
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError:
         raise ValueError(f"cannot parse complex entry {token!r}") from None
 
 
 def parse_gate(name: str) -> np.ndarray:
-    """Parse a gate name: pauli_x|pauli_y|pauli_z|ry(<radians>)|matrix([[..],[..]]).
+    """Parse a gate name: identity|pauli_x|pauli_y|pauli_z|ry(<radians>)|matrix([[..],[..]]).
 
     Matrix entries are complex literals in 'a+bi' form.
     """

@@ -40,28 +40,6 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Matrix-vector product op @ state. Does NOT renormalize."""
-    op = np.asarray(op, dtype=complex)
-    state = np.asarray(state, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    if op.shape[1] != state.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: operator {op.shape[0]}x{op.shape[1]}, "
-            f"state length {state.shape[0]}"
-        )
-    return op @ state
-
-
-def normalize(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    nrm = np.linalg.norm(state)
-    if nrm < ATOL:
-        raise ValueError("cannot normalize a (numerically) zero vector")
-    return state / nrm
-
-
 def basis_state(n: int, index: int) -> np.ndarray:
     """Computational basis state |index> on n qubits."""
     v = np.zeros(2**n, dtype=complex)

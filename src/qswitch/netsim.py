@@ -11,16 +11,27 @@ constructed local-unitary frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import gates
 from .gates import UnitaryPair, backward_order, forward_order
 from .linalg import basis_state, kron, kron_all, num_qubits
-from .switch import MAX_QUBITS, SwitchSpec, controlled_outcomes, superposed_input
+from .switch import (
+    MAX_QUBITS,
+    SwitchSpec,
+    _at,
+    _expect,
+    _member,
+    _parse_pair,
+    controlled_outcomes,
+    superposed_input,
+)
 from .verify import apply_local_unitaries, canonical_lu, check_max_entanglement
+
+CONTROLS = ("ghz", "plus_product")
+_DEFAULT_GATES = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}
 
 
 @dataclass(frozen=True)
@@ -42,19 +53,15 @@ class Topology:
     entanglers: list[tuple[str, int]]  # (node id, client count)
     pair_template: UnitaryPair
     alpha: float = 0.5
-    coordinator: str = "e0"
-    control: str = "ghz"  # 'ghz' | 'plus_product'
-    link_loss: dict[str, float] = field(default_factory=dict)  # reserved, must be 0
+    control: str = "ghz"  # one of CONTROLS
 
     def __post_init__(self):
         if len(self.entanglers) < 2:
             raise ValueError("topology needs at least two entanglers")
         if any(k < 2 for _, k in self.entanglers):
             raise ValueError("each entangler must serve at least 2 clients")
-        if self.control not in ("ghz", "plus_product"):
+        if self.control not in CONTROLS:
             raise ValueError(f"unknown control preparation {self.control!r}")
-        if any(abs(v) > 0 for v in self.link_loss.values()):
-            raise ValueError("link loss is reserved for future use and must be zero")
         total = self.total_clients + len(self.entanglers)
         if total > MAX_QUBITS:
             raise ValueError(
@@ -66,17 +73,32 @@ class Topology:
         return sum(k for _, k in self.entanglers)
 
 
-def topology_from_json(doc: dict) -> Topology:
-    gate_doc = doc.get("gates", {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"})
-    pair = UnitaryPair(gates.parse_gate(gate_doc["u"]), gates.parse_gate(gate_doc["u_tilde"]))
-    return Topology(
-        entanglers=[(e["id"], int(e["clients"])) for e in doc["entanglers"]],
-        pair_template=pair,
-        alpha=float(doc.get("alpha", 0.5)),
-        coordinator=doc.get("coordinator", "e0"),
-        control=doc.get("control", "ghz"),
-        link_loss={k: float(v) for k, v in doc.get("link_loss", {}).items()},
-    )
+def topology_from_json(doc) -> Topology:
+    """Parse and validate a topology document (any JSON value), like
+    ``SwitchSpec.from_document``. ``link_loss`` is reserved: its values must be 0."""
+    with _at(""):
+        _expect(doc, dict, "topology document")
+    entanglers = []
+    for i, e in enumerate(_member(doc, "/entanglers", list)):
+        with _at(f"/entanglers/{i}"):
+            _expect(e, dict, "entangler")
+        entanglers.append((_member(e, f"/entanglers/{i}/id", str),
+                           _member(e, f"/entanglers/{i}/clients", int)))
+    _, pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
+    with _at("/alpha"):
+        alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    control = doc.get("control", "ghz")
+    with _at("/control"):
+        if control not in CONTROLS:
+            raise ValueError(f"unknown control preparation {control!r}")
+    for node, loss in _member(doc, "/link_loss", dict, {}).items():
+        with _at("/link_loss/" + node.replace("~", "~0").replace("/", "~1")):  # RFC 6901
+            if _expect(loss, float, "link loss") != 0:
+                raise ValueError("link loss is reserved for future use and must be zero")
+    with _at("/entanglers"):
+        return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)
 
 
 def ghz_fidelity_in_frame(state: np.ndarray, lus: Optional[list[np.ndarray]]) -> float:

@@ -57,7 +57,7 @@ class SweepPlan:
         ):
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} grid must be strictly increasing")
-            if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
+            if not all(lo <= x <= hi for x in grid):  # also false for NaN
                 raise ValueError(f"{name} grid must stay within [{lo}, {hi}]")
         if self.metric not in ("auto", "concurrence", "gme_concurrence"):
             raise ValueError(f"unknown metric {self.metric!r}")

@@ -14,6 +14,7 @@ the control:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import gates
 from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import kron, num_qubits
+from .linalg import is_unitary, kron, num_qubits
 
 UNREACHABLE_TOL = 1e-12
 MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
@@ -44,8 +45,8 @@ def _as_qubit_state(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2,):
         raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("input states must be normalized")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # also false for NaN
+        raise ValueError("input states must be finite and normalized")
     return v
 
 
@@ -93,26 +94,76 @@ class OutcomeEnsemble:
         return sum(o.probability for o in self.outcomes)
 
 
+class _at:
+    """Context manager appending the JSON pointer of the document field it
+    concerns to a ValueError from its block, like ``(at '/pairs/0/u')``; an
+    OverflowError, from a JSON number that no float can hold, becomes one."""
+
+    def __init__(self, pointer: str):
+        self.pointer = pointer
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, (ValueError, OverflowError)):
+            raise ValueError(f"{exc} (at '{self.pointer}')") from None
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``, where float stands for any
+    number; booleans are neither integers nor numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _member(doc: dict, pointer: str, kind: type, default=None):
+    """The member of ``doc`` named by the last token of ``pointer``, type-checked."""
+    key = pointer.rsplit("/", 1)[1]
+    with _at(pointer):
+        if key not in doc and default is None:
+            raise ValueError(f"{key} is required")
+        return _expect(doc.get(key, default), kind, key)
+
+
+def _parse_pair(doc, pointer: str) -> tuple[tuple[str, str], UnitaryPair]:
+    """The gate names and the pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
+    with _at(pointer):
+        _expect(doc, dict, "gate pair")
+    names, mats = [], []
+    for key in ("u", "u_tilde"):
+        with _at(f"{pointer}/{key}"):
+            names.append(_expect(doc.get(key), str, "gate name"))
+            mats.append(gates.parse_gate(names[-1]))
+    try:
+        return tuple(names), UnitaryPair(*mats)
+    except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
+        key = "u" if not is_unitary(mats[0]) else "u_tilde"
+        raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
+
+
 @dataclass
 class SwitchSpec:
     """Protocol descriptor: which unitaries act on which product input.
 
-    Only the even control superposition is supported; the generation
-    conditions all assume it, so anything else is rejected outright.
+    The control register always starts in the even superposition, which the
+    generation conditions all assume.
     """
 
     protocol: str
     pairs: list[UnitaryPair]
     inputs: list[np.ndarray]
-    control: str = "even"
     gate_names: Optional[list[tuple[str, str]]] = field(default=None, repr=False)
     alpha: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.control != "even":
-            raise ValueError("only the even control superposition is supported")
         self.inputs = [_as_qubit_state(v) for v in self.inputs]
         n = len(self.pairs)
         if len(self.inputs) != n:
@@ -129,47 +180,57 @@ class SwitchSpec:
     def n(self) -> int:
         return len(self.pairs)
 
-    @property
-    def control_qubits(self) -> int:
-        if self.protocol == "w":
-            return max(1, math.ceil(math.log2(self.n)))
-        return 1
-
     # -- JSON wire format (version 1) -------------------------------------
 
     @classmethod
-    def from_document(cls, doc: dict) -> "SwitchSpec":
-        version = doc.get("version", 1)
-        if version != 1:
-            raise ValueError(f"unsupported spec version {version!r}")
-        protocol = doc["protocol"]
-        pair_docs = doc["pairs"]
-        n = doc.get("n", len(pair_docs))
-        if n > MAX_QUBITS:  # before broadcasting a single pair n times
-            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
-        if len(pair_docs) == 1:
-            pair_docs = pair_docs * n
-        elif n != len(pair_docs):
-            raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
-        names = [(p["u"], p["u_tilde"]) for p in pair_docs]
-        pairs = [UnitaryPair(gates.parse_gate(u), gates.parse_gate(ut)) for u, ut in names]
-        inp = doc.get("input", {"alpha": 0.5})
+    def from_document(cls, doc) -> "SwitchSpec":
+        """Parse and validate a spec document (any JSON value).
+
+        Every rejection is a ValueError ending in the JSON pointer of the
+        offending field or of its nearest enclosing one.
+        """
+        with _at(""):
+            _expect(doc, dict, "spec document")
+        with _at("/version"):
+            version = doc.get("version", 1)
+            if version != 1 or isinstance(version, bool):
+                raise ValueError(f"unsupported spec version {version!r}")
+        with _at("/control"):
+            if doc.get("control", "even") != "even":
+                raise ValueError(f"control must be 'even', got {doc['control']!r}")
+        protocol = doc.get("protocol")
+        with _at("/protocol"):
+            if protocol not in PROTOCOLS:
+                raise ValueError(f"unknown protocol {protocol!r}")
+        pair_docs = _member(doc, "/pairs", list)
+        n = _member(doc, "/n", int, len(pair_docs))
+        with _at("/n"):
+            if n > MAX_QUBITS:  # before broadcasting a single pair n times
+                raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
+            if len(pair_docs) != 1 and n != len(pair_docs):
+                raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
+        parsed = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
+        if len(parsed) == 1:
+            parsed *= n
+        names, pairs = [nm for nm, _ in parsed], [pair for _, pair in parsed]
+        inp = _member(doc, "/input", dict, {"alpha": 0.5})
         alpha = None
         if "alpha" in inp:
-            alpha = float(inp["alpha"])
-            inputs = [superposed_input(alpha) for _ in range(len(pairs))]
-        elif "amplitudes" in inp:
-            inputs = [_amplitudes_to_state(a) for a in inp["amplitudes"]]
+            with _at("/input/alpha"):
+                alpha = float(_expect(inp["alpha"], float, "alpha"))
+                inputs = [superposed_input(alpha)] * len(pairs)
         else:
-            raise ValueError("input must provide 'alpha' or 'amplitudes'")
-        return cls(
-            protocol=protocol,
-            pairs=pairs,
-            inputs=inputs,
-            control=doc.get("control", "even"),
-            gate_names=names,
-            alpha=alpha,
-        )
+            amplitudes = _member(inp, "/input/amplitudes", list)
+            with _at("/input/amplitudes"):
+                if len(amplitudes) != len(pairs):
+                    raise ValueError(f"{len(amplitudes)} input states for {len(pairs)} qubits")
+            inputs = []
+            for i, entries in enumerate(amplitudes):
+                with _at(f"/input/amplitudes/{i}"):
+                    inputs.append(_amplitudes_to_state(entries))
+        with _at("/n" if "n" in doc else "/pairs"):
+            return cls(protocol=protocol, pairs=pairs, inputs=inputs, gate_names=names,
+                       alpha=alpha)
 
     def to_document(self) -> dict:
         if self.gate_names is not None:
@@ -189,23 +250,29 @@ class SwitchSpec:
             "n": self.n,
             "pairs": pair_docs,
             "input": inp,
-            "control": self.control,
+            "control": "even",
         }
 
 
 def _amplitudes_to_state(entries) -> np.ndarray:
+    """The normalised single-qubit state of two document amplitudes, each an
+    'a+bi' literal, a [re, im] pair or a real number."""
+    if not isinstance(entries, list) or len(entries) != 2:
+        raise ValueError(f"an input state must be an array of 2 amplitudes, got {entries!r}")
     amps = []
     for e in entries:
         if isinstance(e, str):
-            amps.append(complex(e.replace("i", "j")))
-        elif isinstance(e, (list, tuple)):
-            amps.append(complex(e[0], e[1]))
+            amps.append(gates._parse_complex(e))
+        elif isinstance(e, list) and len(e) == 2:
+            amps.append(complex(*(_expect(x, float, "[re, im] entry") for x in e)))
         else:
-            amps.append(complex(e))
-    v = np.asarray(amps, dtype=complex)
+            amps.append(complex(_expect(e, float, "amplitude")))
+        if not cmath.isfinite(amps[-1]):
+            raise ValueError(f"amplitude {e!r} is not finite")
+    v = np.array(amps)
     nrm = np.linalg.norm(v)
-    if nrm < UNREACHABLE_TOL:
-        raise ValueError("zero amplitude vector")
+    if not UNREACHABLE_TOL <= nrm < math.inf:
+        raise ValueError("amplitude vector must have a nonzero, finite norm")
     return v / nrm
 
 

@@ -1,7 +1,14 @@
+import copy
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswitch.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
@@ -202,7 +209,18 @@ def _topology_doc(**fields):
     (_bell_doc(input={"alpha": None}), "'/input/alpha'"),
     (_bell_doc(input={"alpha": True}), "'/input/alpha'"),
     (_bell_doc(version="1"), "'/version'"),
-], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string"])
+    (_bell_doc(control="biased"), "'/control'"),
+    (_bell_doc(input={"amplitudes": 5}), "'/input/amplitudes'"),
+    (_bell_doc(input={"amplitudes": [1, 0]}), "'/input/amplitudes/0'"),
+    (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": "hadamard"}] * 2), "'/pairs/0/u_tilde'"),
+    (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER},
+                      {"u": "matrix([[2+0i,0+0i],[0+0i,1+0i]])", "u_tilde": "pauli_z"}]),
+     "'/pairs/1/u'"),
+    (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 3), "'/pairs'"),
+    (_bell_doc(n=3, pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}]), "'/n'"),
+], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string",
+        "control-biased", "amplitudes-number", "amplitudes-flat", "gate-unknown",
+        "gate-not-unitary", "bell-three-pairs", "bell-n-three"])
 def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -220,9 +238,92 @@ def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     (_topology_doc(alpha=None), "'/alpha'"),
     (_topology_doc(entanglers=[{"id": "e1", "clients": 3}, {"id": "e2", "clients": 2.7}]),
      "'/entanglers/1/clients'"),
-], ids=["not-an-object", "entanglers-string", "gates-string", "alpha-null", "clients-fraction"])
+    (_topology_doc(link_loss={"e1": 0.1}), "'/link_loss/e1'"),
+    (_topology_doc(gates={"u_tilde": RY_QUARTER}), "'/gates/u'"),
+    (_topology_doc(control="biased"), "'/control'"),
+    (_topology_doc(entanglers=[{"id": "e1", "clients": 3}]), "'/entanglers'"),
+], ids=["not-an-object", "entanglers-string", "gates-string", "alpha-null", "clients-fraction",
+        "link-loss-nonzero", "gates-without-u", "control-unknown", "one-entangler"])
 def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))
     assert main(["netsim", "--topology", str(path)]) == EXIT_VALIDATION
     assert f"(at {pointer})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+@pytest.mark.parametrize("amplitude", [math.nan, "inf"], ids=["nan", "string-inf"])
+def test_non_finite_amplitude_rejected(tmp_path, capsys, verb, amplitude):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_bell_doc(input={"amplitudes": [[amplitude, 0], [1, 0]]})))
+    assert main([verb, "--spec", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "not finite (at '/input/amplitudes/0')" in captured.err
+    assert captured.out == ""
+
+
+# -- any JSON value in any field: a clean exit, never a traceback ------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+_PAIR = {"u": "pauli_z", "u_tilde": RY_QUARTER}
+_PROPERTY_BASES = {
+    "bell": _bell_doc(n=2, control="even"),
+    "ghz": _bell_doc(protocol="ghz", n=3, pairs=[_PAIR],
+                     input={"amplitudes": [["0.6+0i", "0+0.8i"], [1, 0], [[0.6, 0.0], [0.8, 0.0]]]}),
+    "w": _bell_doc(protocol="w", pairs=[_PAIR] * 3, input={"alpha": 0.3}),
+    "2x2": _topology_doc(entanglers=[{"id": "e1", "clients": 2}, {"id": "e2", "clients": 2}],
+                         control="ghz", link_loss={"e1": 0}),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the empty path first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} on stdout is not JSON")
+
+
+@pytest.mark.parametrize("verb,base", [
+    ("run", "bell"), ("verify", "bell"), ("run", "ghz"), ("verify", "ghz"),
+    ("run", "w"), ("verify", "w"), ("netsim", "2x2"),
+])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_any_field_value_exits_cleanly(verb, base, data):
+    doc = _PROPERTY_BASES[base]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    doc = _replaced(doc, path, data.draw(_JSON_VALUES))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "doc.json")
+        with open(file, "w") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([verb, "--topology" if verb == "netsim" else "--spec", file])
+    assert rc in (EXIT_OK, EXIT_VALIDATION)
+    if rc == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    elif verb != "netsim":
+        assert "(at '" in err.getvalue()

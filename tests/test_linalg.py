@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density, random_pure_state
-from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z, ry
+from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
 from qswitch.linalg import (
-    apply,
     basis_state,
     density,
     eigvals_hermitian,
@@ -54,23 +53,6 @@ def test_kron_associative_and_unitary(seed):
     assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
     ab = kron(a, b)
     assert np.max(np.abs(ab.conj().T @ ab - np.eye(4))) <= 1e-12
-
-
-def test_apply_identity_and_pauli_x():
-    s = np.array([0.6, 0.8j])
-    assert np.allclose(apply(I2, s), s)
-    assert np.allclose(apply(PAULI_X, basis_state(1, 0)), basis_state(1, 1))
-
-
-def test_apply_fixed_rotation_convention():
-    # sigma_z . ry(pi/2) |0> = (|0> - |1>)/sqrt(2) in the phase-free convention
-    got = apply(PAULI_Z @ ry(math.pi / 2), basis_state(1, 0))
-    assert np.allclose(got, np.array([1, -1]) / math.sqrt(2))
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(np.eye(4), basis_state(1, 0))
 
 
 def test_partial_trace_product_state():

@@ -139,9 +139,6 @@ def test_topology_validation():
     with pytest.raises(ValueError):
         Topology(entanglers=[("e1", 6), ("e2", 5)], pair_template=pair)  # 12 qubit cap
     with pytest.raises(ValueError):
-        Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair,
-                 link_loss={"e1": 0.1})
-    with pytest.raises(ValueError):
         Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, control="biased")
 
 

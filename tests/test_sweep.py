@@ -26,6 +26,10 @@ def test_plan_validation():
         SweepPlan("bell", 2, [0.0, 1.0], [0.0, 1.5])
     with pytest.raises(ValueError):
         SweepPlan("bell", 2, [0.0, 1.0], [0.0, 1.0], metric="negativity")
+    with pytest.raises(ValueError):
+        SweepPlan("bell", 2, [0.0, 0.5], [-1e-13, 0.5])
+    with pytest.raises(ValueError):
+        SweepPlan("bell", 2, [math.nan], [0.5])
 
 
 def test_metric_resolution():

@@ -206,9 +206,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SwitchSpec("w", [p] * 2, [eta] * 2)
     with pytest.raises(ValueError):
-        SwitchSpec("ghz", [p] * 3, [eta] * 3, control="biased")
-    with pytest.raises(ValueError):
         SwitchSpec("nope", [p] * 2, [eta] * 2)
+    with pytest.raises(ValueError, match="finite"):
+        SwitchSpec("bell", [p] * 2, [np.array([math.nan, 0.0]), eta])
     with pytest.raises(ValueError, match="cap"):
         SwitchSpec("w", [p] * (MAX_QUBITS + 1), [eta] * (MAX_QUBITS + 1))
 
