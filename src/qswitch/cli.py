@@ -188,10 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, and
+# building the parser costs more than a whole small verify.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,6 +6,7 @@ first) and ``backward_order`` (first gate first).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -105,9 +106,12 @@ def parse_gate(name: str) -> np.ndarray:
     m = _RY_RE.match(name)
     if m:
         try:
-            return ry(float(m.group("arg")))
+            angle = float(m.group("arg"))
         except ValueError:
             raise ValueError(f"bad ry argument in {name!r}") from None
+        if not math.isfinite(angle):
+            raise ValueError(f"ry angle must be finite in {name!r}")
+        return ry(angle)
     m = _MATRIX_RE.match(name)
     if m:
         rows = re.findall(r"\[([^\[\]]*)\]", m.group("arg"))

@@ -57,7 +57,9 @@ def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[0] + 1] -= 1.0  # gram - identity, in place
+    return np.abs(gram).max() <= tol
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:

@@ -270,7 +270,8 @@ def _amplitudes_to_state(entries) -> np.ndarray:
         if not cmath.isfinite(amps[-1]):
             raise ValueError(f"amplitude {e!r} is not finite")
     v = np.array(amps)
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+        nrm = np.linalg.norm(v)
     if not UNREACHABLE_TOL <= nrm < math.inf:
         raise ValueError("amplitude vector must have a nonzero, finite norm")
     return v / nrm

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import dagger, reduced_density
-from .metrics import concurrence, gme_concurrence, purity
+from .metrics import _cut_purities, _gme_from_entropy
 from .switch import SwitchSpec
 
 CONDITION_TOL = 1e-9
@@ -95,39 +94,47 @@ def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarra
 def three_tangle(state: np.ndarray) -> float:
     """Residual entanglement of a pure 3-qubit state.
 
-    Monogamy form: tau = C^2(0|12) - C^2(01) - C^2(02), with the one-vs-rest
-    term from the qubit-0 marginal and the pairwise terms from Wootters
-    concurrence of the reduced two-qubit states.
+    Closed form of Coffman, Kundu and Wootters (PRA 61, 052306, 2000):
+    tau = 4|d1 - 2 d2 + 4 d3|, the Cayley hyperdeterminant of the 2x2x2
+    amplitude tensor a[ijk]. It equals the monogamy form
+    C^2(0|12) - C^2(01) - C^2(02) but needs no reduced density matrix and no
+    mixed-state concurrence.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("three_tangle expects a 3-qubit state vector")
-    c_one_rest_sq = 2.0 * (1.0 - purity(reduced_density(state, [0])))
-    c01 = concurrence(reduced_density(state, [0, 1]))
-    c02 = concurrence(reduced_density(state, [0, 2]))
-    return max(0.0, c_one_rest_sq - c01**2 - c02**2)
+    if not abs(np.vdot(state, state).real - 1.0) <= 1e-10:
+        raise ValueError("state must be normalized")
+    a000, a001, a010, a011, a100, a101, a110, a111 = state.tolist()
+    # products of the four antipodal amplitude pairs
+    p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
+    d1 = p * p + q * q + r * r + s * s
+    d2 = p * (q + r + s) + q * (r + s) + r * s
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
 def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
     """Classify a pure 3-qubit state: separable | biseparable | ghz-class | w-class.
 
-    Separability tiers come from marginal purities; among genuinely
-    tripartite-entangled states the residual 3-tangle separates the GHZ
-    class (tau > tol) from the W class.
+    Separability tiers come from the single-qubit marginal purities; among
+    genuinely tripartite-entangled states the residual 3-tangle separates the
+    GHZ class (tau > tol) from the W class (GME concurrence, read off the
+    same purities, above tol).
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    purities = [purity(reduced_density(state, [q])) for q in range(3)]
-    pure_cuts = sum(1 for p in purities if p > 1.0 - tol)
+    purities = _cut_purities(state)
+    pure_cuts = int(np.count_nonzero(purities > 1.0 - tol))
     if pure_cuts == 3:
         return "separable"
     if pure_cuts >= 1:
         return "biseparable"
     if three_tangle(state) > tol:
         return "ghz-class"
-    if gme_concurrence(state).value > tol:
+    if _gme_from_entropy(np.min(1.0 - purities)) > tol:
         return "w-class"
     return "biseparable"

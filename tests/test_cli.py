@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qswitch
 from qswitch.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 RY_QUARTER = f"ry({math.pi / 2})"
@@ -260,6 +263,39 @@ def test_non_finite_amplitude_rejected(tmp_path, capsys, verb, amplitude):
     captured = capsys.readouterr()
     assert "not finite (at '/input/amplitudes/0')" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("doc,pointer", [
+    (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": "ry(1e400)"}] * 2), "/pairs/0/u_tilde"),
+    (_bell_doc(input={"amplitudes": [[1e308, 1e308], [1, 0]]}), "/input/amplitudes/0"),
+], ids=["ry-overflow", "norm-overflow"])
+def test_rejection_prints_no_numpy_warning(tmp_path, doc, pointer):
+    # a fresh interpreter, so that warnings reach stderr as a user sees them
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qswitch.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qswitch.cli", "run", "--spec", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_VALIDATION
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and lines[0].endswith(f"(at '{pointer}')")
+    assert "Warning" not in proc.stderr
+
+
+def test_parser_reuse_keeps_no_state_between_calls(bell_spec, capsys):
+    def call(*argv):
+        return main(list(argv)), capsys.readouterr()
+
+    rc, first = call("verify", "--spec", bell_spec)
+    assert rc == EXIT_OK
+    assert call("verify", "--spec", bell_spec, "--tol", "1e-3")[0] == EXIT_OK
+    assert call("verify", "--spec", bell_spec, "--nope")[0] == EXIT_VALIDATION
+    assert call("--help")[0] == EXIT_OK
+    rc, last = call("verify", "--spec", bell_spec)
+    assert rc == EXIT_OK
+    assert json.loads(last.out)["tol"] == 1e-9
+    assert last.out == first.out
 
 
 # -- any JSON value in any field: a clean exit, never a traceback ------------

@@ -175,6 +175,41 @@ def test_three_tangle_matches_hyperdeterminant(rng):
         assert abs(three_tangle(psi) - hyperdeterminant_tangle(psi)) <= 1e-8
 
 
+def test_three_tangle_matches_monogamy_form(rng):
+    # the mixed-state route: C^2(0|12) - C^2(01) - C^2(02), from the qubit-0
+    # marginal purity and Wootters concurrence of the two-qubit marginals
+    from conftest import random_pure_state
+
+    for _ in range(200):
+        psi = random_pure_state(rng, 3)
+        one_rest = 2.0 * (1.0 - purity(reduced_density(psi, [0])))
+        pairwise = [concurrence(reduced_density(psi, cut)) ** 2 for cut in ([0, 1], [0, 2])]
+        assert abs(three_tangle(psi) - (one_rest - sum(pairwise))) <= 1e-8
+
+
+def test_three_tangle_rejects_unnormalised_state():
+    with pytest.raises(ValueError):
+        three_tangle(2.0 * GHZ3)
+    with pytest.raises(ValueError):
+        three_tangle(GHZ3[:4])
+
+
+def test_certify_class_local_unitary_invariance(rng):
+    from conftest import haar_unitary, random_pure_state
+
+    phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
+    examples = {
+        "ghz-class": GHZ3,
+        "w-class": W3,
+        "biseparable": kron(basis_state(1, 0), phi_plus),
+        "separable": kron_all([random_pure_state(rng, 1) for _ in range(3)]),
+    }
+    for expected, state in examples.items():
+        for _ in range(20):
+            lus = [haar_unitary(rng) for _ in range(3)]
+            assert certify_class(apply_local_unitaries(lus, state)) == expected
+
+
 def test_certify_class_examples(rng):
     from conftest import random_pure_state
 
