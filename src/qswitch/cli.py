@@ -3,6 +3,11 @@
 This module only parses arguments, reads files and formats output; documents
 are parsed and validated by the modules that own their types, and all
 numerics live in the library modules.
+
+The large documents, the ``run`` outcome ensemble and the ``netsim --report
+branches`` list, are written by ``emit``, as are the sweep files. The small
+ones, the ``verify`` report, the ``netsim`` summary and the ``sweep`` summary
+line, go through ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import json
 import math
 import sys
 
-from . import netsim, sweep as sweep_mod, verify as verify_mod
+from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
 from .switch import SwitchSpec, run as run_switch
 
 EXIT_OK = 0
@@ -37,24 +42,6 @@ class ValidationError(Exception):
     pass
 
 
-def _fmt(x: float) -> float:
-    return float(format(x, ".12g"))
-
-
-def _state_doc(state) -> list[list[float]]:
-    return [[_fmt(z.real), _fmt(z.imag)] for z in state]
-
-
-def _ensemble_doc(ensemble) -> dict:
-    outcomes = []
-    for o in ensemble:
-        doc = {"label": o.label, "probability": _fmt(o.probability), "reachable": o.reachable}
-        if o.reachable:
-            doc["state"] = _state_doc(o.state)
-        outcomes.append(doc)
-    return {"outcomes": outcomes}
-
-
 def _load(path: str, parse):
     """Read the JSON document at ``path`` and ``parse`` it into its type."""
     try:  # an OSError names the path and reaches main as an I/O error
@@ -74,7 +61,7 @@ def _print_json(doc) -> None:
 
 def _cmd_run(args) -> int:
     spec = _load(args.spec, SwitchSpec.from_document)
-    _print_json(_ensemble_doc(run_switch(spec)))
+    emit.write_ensemble(run_switch(spec), sys.stdout)
     return EXIT_OK
 
 
@@ -117,19 +104,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _branch_doc(b: netsim.BranchResult, include_state: bool) -> dict:
-    doc = {
-        "control_outcome": b.control_outcome,
-        "probability": _fmt(b.probability),
-        "reachable": b.reachable,
-    }
-    if b.reachable:
-        doc["ghz_fidelity"] = _fmt(b.ghz_fidelity)
-        if include_state:
-            doc["client_state"] = _state_doc(b.client_state)
-    return doc
-
-
 def _cmd_netsim(args) -> int:
     topo = _load(args.topology, netsim.topology_from_json)
     try:
@@ -137,7 +111,7 @@ def _cmd_netsim(args) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     if args.report == "branches":
-        _print_json({"branches": [_branch_doc(b, include_state=True) for b in branches]})
+        emit.write_branches(branches, sys.stdout)
     else:
         reachable = [b for b in branches if b.reachable]
         _print_json(
@@ -146,8 +120,8 @@ def _cmd_netsim(args) -> int:
                 "entanglers": len(topo.entanglers),
                 "branches": len(branches),
                 "reachable_branches": len(reachable),
-                "min_ghz_fidelity": _fmt(min(b.ghz_fidelity for b in reachable)),
-                "total_probability": _fmt(sum(b.probability for b in branches)),
+                "min_ghz_fidelity": emit.round12(min(b.ghz_fidelity for b in reachable)),
+                "total_probability": emit.round12(sum(b.probability for b in branches)),
             }
         )
     return EXIT_OK

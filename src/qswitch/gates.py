@@ -6,6 +6,7 @@ first) and ``backward_order`` (first gate first).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -117,11 +118,11 @@ def parse_gate(name: str) -> np.ndarray:
         rows = re.findall(r"\[([^\[\]]*)\]", m.group("arg"))
         if len(rows) != 2:
             raise ValueError(f"matrix literal must have 2 rows: {name!r}")
-        mat = np.array(
-            [[_parse_complex(tok) for tok in row.split(",")] for row in rows],
-            dtype=complex,
-        )
+        entries = [[_parse_complex(tok) for tok in row.split(",")] for row in rows]
+        mat = np.array(entries, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"matrix literal must be 2x2: {name!r}")
+        if not all(map(cmath.isfinite, entries[0] + entries[1])):
+            raise ValueError(f"matrix entries must be finite in {name!r}")
         return mat
     raise ValueError(f"unknown gate name {name!r}")

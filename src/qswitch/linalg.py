@@ -57,8 +57,12 @@ def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    gram = m.conj().T @ m
-    gram.flat[:: m.shape[0] + 1] -= 1.0  # gram - identity, in place
+    # a unitary's entries have modulus at most 1; a larger (or NaN) entry could
+    # overflow the Gram product below, so it is rejected before that product
+    if not np.abs(m).max() <= 1.0 + tol:
+        return False
+    gram = np.dot(m.conj().T, m)
+    gram.reshape(-1)[:: m.shape[0] + 1] -= 1.0  # gram - identity, in place
     return np.abs(gram).max() <= tol
 
 

@@ -8,7 +8,6 @@ and output is deterministic: a row's bytes do not depend on the grid around it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -16,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import gates
+from . import emit, gates
 from .linalg import is_unitary, num_qubits
 from .metrics import pure_concurrence, pure_gme_concurrence
 from .switch import (
@@ -109,50 +108,17 @@ def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
     ]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-CSV_COLUMNS = ["lambda", "alpha", "outcome", "probability", "metric", "reachable"]
-
-
-def _record_row(r: SweepRecord) -> list[str]:
-    return [
-        _fmt(r.lam),
-        _fmt(r.alpha),
-        r.outcome,
-        _fmt(r.probability),
-        "" if r.metric_value is None else _fmt(r.metric_value),
-        "true" if r.reachable else "false",
-    ]
-
-
 def export(records: list[SweepRecord], fmt: str, path: str) -> None:
     """Write records as CSV or JSON with 12-significant-digit floats."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for r in records:
-                    writer.writerow(_record_row(r))
-        elif fmt == "json":
-            docs = [
-                {
-                    "lambda": float(_fmt(r.lam)),
-                    "alpha": float(_fmt(r.alpha)),
-                    "outcome": r.outcome,
-                    "probability": float(_fmt(r.probability)),
-                    "metric": None if r.metric_value is None else float(_fmt(r.metric_value)),
-                    "reachable": r.reachable,
-                }
-                for r in records
-            ]
-            with open(path, "w") as fh:
-                json.dump(docs, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                emit.write_sweep_csv(records, fh)
         else:
-            raise ValueError(f"unknown export format {fmt!r}")
+            with open(path, "w") as fh:
+                emit.write_sweep_json(records, fh)
     except OSError as exc:
         raise OSError(f"failed to write sweep output to {path}: {exc}") from exc
 

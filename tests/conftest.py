@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 from itertools import product
 
@@ -91,6 +93,64 @@ def assert_matches_reference(results, reference, tol=1e-12):
         assert (state is None) == (state_ref is None)
         if state is not None:
             assert np.max(np.abs(state - state_ref)) <= tol
+
+
+# -- reference output: the documents as json.dumps and csv.writer write them --
+
+
+def _fmt(x):
+    return float(format(x, ".12g"))
+
+
+def _state_doc(state):
+    return [[_fmt(z.real), _fmt(z.imag)] for z in state]
+
+
+def reference_ensemble_text(ensemble):
+    """stdout of ``qswitch run``: the outcome ensemble through json.dumps."""
+    outcomes = []
+    for o in ensemble:
+        doc = {"label": o.label, "probability": _fmt(o.probability), "reachable": o.reachable}
+        if o.reachable:
+            doc["state"] = _state_doc(o.state)
+        outcomes.append(doc)
+    return json.dumps({"outcomes": outcomes}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_branches_text(branches):
+    """stdout of ``qswitch netsim --report branches`` through json.dumps."""
+    docs = []
+    for b in branches:
+        doc = {"control_outcome": b.control_outcome, "probability": _fmt(b.probability),
+               "reachable": b.reachable}
+        if b.reachable:
+            doc["ghz_fidelity"] = _fmt(b.ghz_fidelity)
+            doc["client_state"] = _state_doc(b.client_state)
+        docs.append(doc)
+    return json.dumps({"branches": docs}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_export(records, fmt, path):
+    """Sweep records written through csv.writer or json.dump."""
+    def g(x):
+        return format(x, ".12g")
+
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lambda", "alpha", "outcome", "probability", "metric", "reachable"])
+            for r in records:
+                writer.writerow([g(r.lam), g(r.alpha), r.outcome, g(r.probability),
+                                 "" if r.metric_value is None else g(r.metric_value),
+                                 "true" if r.reachable else "false"])
+    else:
+        docs = [{"lambda": float(g(r.lam)), "alpha": float(g(r.alpha)), "outcome": r.outcome,
+                 "probability": float(g(r.probability)),
+                 "metric": None if r.metric_value is None else float(g(r.metric_value)),
+                 "reachable": r.reachable} for r in records]
+        with open(path, "w") as fh:
+            json.dump(docs, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 @pytest.fixture

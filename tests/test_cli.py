@@ -268,7 +268,11 @@ def test_non_finite_amplitude_rejected(tmp_path, capsys, verb, amplitude):
 @pytest.mark.parametrize("doc,pointer", [
     (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": "ry(1e400)"}] * 2), "/pairs/0/u_tilde"),
     (_bell_doc(input={"amplitudes": [[1e308, 1e308], [1, 0]]}), "/input/amplitudes/0"),
-], ids=["ry-overflow", "norm-overflow"])
+    (_bell_doc(pairs=[{"u": "matrix([[1e200+0i,0+0i],[0+0i,1+0i]])", "u_tilde": "pauli_z"}] * 2),
+     "/pairs/0/u"),
+    (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": "matrix([[inf+0i,0+0i],[0+0i,1+0i]])"}] * 2),
+     "/pairs/0/u_tilde"),
+], ids=["ry-overflow", "norm-overflow", "matrix-overflow", "matrix-inf"])
 def test_rejection_prints_no_numpy_warning(tmp_path, doc, pointer):
     # a fresh interpreter, so that warnings reach stderr as a user sees them
     path = tmp_path / "spec.json"
@@ -306,6 +310,16 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6,
 )
+
+# gate strings, ry(<float text>) and matrix literals, and "a+bi" literals with
+# extreme or non-finite parts
+_FLOAT_TEXT = st.floats().map(repr) | st.sampled_from(["1e400", "-1e400", "1e-400", "nan", "-inf"])
+_PART = (st.floats() | st.floats(-1, 1)
+         | st.sampled_from([1e200, -1e308, 5e-324, math.inf, math.nan]))
+_COMPLEX_TEXT = st.tuples(_PART, _PART).map(lambda z: f"{z[0]!r}{z[1]:+}i")
+_LITERALS = (_COMPLEX_TEXT | _FLOAT_TEXT.map("ry({})".format)
+             | st.lists(_COMPLEX_TEXT, min_size=4, max_size=4).map(
+                 lambda e: f"matrix([[{e[0]},{e[1]}],[{e[2]},{e[3]}]])"))
 
 _PAIR = {"u": "pauli_z", "u_tilde": RY_QUARTER}
 _PROPERTY_BASES = {
@@ -350,7 +364,7 @@ def _no_constant(name):
 def test_any_field_value_exits_cleanly(verb, base, data):
     doc = _PROPERTY_BASES[base]
     path = data.draw(st.sampled_from(list(_paths(doc))))
-    doc = _replaced(doc, path, data.draw(_JSON_VALUES))
+    doc = _replaced(doc, path, data.draw(_JSON_VALUES | _LITERALS))
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         file = os.path.join(tmp, "doc.json")

@@ -115,7 +115,15 @@ def test_parse_gate_names():
     assert np.allclose(got, np.diag([1j, -1j]))
 
 
-@pytest.mark.parametrize("bad", ["hadamard", "ry()", "ry(x)", "matrix([[1,0]])", "matrix([[1]])"])
+@pytest.mark.parametrize("bad", ["hadamard", "ry()", "ry(x)", "matrix([[1,0]])", "matrix([[1]])",
+                                 "matrix([[inf+0i,0+0i],[0+0i,1+0i]])",
+                                 "matrix([[1+0i,0+0i],[0+nani,1+0i]])"])
 def test_parse_gate_rejects(bad):
     with pytest.raises(ValueError):
         parse_gate(bad)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j, complex(math.inf, 0), complex(0, math.nan)])
+def test_is_unitary_rejects_huge_or_non_finite_entry_silently(entry):
+    # Tier-1 turns a RuntimeWarning into an error, so an overflowing Gram product fails here
+    assert not is_unitary(np.array([[entry, 0], [0, 1]]))
