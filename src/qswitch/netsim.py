@@ -5,8 +5,12 @@ Both operations run on the switch engine (``switch.controlled_outcomes``): a
 control register whose basis states select, per client qubit, one of the two
 composition orders of its gate pair; every control qubit is then measured in
 the coherent basis. Each branch is reported with its probability, client state
-and fidelity to the canonical all-|0> / all-|1> superposition in the
-constructed local-unitary frame.
+and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
+(|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame of
+``verify.canonical_lu``. That frame sends each qubit's forward-order image to
+|0> and its backward-order image to |1>, so F and B are the all-forward and
+all-backward product states; when the orthogonality condition fails there is
+no frame and they are |0...0> and |1...1>.
 """
 from __future__ import annotations
 
@@ -22,13 +26,16 @@ from .switch import (
     MAX_QUBITS,
     SwitchSpec,
     _at,
+    _branch_stack,
+    _end_vectors,
     _expect,
     _member,
     _parse_pair,
     controlled_outcomes,
+    protocol_control,
     superposed_input,
 )
-from .verify import apply_local_unitaries, canonical_lu, check_max_entanglement
+from .verify import check_max_entanglement
 
 CONTROLS = ("ghz", "plus_product")
 _DEFAULT_GATES = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}
@@ -101,44 +108,27 @@ def topology_from_json(doc) -> Topology:
         return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)
 
 
-def ghz_fidelity_in_frame(state: np.ndarray, lus: Optional[list[np.ndarray]]) -> float:
-    """Best fidelity with (|0...0> + e^{i theta}|1...1>)/sqrt(2), phase optimized.
-
-    The state is first rotated by the constructed per-qubit unitaries when
-    they are available.
-    """
-    state = np.asarray(state, dtype=complex)
-    if lus is not None:
-        state = apply_local_unitaries(lus, state)
-    return float((abs(state[0]) + abs(state[-1])) ** 2 / 2.0)
+def _reverse_table(cluster_of_qubit: list[int], m: int) -> np.ndarray:
+    """reverse[b][q]: control basis state b reverses qubit q when the control
+    bit of q's cluster, read most significant first, is set."""
+    shifts = m - 1 - np.asarray(cluster_of_qubit)
+    return (np.arange(2**m)[:, None] >> shifts[None, :]) & 1
 
 
 def _branch_results(
-    control_amps: np.ndarray,
-    cluster_of_qubit: list[int],
-    pairs: list[UnitaryPair],
-    inputs: list[np.ndarray],
-    lus: Optional[list[np.ndarray]],
+    control: np.ndarray, cluster_of_qubit: list[int], spec: SwitchSpec, in_frame: bool
 ) -> list[BranchResult]:
-    m = num_qubits(len(control_amps))
-    # control basis state b reverses every qubit whose cluster's control bit is set
-    shifts = m - 1 - np.asarray(cluster_of_qubit)
-    reverse = (np.arange(2**m)[:, None] >> shifts[None, :]) & 1
+    ends = (_end_vectors(spec.pairs, spec.inputs) if in_frame
+            else np.broadcast_to(np.eye(2, dtype=complex), (spec.n, 2, 2)))
+    # the two-order control selects the all-forward (F) and all-backward (B) states
+    _, (fwd, bwd) = _branch_stack(*protocol_control("ghz", spec.n), ends)
+    reverse = _reverse_table(cluster_of_qubit, num_qubits(len(control)))
     return [
         BranchResult(o.label, o.probability, o.state,
-                     ghz_fidelity_in_frame(o.state, lus) if o.reachable else None)
-        for o in controlled_outcomes(control_amps, reverse, pairs, inputs)
+                     float((abs(np.vdot(fwd, o.state)) + abs(np.vdot(bwd, o.state))) ** 2 / 2.0)
+                     if o.reachable else None)
+        for o in controlled_outcomes(control, reverse, spec.pairs, spec.inputs)
     ]
-
-
-def _frame_unitaries(
-    pairs: list[UnitaryPair], inputs: list[np.ndarray]
-) -> Optional[list[np.ndarray]]:
-    spec = SwitchSpec(protocol="ghz", pairs=list(pairs), inputs=list(inputs))
-    try:
-        return canonical_lu(spec)
-    except ValueError:
-        return None  # condition not met; report fidelities in the raw frame
 
 
 def map_entanglement(
@@ -153,7 +143,9 @@ def map_entanglement(
     n = len(pairs)
     if n > MAX_QUBITS or control.shape != (2**n,):
         raise ValueError(f"control must be an {n}-qubit state, with n at most {MAX_QUBITS}")
-    return _branch_results(control, list(range(n)), pairs, inputs, _frame_unitaries(pairs, inputs))
+    spec = SwitchSpec(protocol="ghz", pairs=list(pairs), inputs=list(inputs))
+    in_frame = check_max_entanglement(spec).all_orthogonal
+    return _branch_results(control, list(range(n)), spec, in_frame)
 
 
 def run_hierarchy(topo: Topology) -> list[BranchResult]:
@@ -166,9 +158,8 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
     """
     pairs = [topo.pair_template] * topo.total_clients
     inputs = [superposed_input(topo.alpha)] * topo.total_clients
-    report = check_max_entanglement(
-        SwitchSpec(protocol="ghz", pairs=pairs, inputs=inputs)
-    )
+    spec = SwitchSpec(protocol="ghz", pairs=pairs, inputs=inputs)
+    report = check_max_entanglement(spec)
     for idx, z in enumerate(report.per_qubit_overlap):
         if abs(z) >= report.tol:
             raise ValueError(
@@ -180,8 +171,7 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
     else:
         control = kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m)
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
-    lus = _frame_unitaries(pairs, inputs)
-    return _branch_results(control, cluster_of_qubit, pairs, inputs, lus)
+    return _branch_results(control, cluster_of_qubit, spec, report.all_orthogonal)
 
 
 # -- structural audit ------------------------------------------------------
@@ -196,11 +186,8 @@ def controlled_order_operator(
         raise ValueError("audit operator too large")
     dim_c = 2**m
     blocks = []
-    for b in range(dim_c):
-        factors = []
-        for q, cluster in enumerate(cluster_of_qubit):
-            bit = (b >> (m - 1 - cluster)) & 1
-            factors.append(backward_order(pairs[q]) if bit else forward_order(pairs[q]))
+    for b, row in enumerate(_reverse_table(cluster_of_qubit, m)):
+        factors = [backward_order(p) if bit else forward_order(p) for p, bit in zip(pairs, row)]
         proj = np.zeros((dim_c, dim_c), dtype=complex)
         proj[b, b] = 1.0
         blocks.append(kron(kron_all(factors), proj))

@@ -1,7 +1,7 @@
 """Parameter-sweep engine: metric surfaces over the rotation and input grids.
 
-Each grid point fixes u_tilde = ry(2*lambda) (by default) on every qubit and
-the product input eta(alpha)^n, runs the protocol and records one row per
+Each grid point fixes u = pauli_z and u_tilde = ry(2*lambda) on every qubit
+and the product input eta(alpha)^n, runs the protocol and records one row per
 measurement outcome. The grid is evaluated as one batch of stacked arrays,
 and output is deterministic: a row's bytes do not depend on the grid around it.
 """
@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import emit, gates
-from .linalg import is_unitary, num_qubits
+from .linalg import num_qubits
 from .metrics import pure_concurrence, pure_gme_concurrence
 from .switch import (
     UNREACHABLE_TOL,
@@ -44,7 +44,6 @@ class SweepPlan:
     n: int
     lambda_grid: list[float]
     alpha_grid: list[float]
-    base_u: str = "pauli_z"
     metric: str = "auto"  # 'auto' | 'concurrence' | 'gme_concurrence'
 
     def __post_init__(self):
@@ -84,9 +83,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
     The whole grid goes through the engine and the metric as one batch of
     shape (lambda, alpha), so each row depends only on its own grid point.
     """
-    u = gates.parse_gate(plan.base_u)
-    if not is_unitary(u):
-        raise ValueError(f"base_u {plan.base_u!r} is not unitary within tolerance")
+    u = gates.PAULI_Z
     u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))  # (lam, 2, 2)
     orders = np.stack([u @ u_tilde, u_tilde @ u], 1)  # forward_order, backward_order
     etas = superposed_input(plan.alpha_grid)  # (alpha, 2)

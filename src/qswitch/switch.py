@@ -35,10 +35,11 @@ PROTOCOLS = ("bell", "ghz", "w")
 def canonical_phase(state: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first nonzero amplitude is real positive."""
     state = np.asarray(state, dtype=complex)
-    for a in state:
-        if abs(a) > UNREACHABLE_TOL:
-            return state * (a.conjugate() / abs(a))
-    return state
+    nonzero = np.flatnonzero(np.abs(state) > UNREACHABLE_TOL)
+    if not nonzero.size:
+        return state
+    a = state[nonzero[0]]
+    return state * (a.conjugate() / abs(a))
 
 
 def _as_qubit_state(v) -> np.ndarray:

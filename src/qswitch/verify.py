@@ -13,7 +13,7 @@ import numpy as np
 
 from .gates import UnitaryPair, backward_order, forward_order
 from .metrics import _cut_purities, _gme_from_entropy
-from .switch import SwitchSpec
+from .switch import SwitchSpec, _end_vectors
 
 CONDITION_TOL = 1e-9
 
@@ -74,12 +74,7 @@ def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarra
         raise ValueError(
             "canonical reduction undefined: per-qubit orthogonality condition not met"
         )
-    lus = []
-    for pair, phi in zip(spec.pairs, spec.inputs):
-        b_fwd = forward_order(pair) @ phi
-        b_bwd = backward_order(pair) @ phi
-        lus.append(np.vstack([b_fwd.conj(), b_bwd.conj()]))
-    return lus
+    return list(_end_vectors(spec.pairs, spec.inputs).conj())
 
 
 def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarray:

@@ -76,9 +76,19 @@ def test_map_entanglement_identity_pairs():
             assert not b.reachable
 
 
-def test_map_entanglement_length_mismatch():
-    with pytest.raises(ValueError):
-        map_entanglement(ghz_state(2), [default_pair()] * 3, [superposed_input(0.5)] * 3)
+@pytest.mark.parametrize("control, n, bad_input, match", [
+    (ghz_state(2), 3, None, "control must be"),
+    (np.array([1.0, 0.0]), 1, None, "ghz protocol requires at least 2 qubits"),
+    (ghz_state(2), 2, np.array([1.0, 0.0, 0.0, 0.0]), "single-qubit"),
+    (ghz_state(2), 2, np.array([2.0, 0.0]), "normalized"),
+    (ghz_state(2), 2, np.array([math.nan, 0.0]), "normalized"),
+], ids=["length-mismatch", "one-qubit", "shape-4", "norm-2", "nan"])
+def test_map_entanglement_rejects(control, n, bad_input, match):
+    inputs = [superposed_input(0.5)] * n
+    if bad_input is not None:
+        inputs[-1] = bad_input
+    with pytest.raises(ValueError, match=match):
+        map_entanglement(control, [default_pair()] * n, inputs)
 
 
 def test_branch_probabilities_sum_to_one():
@@ -206,3 +216,30 @@ def test_hierarchy_matches_dense_reference(rng, clusters, control):
             run_hierarchy(topo), amps, [j for j, k in enumerate(clusters) for _ in range(k)],
             [pair] * n, [superposed_input(topo.alpha)] * n,
         )
+
+
+def test_each_call_builds_one_spec_and_checks_once(monkeypatch):
+    import qswitch.netsim as netsim
+    import qswitch.verify as verify
+
+    calls = []
+    check = verify.check_max_entanglement
+
+    class CountingSpec(SwitchSpec):
+        def __post_init__(self):
+            calls.append("spec")
+            super().__post_init__()
+
+    def counting_check(spec, *args, **kwargs):
+        calls.append("check")
+        return check(spec, *args, **kwargs)
+
+    monkeypatch.setattr(netsim, "SwitchSpec", CountingSpec)
+    for module in (netsim, verify):  # verify's binding counts a check made inside canonical_lu
+        monkeypatch.setattr(module, "check_max_entanglement", counting_check)
+    for call in (lambda: run_hierarchy(default_topology([2, 3])),
+                 lambda: map_entanglement(ghz_state(3), [default_pair()] * 3,
+                                          [superposed_input(0.5)] * 3)):
+        calls.clear()
+        call()
+        assert sorted(calls) == ["check", "spec"]
