@@ -1,7 +1,7 @@
 """Deterministic multipartite entanglement generation from coherently
 controlled causal orders of local unitaries."""
 
-from .gates import UnitaryPair, backward_order, forward_order, local_tensor, parse_gate, pauli, ry
+from .gates import UnitaryPair, backward_order, forward_order, parse_gate, pauli, ry
 from .metrics import MetricReport, concurrence, gme_concurrence, purity
 from .switch import (
     Outcome,
@@ -28,7 +28,6 @@ __all__ = [
     "UnitaryPair",
     "backward_order",
     "forward_order",
-    "local_tensor",
     "parse_gate",
     "pauli",
     "ry",

@@ -71,27 +71,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
 
 
-def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of ``rho`` over the qubits in ``keep``.
-
-    ``keep`` preserves its own order in the output, trace is preserved.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep indices must be distinct and in [0, {n}), got {keep}")
-    traced = [q for q in range(n) if q not in keep]
-    perm = keep + traced
-    t = rho.reshape([2] * (2 * n))
-    t = t.transpose(perm + [n + q for q in perm])
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    return np.einsum("ajbj->ab", t)
-
-
 def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state, without forming the full projector."""
     state = np.asarray(state, dtype=complex)

@@ -120,7 +120,7 @@ def gme_concurrence(state: np.ndarray, all_bipartitions: bool = False) -> Metric
     """
     state = np.asarray(state, dtype=complex)
     n = num_qubits(state.shape[0])
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:  # NaN and inf fail too
         raise ValueError("state must be normalized")
     if all_bipartitions:
         cuts = [

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair, backward_order, forward_order
-from .metrics import _cut_purities, _gme_from_entropy
+from .metrics import _gme_from_entropy
 from .switch import SwitchSpec, _end_vectors
 
 CONDITION_TOL = 1e-9
+
+# amplitude index pairs (i, i | 2^(2-q)) that differ only in qubit q's bit
+_QUBIT_PAIRS = tuple(tuple((i, i | bit) for i in range(8) if not i & bit) for bit in (4, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,17 @@ def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarra
     return t.reshape(-1)
 
 
+def _tangle(a: list[complex]) -> float:
+    # 4|d1 - 2 d2 + 4 d3| over the amplitude list a[ijk]
+    a000, a001, a010, a011, a100, a101, a110, a111 = a
+    # products of the four antipodal amplitude pairs
+    p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
+    d1 = p * p + q * q + r * r + s * s
+    d2 = p * (q + r + s) + q * (r + s) + r * s
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
 def three_tangle(state: np.ndarray) -> float:
     """Residual entanglement of a pure 3-qubit state.
 
@@ -100,13 +114,7 @@ def three_tangle(state: np.ndarray) -> float:
         raise ValueError("three_tangle expects a 3-qubit state vector")
     if not abs(np.vdot(state, state).real - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")
-    a000, a001, a010, a011, a100, a101, a110, a111 = state.tolist()
-    # products of the four antipodal amplitude pairs
-    p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
-    d1 = p * p + q * q + r * r + s * s
-    d2 = p * (q + r + s) + q * (r + s) + r * s
-    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+    return _tangle(state.tolist())
 
 
 def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
@@ -116,20 +124,35 @@ def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
     genuinely tripartite-entangled states the residual 3-tangle separates the
     GHZ class (tau > tol) from the W class (GME concurrence, read off the
     same purities, above tol).
+
+    Every invariant is read in one scalar pass over the eight amplitudes:
+    qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_j|^2 and
+    r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), and purity
+    r00^2 + r11^2 + 2|r01|^2.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+    a = state.tolist()
+    weights = [z.real * z.real + z.imag * z.imag for z in a]
+    if not abs(sum(weights) - 1.0) <= 1e-10:  # NaN and inf fail too
         raise ValueError("state must be normalized")
-    purities = _cut_purities(state)
-    pure_cuts = int(np.count_nonzero(purities > 1.0 - tol))
+    purities = []
+    for pairs in _QUBIT_PAIRS:
+        r00 = r11 = 0.0
+        r01 = 0j
+        for i, j in pairs:
+            r00 += weights[i]
+            r11 += weights[j]
+            r01 += a[i] * a[j].conjugate()
+        purities.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
+    pure_cuts = sum(p > 1.0 - tol for p in purities)
     if pure_cuts == 3:
         return "separable"
     if pure_cuts >= 1:
         return "biseparable"
-    if three_tangle(state) > tol:
+    if _tangle(a) > tol:
         return "ghz-class"
-    if _gme_from_entropy(np.min(1.0 - purities)) > tol:
+    if _gme_from_entropy(min(1.0 - p for p in purities)) > tol:
         return "w-class"
     return "biseparable"

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from qswitch import SwitchSpec, UnitaryPair, pauli, ry, superposed_input
-from qswitch.linalg import kron_all
+from qswitch.linalg import kron_all, num_qubits
+from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.switch import canonical_phase
+from qswitch.verify import three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -63,6 +65,51 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
     )
     spec.pairs[aligned_qubit] = commuting
     return spec
+
+
+# -- dense test-only oracles --
+
+
+def local_tensor(pairs):
+    """The n-qubit local tensors (u_0 x ... x u_{n-1}, u~_0 x ... x u~_{n-1})."""
+    if not pairs:
+        raise ValueError("local_tensor requires at least one pair")
+    return kron_all([p.u for p in pairs]), kron_all([p.u_tilde for p in pairs])
+
+
+def partial_trace(rho, keep):
+    """Reduced density matrix of ``rho`` over the qubits in ``keep``.
+
+    ``keep`` preserves its own order in the output, trace is preserved.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    n = num_qubits(rho.shape[0])
+    keep = list(keep)
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
+        raise ValueError(f"keep indices must be distinct and in [0, {n}), got {keep}")
+    traced = [q for q in range(n) if q not in keep]
+    perm = keep + traced
+    t = rho.reshape([2] * (2 * n)).transpose(perm + [n + q for q in perm])
+    dk, dt = 2 ** len(keep), 2 ** len(traced)
+    return np.einsum("ajbj->ab", t.reshape(dk, dt, dk, dt))
+
+
+def reference_certify_class(state, tol=1e-6):
+    """``certify_class`` through numpy: batched marginal purities, then the
+    public ``three_tangle``, then the GME concurrence of the same purities."""
+    purities = _cut_purities(np.asarray(state, dtype=complex))
+    pure_cuts = int(np.count_nonzero(purities > 1.0 - tol))
+    if pure_cuts == 3:
+        return "separable"
+    if pure_cuts >= 1:
+        return "biseparable"
+    if three_tangle(state) > tol:
+        return "ghz-class"
+    if _gme_from_entropy(np.min(1.0 - purities)) > tol:
+        return "w-class"
+    return "biseparable"
 
 
 def outcome_labels(m):

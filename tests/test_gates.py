@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import haar_unitary
+from conftest import haar_unitary, local_tensor
 from qswitch.gates import (
     PAULI_Y,
     PAULI_Z,
     UnitaryPair,
     backward_order,
     forward_order,
-    local_tensor,
     parse_gate,
     pauli,
     ry,

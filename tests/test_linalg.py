@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, random_density, random_pure_state
+from conftest import haar_unitary, partial_trace, random_density, random_pure_state
 from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
 from qswitch.linalg import (
     basis_state,
@@ -13,7 +13,6 @@ from qswitch.linalg import (
     eigvals_hermitian,
     kron,
     kron_all,
-    partial_trace,
     reduced_density,
     spin_flip,
     sqrtm_psd,

@@ -117,3 +117,10 @@ def test_metric_range(rng):
         psi = random_pure_state(rng, 2)
         assert 0.0 <= concurrence(density(psi)) <= 1.0
         assert 0.0 <= gme_concurrence(random_pure_state(rng, 3)).value <= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gme_rejects_non_finite_state(bad):
+    for state in (np.full(8, bad, dtype=complex), GHZ3 + np.array([bad] + [0] * 7)):
+        with pytest.raises(ValueError, match="state must be normalized"):
+            gme_concurrence(state)

@@ -10,7 +10,9 @@ from conftest import (
     default_pair,
     dense_readout,
     haar_unitary,
+    local_tensor,
     outcome_labels,
+    partial_trace,
     random_pure_state,
     random_spec,
 )
@@ -29,8 +31,7 @@ from qswitch import (
     two_order_outcomes,
     w_outcomes,
 )
-from qswitch.gates import local_tensor
-from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all, partial_trace
+from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all
 from qswitch.metrics import gme_concurrence
 from qswitch.switch import MAX_QUBITS, canonical_phase
 from qswitch.verify import apply_local_unitaries, canonical_lu

@@ -1,10 +1,21 @@
+import json
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import aligned_spec, condition_spec, default_pair, random_spec
+import qswitch.metrics as metrics
+import qswitch.verify as verify
+from conftest import (
+    aligned_spec,
+    condition_spec,
+    default_pair,
+    haar_unitary,
+    random_pure_state,
+    random_spec,
+    reference_certify_class,
+)
 from qswitch import (
     SwitchSpec,
     UnitaryPair,
@@ -23,8 +34,9 @@ from qswitch import (
     superposed_input,
     three_tangle,
 )
+from qswitch.cli import EXIT_OK, main
 from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all, reduced_density
-from qswitch.metrics import purity
+from qswitch.metrics import _cut_purities, purity
 from qswitch.verify import apply_local_unitaries
 
 GHZ3 = (basis_state(3, 0) + basis_state(3, 7)) / math.sqrt(2)
@@ -256,3 +268,115 @@ def test_theorem_equivalence_sampled(rng, protocol, n):
             for o in run(spec).reachable()
         ]
         assert any(v < 1.0 - 1e-6 for v in values)
+
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_class_rejects_non_finite_state(bad):
+    for state in (np.full(8, bad, dtype=complex), GHZ3 + np.array([bad] + [0] * 7)):
+        with pytest.raises(ValueError, match="state must be normalized"):
+            certify_class(state)
+
+
+def _biseparable(rng, lone_qubit):
+    state = np.kron(random_pure_state(rng, 1), random_pure_state(rng, 2)).reshape(2, 2, 2)
+    return np.moveaxis(state, 0, lone_qubit).reshape(-1)
+
+
+def _random_lus(rng, state):
+    return apply_local_unitaries([haar_unitary(rng) for _ in range(3)], state)
+
+
+def _assert_same_classes(states, tol=1e-6):
+    for state in states:
+        assert certify_class(state, tol) == reference_certify_class(state, tol)
+
+
+def test_certify_class_matches_numpy_route_on_haar_states():
+    rng = np.random.default_rng(8)
+    states = rng.normal(size=(10_000, 8)) + 1j * rng.normal(size=(10_000, 8))
+    _assert_same_classes(states / np.linalg.norm(states, axis=1, keepdims=True))
+
+
+def test_certify_class_matches_numpy_route_on_class_families(rng):
+    families = {
+        "separable": lambda k: kron_all([random_pure_state(rng, 1) for _ in range(3)]),
+        "biseparable": lambda k: _biseparable(rng, k % 3),
+        "ghz-class": lambda k: GHZ3,
+        "w-class": lambda k: W3,
+    }
+    for expected, draw in families.items():
+        states = [_random_lus(rng, draw(k)) for k in range(150)]
+        assert {certify_class(s) for s in states} == {expected}
+        _assert_same_classes(states)
+
+
+def _ulps_from(values, threshold):
+    return np.min(np.abs(np.asarray(values) - threshold)) / np.spacing(threshold)
+
+
+def test_certify_class_matches_numpy_route_through_tangle_threshold(rng):
+    # W + eps GHZ has tau = 16 eps / (3 sqrt 6) + O(eps^2): the sweep crosses
+    # tau = tol, where the class flips from w-class to ghz-class, while every
+    # single-qubit cut stays far from pure
+    tol = 1e-6
+    states = []
+    for eps in np.geomspace(0.2, 5.0, 241) * tol * 3 * math.sqrt(6) / 16:
+        psi = W3 + eps * GHZ3
+        states.append(_random_lus(rng, psi / np.linalg.norm(psi)))
+    tangles = [three_tangle(s) for s in states]
+    # both routes read the tangle through the same helper, bit for bit, so a
+    # point next to tol cannot split them
+    assert min(tangles) < tol < max(tangles)
+    assert {certify_class(s, tol) for s in states} == {"w-class", "ghz-class"}
+    _assert_same_classes(states, tol)
+
+
+def test_certify_class_matches_numpy_route_through_purity_threshold(rng):
+    # cos t |0> |00> + sin t |1> |11> (every cut mixed) and |0> (cos t |00> + sin t |11>)
+    # (qubit 0 pure) have mixed-cut purity 1 - sin^2(2t) / 2, which the sweep
+    # carries through 1 - tol
+    tol = 1e-6
+    t_star = math.asin(math.sqrt(2 * tol)) / 2
+    seen = set()
+    # t = t_star itself is left out: there a mixed cut's purity equals 1 - tol
+    # to rounding, and the two routes' last-bit rounding splits the class in
+    # about 1.5 % of random frames, both answers correct to rounding
+    for t in np.linspace(0.8, 1.2, 200) * t_star:
+        c, s = math.cos(t), math.sin(t)
+        for psi in (c * basis_state(3, 0) + s * basis_state(3, 7),
+                    c * basis_state(3, 0) + s * basis_state(3, 3)):
+            state = _random_lus(rng, psi)
+            purities = _cut_purities(state)
+            # the two purity routes differ by at most 2.2e-16 (2 ulps here);
+            # no point sits within 4 ulps of 1 - tol, so none can flip a class
+            assert _ulps_from(purities, 1.0 - tol) > 4
+            label = certify_class(state, tol)
+            assert label == reference_certify_class(state, tol)
+            seen.add(label)
+    assert seen == {"separable", "biseparable", "ghz-class"}
+
+
+def test_certify_class_reads_no_batched_purities(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("certify_class reached metrics._cut_purities")
+
+    for module in (metrics, verify):  # also a binding imported into verify
+        monkeypatch.setattr(module, "_cut_purities", fail, raising=False)
+    phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
+    examples = {
+        "ghz-class": GHZ3,
+        "w-class": W3,
+        "biseparable": kron(basis_state(1, 0), phi_plus),
+        "separable": basis_state(3, 5),
+    }
+    for expected, state in examples.items():
+        assert certify_class(state) == expected
+    for protocol, expected in (("ghz", "ghz-class"), ("w", "w-class")):
+        path = tmp_path / f"{protocol}3.json"
+        path.write_text(json.dumps({
+            "protocol": protocol, "n": 3, "input": {"alpha": 0.5},
+            "pairs": [{"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}],
+        }))
+        assert main(["verify", "--spec", str(path)]) == EXIT_OK
+        assert set(json.loads(capsys.readouterr().out)["outcome_classes"].values()) == {expected}
