@@ -1,4 +1,4 @@
-"""Single-qubit gate constructors, unitary pairs and gate parsing.
+"""Single-qubit gate constructors and local tensor assemblies.
 
 The two-gate bundle applied to each qubit is a :class:`UnitaryPair`; the two
 composition orders of a pair are exposed as ``forward_order`` (second gate
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_unitary
+from .linalg import is_unitary, kron_all
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,6 +70,15 @@ def forward_order(pair: UnitaryPair) -> np.ndarray:
 def backward_order(pair: UnitaryPair) -> np.ndarray:
     """u_tilde @ u: u applied first."""
     return pair.u_tilde @ pair.u
+
+
+def local_tensor(pairs: list[UnitaryPair]) -> tuple[np.ndarray, np.ndarray]:
+    """The n-qubit local tensors (u_0 x ... x u_{n-1}, u~_0 x ... x u~_{n-1})."""
+    if not pairs:
+        raise ValueError("local_tensor requires at least one pair")
+    v = kron_all([p.u for p in pairs])
+    v_tilde = kron_all([p.u_tilde for p in pairs])
+    return v, v_tilde
 
 
 _RY_RE = re.compile(r"^ry\((?P<arg>[^)]+)\)$")

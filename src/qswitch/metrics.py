@@ -98,6 +98,28 @@ def _cut_purities(states: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
+# amplitude index pairs (i, i | 2^(2-q)) that differ only in qubit q's bit
+_QUBIT_PAIRS = tuple(tuple((i, i | bit) for i in range(8) if not i & bit) for bit in (4, 2, 1))
+
+
+def _cut_purities_scalar(a: list[complex]) -> list[float]:
+    """``_cut_purities`` of one 3-qubit state given as its eight amplitudes, in
+    Python scalars: qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_j|^2
+    and r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), and purity
+    r00^2 + r11^2 + 2|r01|^2."""
+    weights = [z.real * z.real + z.imag * z.imag for z in a]
+    out = []
+    for pairs in _QUBIT_PAIRS:
+        r00 = r11 = 0.0
+        r01 = 0j
+        for i, j in pairs:
+            r00 += weights[i]
+            r11 += weights[j]
+            r01 += a[i] * a[j].conjugate()
+        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
+    return out
+
+
 def _gme_from_entropy(minimum) -> np.ndarray:
     # a numerically pure cut (linear entropy below the dust) is biseparable
     minimum = np.asarray(minimum, dtype=float)

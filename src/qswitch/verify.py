@@ -12,13 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair, backward_order, forward_order
-from .metrics import _gme_from_entropy
+from .metrics import _cut_purities_scalar, _gme_from_entropy
 from .switch import SwitchSpec, _end_vectors
 
 CONDITION_TOL = 1e-9
-
-# amplitude index pairs (i, i | 2^(2-q)) that differ only in qubit q's bit
-_QUBIT_PAIRS = tuple(tuple((i, i | bit) for i in range(8) if not i & bit) for bit in (4, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -125,27 +122,16 @@ def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
     GHZ class (tau > tol) from the W class (GME concurrence, read off the
     same purities, above tol).
 
-    Every invariant is read in one scalar pass over the eight amplitudes:
-    qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_j|^2 and
-    r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), and purity
-    r00^2 + r11^2 + 2|r01|^2.
+    All of it, and the norm rule |sum |a_i|^2 - 1| <= 1e-10 of ``three_tangle``,
+    is read in one scalar pass over the eight amplitudes.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
     a = state.tolist()
-    weights = [z.real * z.real + z.imag * z.imag for z in a]
-    if not abs(sum(weights) - 1.0) <= 1e-10:  # NaN and inf fail too
-        raise ValueError("state must be normalized")
-    purities = []
-    for pairs in _QUBIT_PAIRS:
-        r00 = r11 = 0.0
-        r01 = 0j
-        for i, j in pairs:
-            r00 += weights[i]
-            r11 += weights[j]
-            r01 += a[i] * a[j].conjugate()
-        purities.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
+    if not abs(sum(z.real * z.real + z.imag * z.imag for z in a) - 1.0) <= 1e-10:
+        raise ValueError("state must be normalized")  # NaN and inf fail too
+    purities = _cut_purities_scalar(a)
     pure_cuts = sum(p > 1.0 - tol for p in purities)
     if pure_cuts == 3:
         return "separable"

@@ -67,14 +67,7 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
     return spec
 
 
-# -- dense test-only oracles --
-
-
-def local_tensor(pairs):
-    """The n-qubit local tensors (u_0 x ... x u_{n-1}, u~_0 x ... x u~_{n-1})."""
-    if not pairs:
-        raise ValueError("local_tensor requires at least one pair")
-    return kron_all([p.u for p in pairs]), kron_all([p.u_tilde for p in pairs])
+# -- dense test-only oracle --
 
 
 def partial_trace(rho, keep):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import haar_unitary, local_tensor
+from conftest import haar_unitary
 from qswitch.gates import (
     PAULI_Y,
     PAULI_Z,
     UnitaryPair,
     backward_order,
     forward_order,
+    local_tensor,
     parse_gate,
     pauli,
     ry,

@@ -6,6 +6,7 @@ import pytest
 from conftest import default_pair, haar_unitary, random_pure_state
 from qswitch import SwitchSpec, concurrence, gme_concurrence, purity, run, superposed_input
 from qswitch.linalg import basis_state, density, kron, kron_all, reduced_density
+from qswitch.metrics import _cut_purities, _cut_purities_scalar
 
 PHI_PLUS = (np.array([1, 0, 0, 1], dtype=complex)) / math.sqrt(2)
 W3 = (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1)) / math.sqrt(3)
@@ -124,3 +125,13 @@ def test_gme_rejects_non_finite_state(bad):
     for state in (np.full(8, bad, dtype=complex), GHZ3 + np.array([bad] + [0] * 7)):
         with pytest.raises(ValueError, match="state must be normalized"):
             gme_concurrence(state)
+
+
+def test_scalar_cut_purities_match_batched_and_dense(rng):
+    states = [random_pure_state(rng, 3) for _ in range(200)] + [GHZ3, W3, basis_state(3, 5)]
+    batched = _cut_purities(np.array(states))
+    for state, expected in zip(states, batched):
+        scalar = _cut_purities_scalar(state.tolist())
+        assert np.max(np.abs(np.array(scalar) - expected)) <= 4e-16
+        dense = [purity(reduced_density(state, [q])) for q in range(3)]
+        assert np.allclose(scalar, dense, rtol=0.0, atol=1e-12)

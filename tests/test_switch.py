@@ -10,7 +10,6 @@ from conftest import (
     default_pair,
     dense_readout,
     haar_unitary,
-    local_tensor,
     outcome_labels,
     partial_trace,
     random_pure_state,
@@ -31,6 +30,7 @@ from qswitch import (
     two_order_outcomes,
     w_outcomes,
 )
+from qswitch.gates import local_tensor
 from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all
 from qswitch.metrics import gme_concurrence
 from qswitch.switch import MAX_QUBITS, canonical_phase

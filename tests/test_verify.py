@@ -278,6 +278,21 @@ def test_certify_class_rejects_non_finite_state(bad):
             certify_class(state)
 
 
+def test_norm_rule_between_the_squared_and_plain_norm():
+    # certify_class and three_tangle accept |sum |a_i|^2 - 1| <= 1e-10, and
+    # gme_concurrence accepts | ||a|| - 1 | <= 1e-10, about twice as loose: a
+    # norm of 1 + 7e-11 passes the second rule only
+    phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
+    for psi in (GHZ3, W3, kron(basis_state(1, 0), phi_plus), basis_state(3, 5)):
+        inside, band = (1.0 + 3e-11) * psi, (1.0 + 7e-11) * psi
+        assert certify_class(inside) == certify_class(psi)
+        assert three_tangle(inside) == pytest.approx(three_tangle(psi), abs=1e-9)
+        for check in (certify_class, three_tangle):
+            with pytest.raises(ValueError, match="state must be normalized"):
+                check(band)
+        assert gme_concurrence(band).value == pytest.approx(gme_concurrence(psi).value, abs=1e-9)
+
+
 def _biseparable(rng, lone_qubit):
     state = np.kron(random_pure_state(rng, 1), random_pure_state(rng, 2)).reshape(2, 2, 2)
     return np.moveaxis(state, 0, lone_qubit).reshape(-1)
@@ -293,8 +308,10 @@ def _assert_same_classes(states, tol=1e-6):
 
 
 def test_certify_class_matches_numpy_route_on_haar_states():
+    # generic states are all ghz-class, far from both thresholds; the family
+    # and threshold tests below exercise the other branches
     rng = np.random.default_rng(8)
-    states = rng.normal(size=(10_000, 8)) + 1j * rng.normal(size=(10_000, 8))
+    states = rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))
     _assert_same_classes(states / np.linalg.norm(states, axis=1, keepdims=True))
 
 
