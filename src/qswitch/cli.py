@@ -92,10 +92,7 @@ _PROTOCOL_CHOICES = {
 def _cmd_sweep(args) -> int:
     protocol, n = _PROTOCOL_CHOICES[args.protocol]
     try:
-        plan = sweep_mod.default_plan(
-            protocol, n, lambda_steps=args.lambda_steps,
-            alpha_steps=args.alpha_steps, metric=args.metric,
-        )
+        plan = sweep_mod.default_plan(protocol, n, args.lambda_steps, args.alpha_steps)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     records = sweep_mod.run_sweep(plan)
@@ -149,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--protocol", choices=sorted(_PROTOCOL_CHOICES), required=True)
     p_sweep.add_argument("--lambda-steps", type=int, default=33)
     p_sweep.add_argument("--alpha-steps", type=int, default=33)
-    p_sweep.add_argument("--metric", choices=["auto", "concurrence", "gme_concurrence"],
-                         default="auto")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(handler=_cmd_sweep)

@@ -91,7 +91,7 @@ def topology_from_json(doc) -> Topology:
             _expect(e, dict, "entangler")
         entanglers.append((_member(e, f"/entanglers/{i}/id", str),
                            _member(e, f"/entanglers/{i}/clients", int)))
-    _, pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
+    pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
     with _at("/alpha"):
         alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
         if not 0.0 <= alpha <= 1.0:

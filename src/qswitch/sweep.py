@@ -2,8 +2,11 @@
 
 Each grid point fixes u = pauli_z and u_tilde = ry(2*lambda) on every qubit
 and the product input eta(alpha)^n, runs the protocol and records one row per
-measurement outcome. The grid is evaluated as one batch of stacked arrays,
-and output is deterministic: a row's bytes do not depend on the grid around it.
+measurement outcome. The metric follows from the protocol: concurrence for
+bell, the single-cut GME concurrence for ghz and w. A grid holds at most
+``MAX_SWEEP_POINTS`` (lambda, alpha) points, checked before it is allocated.
+The grid is evaluated as one batch of stacked arrays, and output is
+deterministic: a row's bytes do not depend on the grid around it.
 """
 from __future__ import annotations
 
@@ -21,10 +24,13 @@ from .metrics import pure_concurrence, pure_gme_concurrence
 from .switch import (
     UNREACHABLE_TOL,
     branch_readout,
+    check_protocol,
     control_labels,
     protocol_control,
     superposed_input,
 )
+
+MAX_SWEEP_POINTS = 2**16  # largest (lambda, alpha) grid: 256 x 256
 
 
 class SweepRecord(NamedTuple):
@@ -44,11 +50,12 @@ class SweepPlan:
     n: int
     lambda_grid: list[float]
     alpha_grid: list[float]
-    metric: str = "auto"  # 'auto' | 'concurrence' | 'gme_concurrence'
 
     def __post_init__(self):
+        check_protocol(self.protocol, self.n)
         if not self.lambda_grid or not self.alpha_grid:
             raise ValueError("grids must be nonempty")
+        _check_points(len(self.lambda_grid), len(self.alpha_grid))
         for name, grid, lo, hi in (
             ("lambda", self.lambda_grid, 0.0, math.pi / 2),
             ("alpha", self.alpha_grid, 0.0, 1.0),
@@ -57,23 +64,22 @@ class SweepPlan:
                 raise ValueError(f"{name} grid must be strictly increasing")
             if not all(lo <= x <= hi for x in grid):  # also false for NaN
                 raise ValueError(f"{name} grid must stay within [{lo}, {hi}]")
-        if self.metric not in ("auto", "concurrence", "gme_concurrence"):
-            raise ValueError(f"unknown metric {self.metric!r}")
-
-    def resolved_metric(self) -> str:
-        if self.metric != "auto":
-            return self.metric
-        return "concurrence" if self.protocol == "bell" else "gme_concurrence"
 
 
-def default_plan(protocol: str, n: int, lambda_steps: int = 33, alpha_steps: int = 33,
-                 metric: str = "auto") -> SweepPlan:
+def _check_points(lambda_steps: int, alpha_steps: int) -> None:
+    if lambda_steps * alpha_steps > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid has {lambda_steps} x {alpha_steps} points, "
+                         f"cap is {MAX_SWEEP_POINTS}")
+
+
+def default_plan(protocol: str, n: int, lambda_steps: int = 33,
+                 alpha_steps: int = 33) -> SweepPlan:
+    _check_points(lambda_steps, alpha_steps)  # before allocating the grids
     return SweepPlan(
         protocol=protocol,
         n=n,
         lambda_grid=list(np.linspace(0.0, math.pi / 2, lambda_steps)),
         alpha_grid=list(np.linspace(0.0, 1.0, alpha_steps)),
-        metric=metric,
     )
 
 
@@ -93,7 +99,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
     raw, probabilities = branch_readout(control, reverse, ends)
     reachable = probabilities >= UNREACHABLE_TOL
     states = raw[reachable] / np.sqrt(probabilities[reachable])[:, None]
-    metric = pure_concurrence if plan.resolved_metric() == "concurrence" else pure_gme_concurrence
+    metric = pure_concurrence if plan.protocol == "bell" else pure_gme_concurrence
     values = np.zeros(probabilities.shape)
     values[reachable] = metric(states)
     labels = control_labels(num_qubits(len(control)))

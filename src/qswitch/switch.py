@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
@@ -132,20 +132,32 @@ def _member(doc: dict, pointer: str, kind: type, default=None):
         return _expect(doc.get(key, default), kind, key)
 
 
-def _parse_pair(doc, pointer: str) -> tuple[tuple[str, str], UnitaryPair]:
-    """The gate names and the pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
+def _parse_pair(doc, pointer: str) -> UnitaryPair:
+    """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
     with _at(pointer):
         _expect(doc, dict, "gate pair")
-    names, mats = [], []
+    mats = []
     for key in ("u", "u_tilde"):
         with _at(f"{pointer}/{key}"):
-            names.append(_expect(doc.get(key), str, "gate name"))
-            mats.append(gates.parse_gate(names[-1]))
+            mats.append(gates.parse_gate(_expect(doc.get(key), str, "gate name")))
     try:
-        return tuple(names), UnitaryPair(*mats)
+        return UnitaryPair(*mats)
     except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
         key = "u" if not is_unitary(mats[0]) else "u_tilde"
         raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
+
+
+def check_protocol(protocol: str, n: int) -> None:
+    """Raise ValueError unless ``protocol`` is known and can run on n qubits."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    minimum = {"bell": 2, "ghz": 2, "w": 3}[protocol]
+    if protocol == "bell" and n != 2:
+        raise ValueError("bell protocol requires exactly 2 qubits")
+    if n < minimum:
+        raise ValueError(f"{protocol} protocol requires at least {minimum} qubits")
+    if n > MAX_QUBITS:
+        raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
 
 @dataclass
@@ -159,23 +171,12 @@ class SwitchSpec:
     protocol: str
     pairs: list[UnitaryPair]
     inputs: list[np.ndarray]
-    gate_names: Optional[list[tuple[str, str]]] = field(default=None, repr=False)
-    alpha: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        check_protocol(self.protocol, len(self.pairs))
         self.inputs = [_as_qubit_state(v) for v in self.inputs]
-        n = len(self.pairs)
-        if len(self.inputs) != n:
+        if len(self.inputs) != len(self.pairs):
             raise ValueError("pairs and inputs must have the same length")
-        minimum = {"bell": 2, "ghz": 2, "w": 3}[self.protocol]
-        if self.protocol == "bell" and n != 2:
-            raise ValueError("bell protocol requires exactly 2 qubits")
-        if n < minimum:
-            raise ValueError(f"{self.protocol} protocol requires at least {minimum} qubits")
-        if n > MAX_QUBITS:
-            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
     @property
     def n(self) -> int:
@@ -210,12 +211,10 @@ class SwitchSpec:
                 raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
             if len(pair_docs) != 1 and n != len(pair_docs):
                 raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
-        parsed = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
-        if len(parsed) == 1:
-            parsed *= n
-        names, pairs = [nm for nm, _ in parsed], [pair for _, pair in parsed]
+        pairs = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
+        if len(pairs) == 1:
+            pairs *= n
         inp = _member(doc, "/input", dict, {"alpha": 0.5})
-        alpha = None
         if "alpha" in inp:
             with _at("/input/alpha"):
                 alpha = float(_expect(inp["alpha"], float, "alpha"))
@@ -230,29 +229,7 @@ class SwitchSpec:
                 with _at(f"/input/amplitudes/{i}"):
                     inputs.append(_amplitudes_to_state(entries))
         with _at("/n" if "n" in doc else "/pairs"):
-            return cls(protocol=protocol, pairs=pairs, inputs=inputs, gate_names=names,
-                       alpha=alpha)
-
-    def to_document(self) -> dict:
-        if self.gate_names is not None:
-            pair_docs = [{"u": u, "u_tilde": ut} for u, ut in self.gate_names]
-        else:
-            pair_docs = [
-                {"u": _matrix_literal(p.u), "u_tilde": _matrix_literal(p.u_tilde)}
-                for p in self.pairs
-            ]
-        if self.alpha is not None:
-            inp = {"alpha": self.alpha}
-        else:
-            inp = {"amplitudes": [[_complex_literal(a) for a in v] for v in self.inputs]}
-        return {
-            "version": 1,
-            "protocol": self.protocol,
-            "n": self.n,
-            "pairs": pair_docs,
-            "input": inp,
-            "control": "even",
-        }
+            return cls(protocol=protocol, pairs=pairs, inputs=inputs)
 
 
 def _amplitudes_to_state(entries) -> np.ndarray:
@@ -276,15 +253,6 @@ def _amplitudes_to_state(entries) -> np.ndarray:
     if not UNREACHABLE_TOL <= nrm < math.inf:
         raise ValueError("amplitude vector must have a nonzero, finite norm")
     return v / nrm
-
-
-def _complex_literal(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
-def _matrix_literal(m: np.ndarray) -> str:
-    rows = ",".join("[" + ",".join(_complex_literal(z) for z in row) + "]" for row in m)
-    return f"matrix([{rows}])"
 
 
 def switch_operator(pair: UnitaryPair) -> np.ndarray:

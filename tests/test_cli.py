@@ -1,19 +1,22 @@
+import argparse
 import copy
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qswitch
-from qswitch.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from qswitch.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 RY_QUARTER = f"ry({math.pi / 2})"
 
@@ -183,6 +186,38 @@ def test_unknown_flag(capsys):
 
 def test_unknown_verb(capsys):
     assert main(["teleport"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("protocol", ["ghz3", "ghz4", "w3"])
+def test_sweep_has_no_metric_flag(tmp_path, capsys, protocol):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--protocol", protocol, "--metric", "concurrence", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_grid_over_cap(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--protocol", "w3", "--lambda-steps", "100000",
+               "--alpha-steps", "100000", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "cap is 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    missing = [
+        f"{verb} {option}"
+        for verb, parser in verbs.items()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and not re.search(rf"{re.escape(option)}(?![\w-])", readme)
+    ]
+    assert missing == []
 
 
 def _bell_doc(**fields):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from conftest import random_pure_state
 from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
 from qswitch.linalg import density, kron_all
 from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
-from qswitch.sweep import SweepPlan, default_plan, export, load_csv, run_sweep
+from qswitch.switch import MAX_QUBITS
+from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, load_csv, run_sweep
 
 
-def small_plan(protocol, n, metric="auto"):
-    return default_plan(protocol, n, lambda_steps=9, alpha_steps=5, metric=metric)
+def small_plan(protocol, n):
+    return default_plan(protocol, n, lambda_steps=9, alpha_steps=5)
 
 
 def test_plan_validation():
@@ -25,17 +27,36 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SweepPlan("bell", 2, [0.0, 1.0], [0.0, 1.5])
     with pytest.raises(ValueError):
-        SweepPlan("bell", 2, [0.0, 1.0], [0.0, 1.0], metric="negativity")
-    with pytest.raises(ValueError):
         SweepPlan("bell", 2, [0.0, 0.5], [-1e-13, 0.5])
     with pytest.raises(ValueError):
         SweepPlan("bell", 2, [math.nan], [0.5])
 
 
-def test_metric_resolution():
-    assert small_plan("bell", 2).resolved_metric() == "concurrence"
-    assert small_plan("ghz", 3).resolved_metric() == "gme_concurrence"
-    assert small_plan("w", 3).resolved_metric() == "gme_concurrence"
+@pytest.mark.parametrize("protocol,n,message", [
+    ("nope", 3, "unknown protocol 'nope'"),
+    ("w", 2, "w protocol requires at least 3 qubits"),
+    ("ghz", 1, "ghz protocol requires at least 2 qubits"),
+    ("ghz", MAX_QUBITS + 2, f"spec has {MAX_QUBITS + 2} qubits, cap is {MAX_QUBITS}"),
+    ("bell", 5, "bell protocol requires exactly 2 qubits"),
+])
+def test_plan_checks_protocol_like_spec(protocol, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepPlan(protocol, n, [0.0, 1.0], [0.0, 1.0])
+    eta, pair = superposed_input(0.5), UnitaryPair(pauli("z"), ry(math.pi / 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SwitchSpec(protocol, [pair] * n, [eta] * n)
+
+
+def test_grid_cap_checked_before_allocation(monkeypatch):
+    assert MAX_SWEEP_POINTS == 256 * 256
+    default_plan("w", 3, 256, 256)
+    monkeypatch.setattr(np, "linspace", None)  # the cap must come first
+    with pytest.raises(ValueError, match="cap is 65536"):
+        default_plan("w", 3, 257, 256)
+    with pytest.raises(ValueError, match="cap is 65536"):
+        default_plan("bell", 2, 10**5, 10**5)
+    with pytest.raises(ValueError, match="cap is 65536"):
+        SweepPlan("bell", 2, [0.0] * 257, [0.0] * 256)
 
 
 def test_record_count_and_order():
