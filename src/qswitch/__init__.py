@@ -11,8 +11,6 @@ from .switch import (
     run,
     superposed_input,
     switch_operator,
-    two_order_outcomes,
-    w_outcomes,
 )
 from .verify import (
     ConditionReport,
@@ -42,8 +40,6 @@ __all__ = [
     "run",
     "superposed_input",
     "switch_operator",
-    "two_order_outcomes",
-    "w_outcomes",
     "ConditionReport",
     "canonical_lu",
     "certify_class",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
@@ -34,7 +33,7 @@ switch spec JSON:
 topology JSON:
   {"entanglers": [{"id": "e1", "clients": 3}, ...],
    "gates": {"u": <gate>, "u_tilde": <gate>}, "alpha": <real>,
-   "control": "ghz"|"plus_product"}
+   "control": "ghz"|"plus_product", "link_loss": {"e1": 0, ...}, "coordinator": <any>}
 """
 
 
@@ -66,10 +65,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     spec = _load(args.spec, SwitchSpec.from_document)
-    report = verify_mod.check_max_entanglement(spec, tol=args.tol)
+    try:
+        report = verify_mod.check_max_entanglement(spec, tol=args.tol)
+    except ValueError as exc:
+        raise ValidationError(f"bad --tol: {exc}") from exc
     doc = report.to_document()
     doc["separable"] = report.any_aligned
     if spec.n == 3:
@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="evaluate the generation conditions for a spec")
     p_verify.add_argument("--spec", required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=verify_mod.CONDITION_TOL,
+                          help="condition tolerance, 0 < tol < 0.5")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="sweep the rotation/input grids and export records")

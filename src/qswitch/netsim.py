@@ -26,13 +26,13 @@ from .switch import (
     MAX_QUBITS,
     SwitchSpec,
     _at,
-    _branch_stack,
     _end_vectors,
     _expect,
     _member,
+    _only_keys,
     _parse_pair,
+    _token,
     controlled_outcomes,
-    protocol_control,
     superposed_input,
 )
 from .verify import check_max_entanglement
@@ -85,10 +85,12 @@ def topology_from_json(doc) -> Topology:
     ``SwitchSpec.from_document``. ``link_loss`` is reserved: its values must be 0."""
     with _at(""):
         _expect(doc, dict, "topology document")
+    _only_keys(doc, "", ("entanglers", "gates", "alpha", "control", "link_loss", "coordinator"))
     entanglers = []
     for i, e in enumerate(_member(doc, "/entanglers", list)):
         with _at(f"/entanglers/{i}"):
             _expect(e, dict, "entangler")
+        _only_keys(e, f"/entanglers/{i}", ("id", "clients"))
         entanglers.append((_member(e, f"/entanglers/{i}/id", str),
                            _member(e, f"/entanglers/{i}/clients", int)))
     pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
@@ -101,7 +103,7 @@ def topology_from_json(doc) -> Topology:
         if control not in CONTROLS:
             raise ValueError(f"unknown control preparation {control!r}")
     for node, loss in _member(doc, "/link_loss", dict, {}).items():
-        with _at("/link_loss/" + node.replace("~", "~0").replace("/", "~1")):  # RFC 6901
+        with _at(f"/link_loss/{_token(node)}"):
             if _expect(loss, float, "link loss") != 0:
                 raise ValueError("link loss is reserved for future use and must be zero")
     with _at("/entanglers"):
@@ -120,8 +122,7 @@ def _branch_results(
 ) -> list[BranchResult]:
     ends = (_end_vectors(spec.pairs, spec.inputs) if in_frame
             else np.broadcast_to(np.eye(2, dtype=complex), (spec.n, 2, 2)))
-    # the two-order control selects the all-forward (F) and all-backward (B) states
-    _, (fwd, bwd) = _branch_stack(*protocol_control("ghz", spec.n), ends)
+    fwd, bwd = kron_all(ends[:, 0]), kron_all(ends[:, 1])  # all-forward F, all-backward B
     reverse = _reverse_table(cluster_of_qubit, num_qubits(len(control)))
     return [
         BranchResult(o.label, o.probability, o.state,

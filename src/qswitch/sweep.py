@@ -22,7 +22,7 @@ from . import emit, gates
 from .linalg import num_qubits
 from .metrics import pure_concurrence, pure_gme_concurrence
 from .switch import (
-    UNREACHABLE_TOL,
+    _order_images,
     branch_readout,
     check_protocol,
     control_labels,
@@ -89,22 +89,17 @@ def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
     The whole grid goes through the engine and the metric as one batch of
     shape (lambda, alpha), so each row depends only on its own grid point.
     """
-    u = gates.PAULI_Z
-    u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))  # (lam, 2, 2)
-    orders = np.stack([u @ u_tilde, u_tilde @ u], 1)  # forward_order, backward_order
-    etas = superposed_input(plan.alpha_grid)  # (alpha, 2)
-    ends = (orders[:, None] @ etas[None, :, None, :, None])[..., 0]  # (lam, alpha, order, 2)
+    u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))[:, None]  # (lam, 1, 2, 2)
+    ends = _order_images(gates.PAULI_Z, u_tilde, superposed_input(plan.alpha_grid))
     ends = np.broadcast_to(ends[:, :, None], ends.shape[:2] + (plan.n,) + ends.shape[2:])
     control, reverse = protocol_control(plan.protocol, plan.n)
-    raw, probabilities = branch_readout(control, reverse, ends)
-    reachable = probabilities >= UNREACHABLE_TOL
-    states = raw[reachable] / np.sqrt(probabilities[reachable])[:, None]
+    probabilities, reachable, states = branch_readout(control, reverse, ends)
     metric = pure_concurrence if plan.protocol == "bell" else pure_gme_concurrence
     values = np.zeros(probabilities.shape)
-    values[reachable] = metric(states)
+    values[reachable] = metric(states[reachable])
     labels = control_labels(num_qubits(len(control)))
     keys = product(plan.lambda_grid, plan.alpha_grid, labels)  # the C order of the arrays
-    columns = [c.ravel().tolist() for c in (np.maximum(probabilities, 0.0), values, reachable)]
+    columns = [c.ravel().tolist() for c in (probabilities, values, reachable)]
     return [
         SweepRecord(lam, alpha, label, p, value if live else None, live)
         for (lam, alpha, label), p, value, live in zip(keys, *columns)

@@ -1,11 +1,10 @@
 """The coherently-controlled-order engine.
 
 ``branch_readout`` lets each control basis state select, per qubit, one of
-the two composition orders of its gate pair on a product input and measures
-the control register in the coherent {|+>, |->} basis, over any number of
+the two order images of its input (``_order_images``), measures the control
+register in the coherent {|+>, |->} basis and postselects, over any number of
 stacked instances at once; ``controlled_outcomes`` is its single-instance
-form, returning the postselected outcome ensemble. The protocols only choose
-the control:
+form, returning the outcome ensemble. The protocols only choose the control:
 
 * two-order protocols (Bell, GHZ-like): one control qubit selects between
   the two orders of the n-qubit local tensors;
@@ -123,6 +122,19 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _token(key: str) -> str:
+    """``key`` escaped as a JSON pointer reference token (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
+def _only_keys(doc: dict, pointer: str, keys: tuple[str, ...]) -> None:
+    """Reject a member of the object ``doc`` at ``pointer`` not named in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            with _at(f"{pointer}/{_token(key)}"):
+                raise ValueError(f"unknown key {key!r}")
+
+
 def _member(doc: dict, pointer: str, kind: type, default=None):
     """The member of ``doc`` named by the last token of ``pointer``, type-checked."""
     key = pointer.rsplit("/", 1)[1]
@@ -136,6 +148,7 @@ def _parse_pair(doc, pointer: str) -> UnitaryPair:
     """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
     with _at(pointer):
         _expect(doc, dict, "gate pair")
+    _only_keys(doc, pointer, ("u", "u_tilde"))
     mats = []
     for key in ("u", "u_tilde"):
         with _at(f"{pointer}/{key}"):
@@ -193,6 +206,7 @@ class SwitchSpec:
         """
         with _at(""):
             _expect(doc, dict, "spec document")
+        _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
         with _at("/version"):
             version = doc.get("version", 1)
             if version != 1 or isinstance(version, bool):
@@ -215,6 +229,10 @@ class SwitchSpec:
         if len(pairs) == 1:
             pairs *= n
         inp = _member(doc, "/input", dict, {"alpha": 0.5})
+        _only_keys(inp, "/input", ("alpha", "amplitudes"))
+        with _at("/input"):
+            if len(inp) > 1:
+                raise ValueError("input takes exactly one of 'alpha' and 'amplitudes'")
         if "alpha" in inp:
             with _at("/input/alpha"):
                 alpha = float(_expect(inp["alpha"], float, "alpha"))
@@ -262,23 +280,19 @@ def switch_operator(pair: UnitaryPair) -> np.ndarray:
     return kron(forward_order(pair), p0) + kron(backward_order(pair), p1)
 
 
-def _make_outcome(label: str, raw: np.ndarray, probability: float) -> Outcome:
-    if probability < UNREACHABLE_TOL:
-        return Outcome(label=label, probability=max(probability, 0.0), state=None)
-    return Outcome(
-        label=label,
-        probability=probability,
-        state=canonical_phase(raw / math.sqrt(probability)),
-    )
+def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The forward- (u @ u_tilde) and backward-order (u_tilde @ u) images of ``phi``:
+    (..., order, 2), with u, u_tilde (..., 2, 2) and phi (..., 2) broadcast."""
+    orders = np.stack([u @ u_tilde, u_tilde @ u], -3)
+    return (orders @ phi[..., None, :, None])[..., 0]
 
 
 def _end_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> np.ndarray:
     """Per qubit, the forward- and backward-order images of its input: (n, 2, 2)."""
     if len(inputs) != len(pairs) or not pairs:
         raise ValueError("pairs and inputs must be nonempty and of equal length")
-    return np.array(
-        [[forward_order(p) @ phi, backward_order(p) @ phi] for p, phi in zip(pairs, inputs)]
-    )
+    return _order_images(np.array([p.u for p in pairs]), np.array([p.u_tilde for p in pairs]),
+                         np.array(inputs, dtype=complex))
 
 
 def _branch_stack(
@@ -300,16 +314,17 @@ def _branch_stack(
 
 def branch_readout(
     control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised outcome amplitudes and probabilities of a controlled order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Postselected outcomes of a controlled order.
 
     ``control`` holds the 2^m control amplitudes, ``reverse[b][q]`` says
     whether control basis state b applies the backward order of qubit q's
     pair, and ``ends[..., q, o]`` is qubit q's input after order o (0 forward,
     1 backward), with any leading batch axes. Every control qubit is measured
     in the {|+>, |->} basis, outcomes ordered with the control qubits read
-    most significant first. Returns amplitudes (..., 2^m, 2^n) and
-    probabilities (..., 2^m).
+    most significant first. Returns the probabilities (..., 2^m), clamped at
+    0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and the
+    normalised states (..., 2^m, 2^n), zero where unreachable.
     """
     control = np.asarray(control, dtype=complex)
     m = num_qubits(len(control))
@@ -320,7 +335,11 @@ def branch_readout(
     for k in range(1, m):
         parity ^= both >> k
     raw = ((1.0 - 2.0 * (parity & 1)) * (control[live] * 2.0 ** (-m / 2.0))) @ stack
-    return raw, np.einsum("...ij,...ij->...i", raw.conj(), raw).real
+    probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
+    reachable = probabilities >= UNREACHABLE_TOL
+    raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
+    raw[~reachable] = 0.0
+    return np.maximum(probabilities, 0.0), reachable, raw
 
 
 def control_labels(m: int) -> list[str]:
@@ -333,15 +352,14 @@ def controlled_outcomes(
 ) -> OutcomeEnsemble:
     """Measure every control qubit of a controlled-order superposition.
 
-    The single-instance form of ``branch_readout``: each outcome is
-    thresholded, normalised and phase-fixed, labelled like ``+-`` with the
-    control qubits read most significant first.
+    The single-instance form of ``branch_readout``, for any control and any
+    n >= 1: each reachable state is phase-fixed, and outcomes are labelled
+    like ``+-`` with the control qubits read most significant first.
     """
-    raw, probabilities = branch_readout(control, reverse, _end_vectors(pairs, inputs))
-    labels = control_labels(num_qubits(len(control)))
-    return OutcomeEnsemble(
-        tuple(_make_outcome(lb, r, float(p)) for lb, r, p in zip(labels, raw, probabilities))
-    )
+    p, reachable, states = branch_readout(control, reverse, _end_vectors(pairs, inputs))
+    rows = zip(control_labels(num_qubits(len(control))), p.tolist(), reachable.tolist(), states)
+    return OutcomeEnsemble(tuple(Outcome(label, pk, canonical_phase(state) if live else None)
+                                 for label, pk, live, state in rows))
 
 
 def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,27 +374,6 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     control = np.zeros(2**d)
     control[:n] = 1.0 / math.sqrt(n)
     return control, np.eye(2**d, n, dtype=bool)
-
-
-def two_order_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEnsemble:
-    """Measure the single control of a two-order superposition of local tensors.
-
-    Works for any n >= 1; the Bell and GHZ protocols are the n = 2 and
-    n >= 2 instances.
-    """
-    return controlled_outcomes(*protocol_control("ghz", len(pairs)), pairs, inputs)
-
-
-def w_outcomes(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> OutcomeEnsemble:
-    """Measure the d-qubit control of the cyclic one-reversed-order superposition.
-
-    The control starts in the uniform superposition over the first n basis
-    directions of its 2^d-dimensional space; the remaining directions carry
-    zero amplitude, so outcome probabilities need not be equal.
-    """
-    if len(pairs) < 3:
-        raise ValueError("the W protocol requires at least 3 qubits")
-    return controlled_outcomes(*protocol_control("w", len(pairs)), pairs, inputs)
 
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:

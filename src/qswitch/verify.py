@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import UnitaryPair, backward_order, forward_order
+from .gates import UnitaryPair
 from .metrics import _cut_purities_scalar, _gme_from_entropy
 from .switch import SwitchSpec, _end_vectors
 
@@ -34,19 +34,26 @@ class ConditionReport:
         }
 
 
+def _overlaps(ends: np.ndarray) -> tuple[complex, ...]:
+    # <backward|forward> of each qubit's order-image row (forward, backward)
+    return tuple(complex(np.vdot(bwd, fwd)) for fwd, bwd in ends)
+
+
 def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:
     """<phi| backward_order(pair)^dagger forward_order(pair) |phi>."""
-    phi = np.asarray(phi, dtype=complex)
-    return complex(np.vdot(backward_order(pair) @ phi, forward_order(pair) @ phi))
+    return _overlaps(_end_vectors([pair], [phi]))[0]
 
 
 def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> ConditionReport:
     """Evaluate the per-qubit orthogonality condition for maximal entanglement.
 
     The report is protocol-agnostic: the Bell, GHZ and W conditions all
-    reduce to the same per-qubit scalar.
+    reduce to the same per-qubit scalar. ``tol`` must satisfy 0 < tol < 0.5,
+    so that no overlap can be both orthogonal and aligned.
     """
-    overlaps = tuple(overlap(p, phi) for p, phi in zip(spec.pairs, spec.inputs))
+    if not 0.0 < tol < 0.5:  # also false for NaN
+        raise ValueError(f"tol must lie strictly between 0 and 0.5, got {tol}")
+    overlaps = _overlaps(_end_vectors(spec.pairs, spec.inputs))
     return ConditionReport(
         per_qubit_overlap=overlaps,
         all_orthogonal=all(abs(z) < tol for z in overlaps),

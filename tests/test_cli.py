@@ -150,7 +150,7 @@ def test_run_rejects_n_disagreeing_with_pairs(tmp_path, capsys):
     assert "2 pairs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "0.5", "0.7"])
 def test_verify_rejects_bad_tol(bell_spec, tol, capsys):
     assert main(["verify", "--spec", bell_spec, "--tol", tol]) == EXIT_VALIDATION
     assert "--tol" in capsys.readouterr().err
@@ -287,6 +287,41 @@ def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer)
     path.write_text(json.dumps(doc))
     assert main(["netsim", "--topology", str(path)]) == EXIT_VALIDATION
     assert f"(at {pointer})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,doc,pointer", [
+    ("run", _bell_doc(inputs={"alpha": 0.1}), "'/inputs'"),
+    ("run", _bell_doc(input={"alpha": 0.1, "amplitudes": [[1, 0], [0, 1]]}), "'/input'"),
+    ("run", _bell_doc(input={"alpha": 0.1, "beta": 0.2}), "'/input/beta'"),
+    ("run", _bell_doc(pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER, "u_tild": "pauli_x"}] * 2),
+     "'/pairs/0/u_tild'"),
+    ("run", _bell_doc(**{"a/b~c": 1}), "'/a~1b~0c'"),
+    ("netsim", _topology_doc(contol="plus_product"), "'/contol'"),
+    ("netsim", _topology_doc(gates={"u": "pauli_z", "u_tilde": RY_QUARTER, "v": "pauli_x"}),
+     "'/gates/v'"),
+    ("netsim", _topology_doc(entanglers=[{"id": "e1", "clients": 3},
+                                         {"id": "e2", "clients": 3, "client": 2}]),
+     "'/entanglers/1/client'"),
+], ids=["spec-inputs", "input-alpha-and-amplitudes", "input-unknown", "pair-u_tild",
+        "escaped-key", "topology-contol", "gates-unknown", "entangler-unknown"])
+def test_unknown_and_conflicting_keys_rejected(tmp_path, capsys, verb, doc, pointer):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, "--topology" if verb == "netsim" else "--spec", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.rstrip().endswith(f"(at {pointer})")
+    assert captured.out == ""
+
+
+def test_every_documented_key_accepted(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_bell_doc(n=2, control="even")))
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(_topology_doc(control="ghz", link_loss={"e1": 0, "e2": 0.0},
+                                             coordinator="c0")))
+    assert main(["run", "--spec", str(spec)]) == EXIT_OK
+    assert main(["verify", "--spec", str(spec)]) == EXIT_OK
+    assert main(["netsim", "--topology", str(topo)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+import qswitch.sweep as sweep
+
 from conftest import random_pure_state
 from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
 from qswitch.linalg import density, kron_all
 from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
-from qswitch.switch import MAX_QUBITS
+from qswitch.switch import MAX_QUBITS, _end_vectors
 from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, load_csv, run_sweep
 
 
@@ -192,6 +194,26 @@ def test_batched_sweep_matches_per_point_reference(protocol, n):
             assert r.metric_value is None
         else:
             assert abs(r.metric_value - value) <= 1e-10
+
+
+@pytest.mark.parametrize("protocol,n", [("bell", 2), ("w", 3), ("ghz", 4)])
+def test_stacked_order_images_match_per_point_end_vectors(monkeypatch, protocol, n):
+    seen, readout = [], sweep.branch_readout
+
+    def spy(control, reverse, ends):
+        seen.append(ends)
+        return readout(control, reverse, ends)
+
+    monkeypatch.setattr(sweep, "branch_readout", spy)
+    plan = default_plan(protocol, n, lambda_steps=9, alpha_steps=7)
+    run_sweep(plan)
+    (ends,) = seen
+    assert ends.shape == (9, 7, n, 2, 2)
+    for i, lam in enumerate(plan.lambda_grid):
+        pair = UnitaryPair(pauli("z"), ry(2.0 * lam))
+        for j, alpha in enumerate(plan.alpha_grid):
+            expected = _end_vectors([pair] * n, [superposed_input(alpha)] * n)
+            assert np.array_equal(ends[i, j], expected)
 
 
 def test_batched_grid_inputs_match_scalar_forms(rng):

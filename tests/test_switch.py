@@ -27,13 +27,20 @@ from qswitch import (
     ry,
     superposed_input,
     switch_operator,
-    two_order_outcomes,
-    w_outcomes,
 )
 from qswitch.gates import local_tensor
 from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all
 from qswitch.metrics import gme_concurrence
-from qswitch.switch import MAX_QUBITS, canonical_phase
+from qswitch.switch import (
+    MAX_QUBITS,
+    UNREACHABLE_TOL,
+    _end_vectors,
+    _order_images,
+    branch_readout,
+    canonical_phase,
+    controlled_outcomes,
+    protocol_control,
+)
 from qswitch.verify import apply_local_unitaries, canonical_lu
 
 I2 = np.eye(2, dtype=complex)
@@ -63,7 +70,8 @@ def test_switch_operator_unitary(rng):
 
 
 def test_single_qubit_anticommuting_orders():
-    ens = two_order_outcomes([UnitaryPair(pauli("z"), pauli("x"))], [basis_state(1, 0)])
+    pairs = [UnitaryPair(pauli("z"), pauli("x"))]
+    ens = controlled_outcomes(*protocol_control("ghz", 1), pairs, [basis_state(1, 0)])
     plus, minus = ens["+"], ens["-"]
     assert plus.probability <= 1e-12 and not plus.reachable
     assert abs(minus.probability - 1.0) <= 1e-10
@@ -73,11 +81,44 @@ def test_single_qubit_anticommuting_orders():
 def test_single_qubit_reproduces_two_term_superposition(rng):
     p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
     phi = random_pure_state(rng, 1)
-    ens = two_order_outcomes([p], [phi])
+    ens = controlled_outcomes(*protocol_control("ghz", 1), [p], [phi])
     for sign, label in ((1, "+"), (-1, "-")):
         raw = (forward_order(p) + sign * backward_order(p)) @ phi
         if ens[label].reachable:
             assert _phase_free_close(ens[label].state, raw / np.linalg.norm(raw))
+
+
+def test_order_images_equal_order_products_bitwise(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        pairs = [UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)]
+        inputs = [random_pure_state(rng, 1) for _ in range(n)]
+        ends = _end_vectors(pairs, inputs)
+        assert ends.shape == (n, 2, 2)
+        for (fwd, bwd), p, phi in zip(ends, pairs, inputs):
+            assert np.array_equal(fwd, forward_order(p) @ phi)
+            assert np.array_equal(bwd, backward_order(p) @ phi)
+            assert np.array_equal(_order_images(p.u, p.u_tilde, phi), [fwd, bwd])
+
+
+@pytest.mark.parametrize("protocol,n", [("ghz", 1), ("bell", 2), ("ghz", 3), ("w", 4), ("w", 8)])
+def test_branch_readout_postselects(rng, protocol, n):
+    # random pairs reach every outcome; commuting pairs leave some unreachable
+    # (for W, when n fills the 2^d control directions)
+    commuting = UnitaryPair(pauli("z"), ry(0.0))
+    for pairs in ([UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)],
+                  [commuting] * n):
+        inputs = [random_pure_state(rng, 1) for _ in range(n)]
+        control, reverse = protocol_control(protocol, n)
+        p, reachable, states = branch_readout(control, reverse, _end_vectors(pairs, inputs))
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-10
+        assert np.array_equal(reachable, p >= UNREACHABLE_TOL)
+        assert not np.any(states[~reachable])
+        assert np.allclose(np.linalg.norm(states[reachable], axis=-1), 1.0, atol=1e-12)
+        ens = controlled_outcomes(control, reverse, pairs, inputs)
+        assert [o.probability for o in ens] == p.tolist()
+        assert [o.reachable for o in ens] == reachable.tolist()
+    assert not reachable.all()
 
 
 def test_bell_maximal_at_quarter_turn():
@@ -100,7 +141,7 @@ def test_w_identity_pairs_collapse_to_input():
     # every reachable outcome returns the unchanged product input
     pair = UnitaryPair(I2, I2)
     inputs = [superposed_input(0.4)] * 3
-    ens = w_outcomes([pair] * 3, inputs)
+    ens = run(SwitchSpec("w", [pair] * 3, inputs))
     assert abs(ens["++"].probability - 0.75) <= 1e-10
     for label in ("+-", "-+", "--"):
         assert abs(ens[label].probability - 1 / 12) <= 1e-10
@@ -109,7 +150,7 @@ def test_w_identity_pairs_collapse_to_input():
 
 
 def test_w_default_gates_all_outcomes_w_like():
-    ens = w_outcomes([default_pair()] * 3, [superposed_input(0.5)] * 3)
+    ens = run(SwitchSpec("w", [default_pair()] * 3, [superposed_input(0.5)] * 3))
     target = 2 * math.sqrt(2) / 3
     for o in ens:
         assert o.reachable
@@ -118,7 +159,7 @@ def test_w_default_gates_all_outcomes_w_like():
 
 def test_w_identity_rotation_separable():
     pair = UnitaryPair(pauli("z"), ry(0.0))
-    ens = w_outcomes([pair] * 3, [superposed_input(0.5)] * 3)
+    ens = run(SwitchSpec("w", [pair] * 3, [superposed_input(0.5)] * 3))
     for o in ens.reachable():
         assert gme_concurrence(o.state).value <= 1e-9
 
@@ -133,7 +174,7 @@ def test_probability_conservation(rng, protocol, n):
 def test_commuting_order_collapse(rng):
     pair = UnitaryPair(pauli("z"), np.diag([np.exp(0.3j), np.exp(-1.1j)]))
     inputs = [random_pure_state(rng, 1) for _ in range(2)]
-    ens = two_order_outcomes([pair, pair], inputs)
+    ens = run(SwitchSpec("ghz", [pair, pair], inputs))
     assert abs(ens["+"].probability - 1.0) <= 1e-10
     v, vt = local_tensor([pair, pair])
     assert _phase_free_close(ens["+"].state, v @ vt @ kron_all(inputs))

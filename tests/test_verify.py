@@ -156,6 +156,28 @@ def test_canonical_lu_identity_when_already_canonical():
     assert np.allclose(lus[0] @ branch, basis_state(1, 0), atol=1e-12)
 
 
+def test_overlaps_equal_per_qubit_vdot_bitwise(rng):
+    for make in (random_spec, condition_spec, aligned_spec):
+        for _ in range(30):
+            spec = make(rng, "ghz", int(rng.integers(2, 6)))
+            expected = tuple(complex(np.vdot(backward_order(p) @ phi, forward_order(p) @ phi))
+                             for p, phi in zip(spec.pairs, spec.inputs))
+            assert check_max_entanglement(spec).per_qubit_overlap == expected
+            assert tuple(overlap(p, phi) for p, phi in zip(spec.pairs, spec.inputs)) == expected
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 0.5, 0.7, math.nan, math.inf])
+def test_condition_tol_must_lie_below_one_half(tol):
+    # at tol >= 0.5 an overlap can be "orthogonal" and "aligned" at once
+    spec = SwitchSpec("ghz", [UnitaryPair(pauli("z"), ry(math.acos(0.36)))] * 3,
+                      [superposed_input(0.5)] * 3)
+    for check in (check_max_entanglement, check_separability, canonical_lu):
+        with pytest.raises(ValueError, match="tol"):
+            check(spec, tol)
+    report = check_max_entanglement(spec, 0.4)
+    assert report.all_orthogonal and not report.any_aligned
+
+
 def test_canonical_lu_reduces_w_outcomes():
     spec = SwitchSpec("w", [default_pair()] * 3, [superposed_input(0.5)] * 3)
     lus = canonical_lu(spec)
