@@ -1,7 +1,7 @@
 """Command line entry point: run, verify, sweep and netsim workflows.
 
-This module only parses arguments, reads files and formats output; documents
-are parsed and validated by the modules that own their types, and all
+This module only parses arguments, reads files and formats output; spec and
+topology documents are parsed and validated by ``documents``, and all
 numerics live in the library modules.
 
 The large documents, the ``run`` outcome ensemble and the ``netsim --report
@@ -16,7 +16,8 @@ import json
 import sys
 
 from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
-from .switch import SwitchSpec, run as run_switch
+from .documents import parse_spec, parse_topology
+from .switch import run as run_switch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,13 +60,13 @@ def _print_json(doc) -> None:
 
 
 def _cmd_run(args) -> int:
-    spec = _load(args.spec, SwitchSpec.from_document)
+    spec = _load(args.spec, parse_spec)
     emit.write_ensemble(run_switch(spec), sys.stdout)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    spec = _load(args.spec, SwitchSpec.from_document)
+    spec = _load(args.spec, parse_spec)
     try:
         report = verify_mod.check_max_entanglement(spec, tol=args.tol)
     except ValueError as exc:
@@ -102,7 +103,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_netsim(args) -> int:
-    topo = _load(args.topology, netsim.topology_from_json)
+    topo = _load(args.topology, parse_topology)
     try:
         branches = netsim.run_hierarchy(topo)
     except ValueError as exc:

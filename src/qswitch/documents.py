@@ -1,0 +1,187 @@
+"""The JSON wire formats: switch spec documents (version 1) and topology documents.
+
+``parse_spec`` and ``parse_topology`` take any JSON value and return a
+validated ``SwitchSpec`` or ``Topology``. Every rejection is a ValueError
+ending in the JSON pointer of the offending field or of its nearest enclosing
+one, like ``(at '/pairs/0/u')``.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from .gates import UnitaryPair, _parse_complex, parse_gate
+from .linalg import is_unitary
+from .netsim import CONTROLS, Topology
+from .switch import MAX_QUBITS, PROTOCOLS, UNREACHABLE_TOL, SwitchSpec, superposed_input
+
+_DEFAULT_GATES = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}
+
+
+class _at:
+    """Context manager appending the JSON pointer of the document field it
+    concerns to a ValueError from its block, like ``(at '/pairs/0/u')``; an
+    OverflowError, from a JSON number that no float can hold, becomes one."""
+
+    def __init__(self, pointer: str):
+        self.pointer = pointer
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, (ValueError, OverflowError)):
+            raise ValueError(f"{exc} (at '{self.pointer}')") from None
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``, where float stands for any
+    number; booleans are neither integers nor numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _token(key: str) -> str:
+    """``key`` escaped as a JSON pointer reference token (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
+def _only_keys(doc: dict, pointer: str, keys: tuple[str, ...]) -> None:
+    """Reject a member of the object ``doc`` at ``pointer`` not named in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            with _at(f"{pointer}/{_token(key)}"):
+                raise ValueError(f"unknown key {key!r}")
+
+
+def _member(doc: dict, pointer: str, kind: type, default=None):
+    """The member of ``doc`` named by the last token of ``pointer``, type-checked."""
+    key = pointer.rsplit("/", 1)[1]
+    with _at(pointer):
+        if key not in doc and default is None:
+            raise ValueError(f"{key} is required")
+        return _expect(doc.get(key, default), kind, key)
+
+
+def _parse_pair(doc, pointer: str) -> UnitaryPair:
+    """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
+    with _at(pointer):
+        _expect(doc, dict, "gate pair")
+    _only_keys(doc, pointer, ("u", "u_tilde"))
+    mats = []
+    for key in ("u", "u_tilde"):
+        with _at(f"{pointer}/{key}"):
+            mats.append(parse_gate(_expect(doc.get(key), str, "gate name")))
+    try:
+        return UnitaryPair(*mats)
+    except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
+        key = "u" if not is_unitary(mats[0]) else "u_tilde"
+        raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
+
+
+def _amplitudes_to_state(entries) -> np.ndarray:
+    """The normalised single-qubit state of two document amplitudes, each an
+    'a+bi' literal, a [re, im] pair or a real number."""
+    if not isinstance(entries, list) or len(entries) != 2:
+        raise ValueError(f"an input state must be an array of 2 amplitudes, got {entries!r}")
+    amps = []
+    for e in entries:
+        if isinstance(e, str):
+            amps.append(_parse_complex(e))
+        elif isinstance(e, list) and len(e) == 2:
+            amps.append(complex(*(_expect(x, float, "[re, im] entry") for x in e)))
+        else:
+            amps.append(complex(_expect(e, float, "amplitude")))
+        if not cmath.isfinite(amps[-1]):
+            raise ValueError(f"amplitude {e!r} is not finite")
+    v = np.array(amps)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+        nrm = np.linalg.norm(v)
+    if not UNREACHABLE_TOL <= nrm < math.inf:
+        raise ValueError("amplitude vector must have a nonzero, finite norm")
+    return v / nrm
+
+
+def parse_spec(doc) -> SwitchSpec:
+    """Parse and validate a switch spec document (any JSON value)."""
+    with _at(""):
+        _expect(doc, dict, "spec document")
+    _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
+    with _at("/version"):
+        version = doc.get("version", 1)
+        if version != 1 or isinstance(version, bool):
+            raise ValueError(f"unsupported spec version {version!r}")
+    with _at("/control"):
+        if doc.get("control", "even") != "even":
+            raise ValueError(f"control must be 'even', got {doc['control']!r}")
+    protocol = doc.get("protocol")
+    with _at("/protocol"):
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {protocol!r}")
+    pair_docs = _member(doc, "/pairs", list)
+    n = _member(doc, "/n", int, len(pair_docs))
+    with _at("/n"):
+        if n > MAX_QUBITS:  # before broadcasting a single pair n times
+            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
+        if len(pair_docs) != 1 and n != len(pair_docs):
+            raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
+    pairs = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
+    if len(pairs) == 1:
+        pairs *= n
+    inp = _member(doc, "/input", dict, {"alpha": 0.5})
+    _only_keys(inp, "/input", ("alpha", "amplitudes"))
+    with _at("/input"):
+        if len(inp) > 1:
+            raise ValueError("input takes exactly one of 'alpha' and 'amplitudes'")
+    if "alpha" in inp:
+        with _at("/input/alpha"):
+            alpha = float(_expect(inp["alpha"], float, "alpha"))
+            inputs = [superposed_input(alpha)] * len(pairs)
+    else:
+        amplitudes = _member(inp, "/input/amplitudes", list)
+        with _at("/input/amplitudes"):
+            if len(amplitudes) != len(pairs):
+                raise ValueError(f"{len(amplitudes)} input states for {len(pairs)} qubits")
+        inputs = []
+        for i, entries in enumerate(amplitudes):
+            with _at(f"/input/amplitudes/{i}"):
+                inputs.append(_amplitudes_to_state(entries))
+    with _at("/n" if "n" in doc else "/pairs"):
+        return SwitchSpec(protocol=protocol, pairs=pairs, inputs=inputs)
+
+
+def parse_topology(doc) -> Topology:
+    """Parse and validate a topology document (any JSON value). ``link_loss``
+    is reserved: its values must be 0."""
+    with _at(""):
+        _expect(doc, dict, "topology document")
+    _only_keys(doc, "", ("entanglers", "gates", "alpha", "control", "link_loss", "coordinator"))
+    entanglers = []
+    for i, e in enumerate(_member(doc, "/entanglers", list)):
+        with _at(f"/entanglers/{i}"):
+            _expect(e, dict, "entangler")
+        _only_keys(e, f"/entanglers/{i}", ("id", "clients"))
+        entanglers.append((_member(e, f"/entanglers/{i}/id", str),
+                           _member(e, f"/entanglers/{i}/clients", int)))
+    pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
+    with _at("/alpha"):
+        alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    control = doc.get("control", "ghz")
+    with _at("/control"):
+        if control not in CONTROLS:
+            raise ValueError(f"unknown control preparation {control!r}")
+    for node, loss in _member(doc, "/link_loss", dict, {}).items():
+        with _at(f"/link_loss/{_token(node)}"):
+            if _expect(loss, float, "link loss") != 0:
+                raise ValueError("link loss is reserved for future use and must be zero")
+    with _at("/entanglers"):
+        return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)

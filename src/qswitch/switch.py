@@ -13,7 +13,6 @@ form, returning the outcome ensemble. The protocols only choose the control:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -21,9 +20,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import gates
 from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import is_unitary, kron, num_qubits
+from .linalg import kron, num_qubits
 
 UNREACHABLE_TOL = 1e-12
 MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
@@ -94,72 +92,6 @@ class OutcomeEnsemble:
         return sum(o.probability for o in self.outcomes)
 
 
-class _at:
-    """Context manager appending the JSON pointer of the document field it
-    concerns to a ValueError from its block, like ``(at '/pairs/0/u')``; an
-    OverflowError, from a JSON number that no float can hold, becomes one."""
-
-    def __init__(self, pointer: str):
-        self.pointer = pointer
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if kind is not None and issubclass(kind, (ValueError, OverflowError)):
-            raise ValueError(f"{exc} (at '{self.pointer}')") from None
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               float: "a number"}
-
-
-def _expect(value, kind: type, what: str):
-    """``value`` if it has the JSON type ``kind``, where float stands for any
-    number; booleans are neither integers nor numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-def _token(key: str) -> str:
-    """``key`` escaped as a JSON pointer reference token (RFC 6901)."""
-    return key.replace("~", "~0").replace("/", "~1")
-
-
-def _only_keys(doc: dict, pointer: str, keys: tuple[str, ...]) -> None:
-    """Reject a member of the object ``doc`` at ``pointer`` not named in ``keys``."""
-    for key in doc:
-        if key not in keys:
-            with _at(f"{pointer}/{_token(key)}"):
-                raise ValueError(f"unknown key {key!r}")
-
-
-def _member(doc: dict, pointer: str, kind: type, default=None):
-    """The member of ``doc`` named by the last token of ``pointer``, type-checked."""
-    key = pointer.rsplit("/", 1)[1]
-    with _at(pointer):
-        if key not in doc and default is None:
-            raise ValueError(f"{key} is required")
-        return _expect(doc.get(key, default), kind, key)
-
-
-def _parse_pair(doc, pointer: str) -> UnitaryPair:
-    """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
-    with _at(pointer):
-        _expect(doc, dict, "gate pair")
-    _only_keys(doc, pointer, ("u", "u_tilde"))
-    mats = []
-    for key in ("u", "u_tilde"):
-        with _at(f"{pointer}/{key}"):
-            mats.append(gates.parse_gate(_expect(doc.get(key), str, "gate name")))
-    try:
-        return UnitaryPair(*mats)
-    except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
-        key = "u" if not is_unitary(mats[0]) else "u_tilde"
-        raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
-
-
 def check_protocol(protocol: str, n: int) -> None:
     """Raise ValueError unless ``protocol`` is known and can run on n qubits."""
     if protocol not in PROTOCOLS:
@@ -195,83 +127,6 @@ class SwitchSpec:
     def n(self) -> int:
         return len(self.pairs)
 
-    # -- JSON wire format (version 1) -------------------------------------
-
-    @classmethod
-    def from_document(cls, doc) -> "SwitchSpec":
-        """Parse and validate a spec document (any JSON value).
-
-        Every rejection is a ValueError ending in the JSON pointer of the
-        offending field or of its nearest enclosing one.
-        """
-        with _at(""):
-            _expect(doc, dict, "spec document")
-        _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
-        with _at("/version"):
-            version = doc.get("version", 1)
-            if version != 1 or isinstance(version, bool):
-                raise ValueError(f"unsupported spec version {version!r}")
-        with _at("/control"):
-            if doc.get("control", "even") != "even":
-                raise ValueError(f"control must be 'even', got {doc['control']!r}")
-        protocol = doc.get("protocol")
-        with _at("/protocol"):
-            if protocol not in PROTOCOLS:
-                raise ValueError(f"unknown protocol {protocol!r}")
-        pair_docs = _member(doc, "/pairs", list)
-        n = _member(doc, "/n", int, len(pair_docs))
-        with _at("/n"):
-            if n > MAX_QUBITS:  # before broadcasting a single pair n times
-                raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
-            if len(pair_docs) != 1 and n != len(pair_docs):
-                raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
-        pairs = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
-        if len(pairs) == 1:
-            pairs *= n
-        inp = _member(doc, "/input", dict, {"alpha": 0.5})
-        _only_keys(inp, "/input", ("alpha", "amplitudes"))
-        with _at("/input"):
-            if len(inp) > 1:
-                raise ValueError("input takes exactly one of 'alpha' and 'amplitudes'")
-        if "alpha" in inp:
-            with _at("/input/alpha"):
-                alpha = float(_expect(inp["alpha"], float, "alpha"))
-                inputs = [superposed_input(alpha)] * len(pairs)
-        else:
-            amplitudes = _member(inp, "/input/amplitudes", list)
-            with _at("/input/amplitudes"):
-                if len(amplitudes) != len(pairs):
-                    raise ValueError(f"{len(amplitudes)} input states for {len(pairs)} qubits")
-            inputs = []
-            for i, entries in enumerate(amplitudes):
-                with _at(f"/input/amplitudes/{i}"):
-                    inputs.append(_amplitudes_to_state(entries))
-        with _at("/n" if "n" in doc else "/pairs"):
-            return cls(protocol=protocol, pairs=pairs, inputs=inputs)
-
-
-def _amplitudes_to_state(entries) -> np.ndarray:
-    """The normalised single-qubit state of two document amplitudes, each an
-    'a+bi' literal, a [re, im] pair or a real number."""
-    if not isinstance(entries, list) or len(entries) != 2:
-        raise ValueError(f"an input state must be an array of 2 amplitudes, got {entries!r}")
-    amps = []
-    for e in entries:
-        if isinstance(e, str):
-            amps.append(gates._parse_complex(e))
-        elif isinstance(e, list) and len(e) == 2:
-            amps.append(complex(*(_expect(x, float, "[re, im] entry") for x in e)))
-        else:
-            amps.append(complex(_expect(e, float, "amplitude")))
-        if not cmath.isfinite(amps[-1]):
-            raise ValueError(f"amplitude {e!r} is not finite")
-    v = np.array(amps)
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
-        nrm = np.linalg.norm(v)
-    if not UNREACHABLE_TOL <= nrm < math.inf:
-        raise ValueError("amplitude vector must have a nonzero, finite norm")
-    return v / nrm
-
 
 def switch_operator(pair: UnitaryPair) -> np.ndarray:
     """The 4x4 controlled-order unitary on (target x control), target first."""
@@ -289,8 +144,10 @@ def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.nda
 
 def _end_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> np.ndarray:
     """Per qubit, the forward- and backward-order images of its input: (n, 2, 2)."""
-    if len(inputs) != len(pairs) or not pairs:
-        raise ValueError("pairs and inputs must be nonempty and of equal length")
+    if not pairs:
+        raise ValueError("at least one qubit is required")
+    if len(inputs) != len(pairs):
+        raise ValueError("pairs and inputs must have the same length")
     return _order_images(np.array([p.u for p in pairs]), np.array([p.u_tilde for p in pairs]),
                          np.array(inputs, dtype=complex))
 
@@ -348,15 +205,16 @@ def control_labels(m: int) -> list[str]:
 
 
 def controlled_outcomes(
-    control: np.ndarray, reverse: np.ndarray, pairs: list[UnitaryPair], inputs: list[np.ndarray]
+    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
 ) -> OutcomeEnsemble:
     """Measure every control qubit of a controlled-order superposition.
 
-    The single-instance form of ``branch_readout``, for any control and any
-    n >= 1: each reachable state is phase-fixed, and outcomes are labelled
-    like ``+-`` with the control qubits read most significant first.
+    The single-instance form of ``branch_readout``, for any control and the
+    order images ``ends`` (n, 2, 2) of any n >= 1 qubits (``_end_vectors``):
+    each reachable state is phase-fixed, and outcomes are labelled like
+    ``+-`` with the control qubits read most significant first.
     """
-    p, reachable, states = branch_readout(control, reverse, _end_vectors(pairs, inputs))
+    p, reachable, states = branch_readout(control, reverse, ends)
     rows = zip(control_labels(num_qubits(len(control))), p.tolist(), reachable.tolist(), states)
     return OutcomeEnsemble(tuple(Outcome(label, pk, canonical_phase(state) if live else None)
                                  for label, pk, live, state in rows))
@@ -378,7 +236,8 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    return controlled_outcomes(*protocol_control(spec.protocol, spec.n), spec.pairs, spec.inputs)
+    return controlled_outcomes(*protocol_control(spec.protocol, spec.n),
+                               _end_vectors(spec.pairs, spec.inputs))
 
 
 def joint_state(spec: SwitchSpec) -> np.ndarray:

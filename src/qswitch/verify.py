@@ -44,8 +44,9 @@ def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:
     return _overlaps(_end_vectors([pair], [phi]))[0]
 
 
-def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> ConditionReport:
-    """Evaluate the per-qubit orthogonality condition for maximal entanglement.
+def condition_report(ends: np.ndarray, tol: float = CONDITION_TOL) -> ConditionReport:
+    """Evaluate the per-qubit orthogonality condition for maximal entanglement
+    on the order images ``ends`` (n, 2, 2) of any n >= 1 qubits (``_end_vectors``).
 
     The report is protocol-agnostic: the Bell, GHZ and W conditions all
     reduce to the same per-qubit scalar. ``tol`` must satisfy 0 < tol < 0.5,
@@ -53,13 +54,18 @@ def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> Cond
     """
     if not 0.0 < tol < 0.5:  # also false for NaN
         raise ValueError(f"tol must lie strictly between 0 and 0.5, got {tol}")
-    overlaps = _overlaps(_end_vectors(spec.pairs, spec.inputs))
+    overlaps = _overlaps(ends)
     return ConditionReport(
         per_qubit_overlap=overlaps,
         all_orthogonal=all(abs(z) < tol for z in overlaps),
         any_aligned=any(abs(z) > 1.0 - tol for z in overlaps),
         tol=tol,
     )
+
+
+def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> ConditionReport:
+    """``condition_report`` on the order images of ``spec``."""
+    return condition_report(_end_vectors(spec.pairs, spec.inputs), tol)
 
 
 def check_separability(spec: SwitchSpec, tol: float = CONDITION_TOL) -> bool:
@@ -76,12 +82,12 @@ def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarra
     them reduces a "+" outcome to (|0...0> + |1...1>)/sqrt(2) and a W-type
     outcome to a signed equal superposition of weight-one basis states.
     """
-    report = check_max_entanglement(spec, tol)
-    if not report.all_orthogonal:
+    ends = _end_vectors(spec.pairs, spec.inputs)
+    if not condition_report(ends, tol).all_orthogonal:
         raise ValueError(
             "canonical reduction undefined: per-qubit orthogonality condition not met"
         )
-    return list(_end_vectors(spec.pairs, spec.inputs).conj())
+    return list(ends.conj())
 
 
 def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarray:

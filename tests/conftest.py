@@ -6,10 +6,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qswitch import SwitchSpec, UnitaryPair, pauli, ry, superposed_input
-from qswitch.linalg import kron_all, num_qubits
+from qswitch import (
+    SwitchSpec,
+    UnitaryPair,
+    backward_order,
+    forward_order,
+    pauli,
+    ry,
+    superposed_input,
+)
+from qswitch.linalg import kron, kron_all, num_qubits
 from qswitch.metrics import _cut_purities, _gme_from_entropy
-from qswitch.switch import canonical_phase
+from qswitch.netsim import _reverse_table
+from qswitch.switch import MAX_QUBITS, canonical_phase
 from qswitch.verify import three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -41,8 +50,9 @@ def random_spec(rng, protocol, n):
     return SwitchSpec(protocol, pairs, inputs)
 
 
-def condition_spec(rng, protocol, n):
-    """Random spec satisfying the per-qubit orthogonality condition.
+def condition_pairs(rng, n):
+    """Random (pairs, inputs) of any n >= 1 qubits satisfying the per-qubit
+    orthogonality condition.
 
     Conjugating the canonical (pauli_z, ry(pi/2), eta(1/2)) construction by a
     Haar unitary per qubit preserves the overlap scalar, which is zero there.
@@ -52,7 +62,12 @@ def condition_spec(rng, protocol, n):
         a = haar_unitary(rng)
         pairs.append(UnitaryPair(a @ pauli("z") @ a.conj().T, a @ ry(math.pi / 2) @ a.conj().T))
         inputs.append(a @ superposed_input(0.5))
-    return SwitchSpec(protocol, pairs, inputs)
+    return pairs, inputs
+
+
+def condition_spec(rng, protocol, n):
+    """Random spec satisfying the per-qubit orthogonality condition."""
+    return SwitchSpec(protocol, *condition_pairs(rng, n))
 
 
 def aligned_spec(rng, protocol, n, aligned_qubit=0):
@@ -133,6 +148,57 @@ def assert_matches_reference(results, reference, tol=1e-12):
         assert (state is None) == (state_ref is None)
         if state is not None:
             assert np.max(np.abs(state - state_ref)) <= tol
+
+
+# -- dense structural audit of the network's controlled order --
+
+
+def controlled_order_operator(pairs, cluster_of_qubit, m):
+    """Dense joint operator (clients x control) for small audit instances."""
+    n = len(pairs)
+    if n + m > MAX_QUBITS:
+        raise ValueError("audit operator too large")
+    dim_c = 2**m
+    blocks = []
+    for b, row in enumerate(_reverse_table(cluster_of_qubit, m)):
+        factors = [backward_order(p) if bit else forward_order(p) for p, bit in zip(pairs, row)]
+        proj = np.zeros((dim_c, dim_c), dtype=complex)
+        proj[b, b] = 1.0
+        blocks.append(kron(kron_all(factors), proj))
+    return sum(blocks)
+
+
+def _nearest_kron_residual(mat, n):
+    # largest deviation of a 2^n x 2^n matrix from a chain of 2x2 factors
+    if n == 1:
+        return 0.0
+    rest = 2 ** (n - 1)
+    r = mat.reshape(2, rest, 2, rest).transpose(0, 2, 1, 3).reshape(4, rest * rest)
+    u, s, vh = np.linalg.svd(r)
+    residual = float(s[1]) if len(s) > 1 else 0.0
+    tail = (s[0] * vh[0]).reshape(rest, rest)
+    scale = np.max(np.abs(tail))
+    if scale > 0:
+        residual = max(residual, _nearest_kron_residual(tail / scale, n - 1) * scale)
+    return residual
+
+
+def max_cross_client_coupling(op, n_clients, n_controls):
+    """Largest coupling between client qubits in a joint operator.
+
+    Zero (up to numerical dust) certifies the operator is a sum of control
+    projectors times tensor products of single-qubit client operators.
+    """
+    dim_t, dim_c = 2**n_clients, 2**n_controls
+    t = op.reshape(dim_t, dim_c, dim_t, dim_c)
+    worst = 0.0
+    for b in range(dim_c):
+        for b2 in range(dim_c):
+            if b != b2:
+                worst = max(worst, float(np.max(np.abs(t[:, b, :, b2]))))
+    for b in range(dim_c):
+        worst = max(worst, _nearest_kron_residual(t[:, b, :, b], n_clients))
+    return worst
 
 
 # -- reference output: the documents as json.dumps and csv.writer write them --

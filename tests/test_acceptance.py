@@ -24,7 +24,8 @@ from qswitch import (
 )
 from qswitch.linalg import basis_state, density, reduced_density
 from qswitch.metrics import purity
-from qswitch.netsim import map_entanglement, run_hierarchy, topology_from_json
+from qswitch.documents import parse_topology
+from qswitch.netsim import map_entanglement, run_hierarchy
 from qswitch.sweep import SweepPlan, default_plan, export, run_sweep
 
 W_TARGET = 2.0 * math.sqrt(2.0) / 3.0
@@ -172,7 +173,7 @@ def test_criterion_8_probability_conservation():
 
 
 def test_criterion_9_ghz9_hierarchy():
-    topo = topology_from_json({
+    topo = parse_topology({
         "entanglers": [{"id": f"e{k}", "clients": 3} for k in (1, 2, 3)],
         "alpha": 0.5,
     })

@@ -220,6 +220,12 @@ def test_readme_documents_every_option():
     assert missing == []
 
 
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md", "exec"), {})
+
+
 def _bell_doc(**fields):
     doc = {
         "version": 1,

@@ -13,8 +13,9 @@ from conftest import (
     reference_ensemble_text,
     reference_export,
 )
-from qswitch import Outcome, OutcomeEnsemble, SwitchSpec, emit, netsim, run
+from qswitch import Outcome, OutcomeEnsemble, emit, netsim, run
 from qswitch.cli import EXIT_OK, main
+from qswitch.documents import parse_spec, parse_topology
 from qswitch.netsim import BranchResult
 from qswitch.sweep import default_plan, export, run_sweep
 from qswitch.switch import UNREACHABLE_TOL
@@ -70,7 +71,7 @@ def test_run_stdout_matches_json_dumps(tmp_path, capsys, name):
     doc = RUN_DOCS[name]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    ensemble = run(SwitchSpec.from_document(doc))
+    ensemble = run(parse_spec(doc))
     if name == "bell-unreachable":
         assert not all(o.reachable for o in ensemble)
     out = _stdout(capsys, ["run", "--spec", str(path)])
@@ -88,7 +89,7 @@ def test_netsim_stdout_matches_json_dumps(tmp_path, capsys, m, k, control, repor
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))
     out = _stdout(capsys, ["netsim", "--topology", str(path), "--report", report])
-    branches = netsim.run_hierarchy(netsim.topology_from_json(doc))
+    branches = netsim.run_hierarchy(parse_topology(doc))
     if report == "branches":
         assert_same_text(out, reference_branches_text(branches))
     else:

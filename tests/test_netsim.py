@@ -5,25 +5,30 @@ import pytest
 
 from conftest import (
     assert_matches_reference,
+    condition_pairs,
     condition_spec,
+    controlled_order_operator,
     default_pair,
     dense_readout,
     haar_unitary,
+    max_cross_client_coupling,
     outcome_labels,
     random_pure_state,
 )
-from qswitch import SwitchSpec, UnitaryPair, canonical_lu, pauli, ry, superposed_input
+from qswitch import (
+    UnitaryPair,
+    backward_order,
+    canonical_lu,
+    forward_order,
+    pauli,
+    ry,
+    superposed_input,
+)
+from qswitch.documents import parse_topology
 from qswitch.linalg import basis_state, kron, kron_all, reduced_density
 from qswitch.metrics import purity
-from qswitch.netsim import (
-    BranchResult,
-    Topology,
-    controlled_order_operator,
-    map_entanglement,
-    max_cross_client_coupling,
-    run_hierarchy,
-    topology_from_json,
-)
+from qswitch.netsim import Topology, map_entanglement, run_hierarchy
+from qswitch.verify import condition_report
 
 RY_QUARTER = f"ry({math.pi / 2})"
 
@@ -33,7 +38,7 @@ def ghz_state(n):
 
 
 def default_topology(clusters):
-    return topology_from_json(
+    return parse_topology(
         {
             "entanglers": [{"id": f"e{i + 1}", "clients": k} for i, k in enumerate(clusters)],
             "gates": {"u": "pauli_z", "u_tilde": RY_QUARTER},
@@ -78,11 +83,10 @@ def test_map_entanglement_identity_pairs():
 
 @pytest.mark.parametrize("control, n, bad_input, match", [
     (ghz_state(2), 3, None, "control must be"),
-    (np.array([1.0, 0.0]), 1, None, "ghz protocol requires at least 2 qubits"),
     (ghz_state(2), 2, np.array([1.0, 0.0, 0.0, 0.0]), "single-qubit"),
     (ghz_state(2), 2, np.array([2.0, 0.0]), "normalized"),
     (ghz_state(2), 2, np.array([math.nan, 0.0]), "normalized"),
-], ids=["length-mismatch", "one-qubit", "shape-4", "norm-2", "nan"])
+], ids=["length-mismatch", "shape-4", "norm-2", "nan"])
 def test_map_entanglement_rejects(control, n, bad_input, match):
     inputs = [superposed_input(0.5)] * n
     if bad_input is not None:
@@ -115,7 +119,7 @@ def test_hierarchy_recursion_sizes(clusters):
 
 
 def test_hierarchy_product_control_not_global_ghz():
-    topo = topology_from_json(
+    topo = parse_topology(
         {
             "entanglers": [{"id": "e1", "clients": 3}, {"id": "e2", "clients": 3},
                            {"id": "e3", "clients": 3}],
@@ -130,7 +134,7 @@ def test_hierarchy_product_control_not_global_ghz():
 
 
 def test_hierarchy_refuses_condition_violation():
-    topo = topology_from_json(
+    topo = parse_topology(
         {
             "entanglers": [{"id": "e1", "clients": 2}, {"id": "e2", "clients": 2}],
             "gates": {"u": "pauli_z", "u_tilde": "ry(0.0)"},
@@ -175,25 +179,25 @@ def _assert_matches_dense(branches, control, cluster_of_qubit, pairs, inputs):
     reference = dense_readout(joint, m)
     assert [b.control_outcome for b in branches] == outcome_labels(m)
     assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)
-    try:
-        frame = kron_all(canonical_lu(SwitchSpec("ghz", pairs, inputs)))
-    except ValueError:
-        frame = np.eye(2 ** len(pairs))
+    # the canonical frame of the dense order images: forward image to |0>, backward to |1>
+    ends = np.array([[forward_order(p) @ phi, backward_order(p) @ phi]
+                     for p, phi in zip(pairs, inputs)])
+    orthogonal = condition_report(ends).all_orthogonal
+    frame = kron_all(ends.conj()) if orthogonal else np.eye(2 ** len(pairs))
     for b, (_, state) in zip(branches, reference):
         if state is not None:
             rotated = frame @ state
             assert abs(b.ghz_fidelity - (abs(rotated[0]) + abs(rotated[-1])) ** 2 / 2) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])  # the n + n qubit audit operator grows as 16^n
+@pytest.mark.parametrize("n", [1, 2, 3, 4])  # the n + n qubit audit operator grows as 16^n
 def test_map_entanglement_matches_dense_reference(rng, n):
     for _ in range(3):
         random_pairs = [UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)]
         random_inputs = [random_pure_state(rng, 1) for _ in range(n)]
-        orthogonal = condition_spec(rng, "ghz", n)
+        orthogonal = condition_pairs(rng, n)
         for control in (random_pure_state(rng, n), ghz_state(n)):
-            for pairs, inputs in ((random_pairs, random_inputs),
-                                  (orthogonal.pairs, orthogonal.inputs)):
+            for pairs, inputs in ((random_pairs, random_inputs), orthogonal):
                 branches = map_entanglement(control, pairs, inputs)
                 _assert_matches_dense(branches, control, list(range(n)), pairs, inputs)
 
@@ -218,28 +222,26 @@ def test_hierarchy_matches_dense_reference(rng, clusters, control):
         )
 
 
-def test_each_call_builds_one_spec_and_checks_once(monkeypatch):
+def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
     import qswitch.netsim as netsim
     import qswitch.verify as verify
 
     calls = []
-    check = verify.check_max_entanglement
 
-    class CountingSpec(SwitchSpec):
-        def __post_init__(self):
-            calls.append("spec")
-            super().__post_init__()
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
 
-    def counting_check(spec, *args, **kwargs):
-        calls.append("check")
-        return check(spec, *args, **kwargs)
-
-    monkeypatch.setattr(netsim, "SwitchSpec", CountingSpec)
-    for module in (netsim, verify):  # verify's binding counts a check made inside canonical_lu
-        monkeypatch.setattr(module, "check_max_entanglement", counting_check)
+    for module in (netsim, verify):  # verify's bindings count what canonical_lu does
+        monkeypatch.setattr(module, "_end_vectors", counting("ends", module._end_vectors))
+        monkeypatch.setattr(module, "condition_report",
+                            counting("check", module.condition_report))
     for call in (lambda: run_hierarchy(default_topology([2, 3])),
                  lambda: map_entanglement(ghz_state(3), [default_pair()] * 3,
-                                          [superposed_input(0.5)] * 3)):
+                                          [superposed_input(0.5)] * 3),
+                 lambda: canonical_lu(condition_spec(np.random.default_rng(7), "ghz", 3))):
         calls.clear()
         call()
-        assert sorted(calls) == ["check", "spec"]
+        assert sorted(calls) == ["check", "ends"]

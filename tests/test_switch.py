@@ -28,6 +28,7 @@ from qswitch import (
     superposed_input,
     switch_operator,
 )
+from qswitch.documents import parse_spec
 from qswitch.gates import local_tensor
 from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all
 from qswitch.metrics import gme_concurrence
@@ -71,7 +72,7 @@ def test_switch_operator_unitary(rng):
 
 def test_single_qubit_anticommuting_orders():
     pairs = [UnitaryPair(pauli("z"), pauli("x"))]
-    ens = controlled_outcomes(*protocol_control("ghz", 1), pairs, [basis_state(1, 0)])
+    ens = controlled_outcomes(*protocol_control("ghz", 1), _end_vectors(pairs, [basis_state(1, 0)]))
     plus, minus = ens["+"], ens["-"]
     assert plus.probability <= 1e-12 and not plus.reachable
     assert abs(minus.probability - 1.0) <= 1e-10
@@ -81,7 +82,7 @@ def test_single_qubit_anticommuting_orders():
 def test_single_qubit_reproduces_two_term_superposition(rng):
     p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
     phi = random_pure_state(rng, 1)
-    ens = controlled_outcomes(*protocol_control("ghz", 1), [p], [phi])
+    ens = controlled_outcomes(*protocol_control("ghz", 1), _end_vectors([p], [phi]))
     for sign, label in ((1, "+"), (-1, "-")):
         raw = (forward_order(p) + sign * backward_order(p)) @ phi
         if ens[label].reachable:
@@ -115,7 +116,7 @@ def test_branch_readout_postselects(rng, protocol, n):
         assert np.array_equal(reachable, p >= UNREACHABLE_TOL)
         assert not np.any(states[~reachable])
         assert np.allclose(np.linalg.norm(states[reachable], axis=-1), 1.0, atol=1e-12)
-        ens = controlled_outcomes(control, reverse, pairs, inputs)
+        ens = controlled_outcomes(control, reverse, _end_vectors(pairs, inputs))
         assert [o.probability for o in ens] == p.tolist()
         assert [o.reachable for o in ens] == reachable.tolist()
     assert not reachable.all()
@@ -264,7 +265,7 @@ def test_spec_json_round_trip():
         "input": {"alpha": 0.5},
         "control": "even",
     }
-    spec = SwitchSpec.from_document(doc)
+    spec = parse_spec(doc)
     assert spec.n == 3
 
 
@@ -275,7 +276,7 @@ def test_spec_json_explicit_amplitudes():
         "pairs": [{"u": "pauli_z", "u_tilde": "ry(1.5708)"}] * 2,
         "input": {"amplitudes": [["0.6+0i", "0.8+0i"], [[1.0, 0.0], [0.0, 0.0]]]},
     }
-    spec = SwitchSpec.from_document(doc)
+    spec = parse_spec(doc)
     assert np.allclose(spec.inputs[0], [0.6, 0.8])
     assert np.allclose(spec.inputs[1], [1.0, 0.0])
 
