@@ -4,10 +4,10 @@ This module only parses arguments, reads files and formats output; spec and
 topology documents are parsed and validated by ``documents``, and all
 numerics live in the library modules.
 
-The large documents, the ``run`` outcome ensemble and the ``netsim --report
-branches`` list, are written by ``emit``, as are the sweep files. The small
-ones, the ``verify`` report, the ``netsim`` summary and the ``sweep`` summary
-line, go through ``json.dumps``.
+The ``run`` outcome ensemble, the ``verify`` report and the ``netsim --report
+branches`` list are written straight to text by ``emit``, as are the sweep
+files. The ``netsim`` summary and the ``sweep`` summary line go through
+``json.dumps``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 
 from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
 from .documents import parse_spec, parse_topology
-from .switch import run as run_switch
+from .switch import _end_vectors, controlled_outcomes, protocol_control, run as run_switch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -29,7 +29,7 @@ switch spec JSON:
    "pairs": [{"u": <gate>, "u_tilde": <gate>}, ...],
    "input": {"alpha": <real>} | {"amplitudes": [["a+bi", "a+bi"], ...]},
    "control": "even"}
-  <gate> := identity | pauli_x | pauli_y | pauli_z | ry(<radians>) | matrix([[..],[..]])
+  <gate> := identity | pauli_x | pauli_y | pauli_z | ry(<radians>) | matrix([[a, b], [c, d]])
 
 topology JSON:
   {"entanglers": [{"id": "e1", "clients": 3}, ...],
@@ -67,18 +67,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load(args.spec, parse_spec)
+    ends = _end_vectors(spec.pairs, spec.inputs)  # shared by the check and the outcomes
     try:
-        report = verify_mod.check_max_entanglement(spec, tol=args.tol)
+        report = verify_mod.condition_report(ends, tol=args.tol)
     except ValueError as exc:
         raise ValidationError(f"bad --tol: {exc}") from exc
-    doc = report.to_document()
-    doc["separable"] = report.any_aligned
+    classes = None
     if spec.n == 3:
-        classes = {}
-        for o in run_switch(spec).reachable():
-            classes[o.label] = verify_mod.certify_class(o.state)
-        doc["outcome_classes"] = classes
-    _print_json(doc)
+        outcomes = controlled_outcomes(*protocol_control(spec.protocol, spec.n), ends)
+        classes = {o.label: verify_mod.certify_class(o.state) for o in outcomes.reachable()}
+    emit.write_verify(report, classes, sys.stdout)
     return EXIT_OK
 
 

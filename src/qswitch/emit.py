@@ -1,13 +1,13 @@
-"""Text output of the large result documents, with 12-significant-digit numbers.
+"""Text output of the result documents: the fixed document shapes written straight to text.
 
 The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
 --report branches`` and the sweep CSV and JSON files print every float
 rounded to 12 significant digits. Their states hold up to 2^12 amplitudes
 drawn from few distinct values, so each array is formatted once per distinct
-value and the fixed document shapes are written straight to text. The bytes
-are those of ``json.dumps(doc, indent=2, sort_keys=True)`` (and of
-``csv.writer``) on the rounded values; the tests keep that construction as
-the reference.
+value. The ``qswitch verify`` report prints its overlaps and ``tol`` at full
+precision. The bytes are those of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values;
+the tests keep that construction as the reference.
 """
 from __future__ import annotations
 
@@ -25,11 +25,15 @@ def round12(x: float) -> float:
     return float(format(x, ".12g"))
 
 
+def _float_text(x: float) -> str:
+    """The JSON text of ``x`` at full precision, as ``json.dumps`` writes it."""
+    # float.__repr__ is json's own encoding of a finite float; json.dumps spells the rest
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _json_text(x: float) -> str:
     """The JSON text of ``x`` rounded to 12 significant digits."""
-    x = round12(x)
-    # float.__repr__ is json's own encoding of a finite float; json.dumps spells the rest
-    return repr(x) if math.isfinite(x) else json.dumps(x)
+    return _float_text(round12(x))
 
 
 def _table(values, text) -> tuple[list[int], dict]:
@@ -150,3 +154,24 @@ def write_sweep_json(records, fh) -> None:
     rows = ",\n".join(map(_SWEEP_ROW, alpha, lam, metric, map(labels.__getitem__, outcome),
                            probability, reachable))
     fh.write("[\n" + rows + "\n]\n" if records else "[]\n")
+
+
+# the verify document, keys sorted; the third field is the outcome_classes member or ""
+_VERIFY = ('{{\n  "all_orthogonal": {},\n  "any_aligned": {},{}\n  "per_qubit_overlap": [\n    {}'
+           '\n  ],\n  "separable": {},\n  "tol": {}\n}}\n').format
+
+
+def write_verify(report, classes, out) -> None:
+    """Write the ``verify`` document of a ``ConditionReport`` with its floats at
+    full precision: the report's fields, ``separable`` (its ``any_aligned``) and,
+    unless ``classes`` is None, ``outcome_classes``, the nonempty map from each
+    reachable outcome label to its class."""
+    overlaps = ",\n    ".join(
+        f"[\n      {_float_text(z.real)},\n      {_float_text(z.imag)}\n    ]"
+        for z in report.per_qubit_overlap)
+    members = "" if classes is None else (
+        '\n  "outcome_classes": {\n    '
+        + ",\n    ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(classes.items()))
+        + "\n  },")
+    out.write(_VERIFY(_bool(report.all_orthogonal), _bool(report.any_aligned), members,
+                      overlaps, _bool(report.any_aligned), _float_text(report.tol)))

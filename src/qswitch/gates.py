@@ -82,7 +82,10 @@ def local_tensor(pairs: list[UnitaryPair]) -> tuple[np.ndarray, np.ndarray]:
 
 
 _RY_RE = re.compile(r"^ry\((?P<arg>[^)]+)\)$")
-_MATRIX_RE = re.compile(r"^matrix\((?P<arg>.+)\)$", re.DOTALL)
+# matrix([[a, b], [c, d]]) with optional whitespace; each entry is the text
+# between its brackets and commas, read by _parse_complex
+_MATRIX_RE = re.compile(
+    r"matrix\(\s*\[\s*\[([^][,]*),([^][,]*)\]\s*,\s*\[([^][,]*),([^][,]*)\]\s*\]\s*\)")
 
 
 def _parse_complex(token: str) -> complex:
@@ -95,9 +98,11 @@ def _parse_complex(token: str) -> complex:
 
 
 def parse_gate(name: str) -> np.ndarray:
-    """Parse a gate name: identity|pauli_x|pauli_y|pauli_z|ry(<radians>)|matrix([[..],[..]]).
+    """Parse a gate name: identity|pauli_x|pauli_y|pauli_z|ry(<radians>)|matrix([[a, b], [c, d]]).
 
-    Matrix entries are complex literals in 'a+bi' form.
+    Matrix entries are finite complex literals in 'a+bi' form. Whitespace may
+    surround the entries, brackets and commas of a matrix literal; nothing else
+    may stand in it.
     """
     name = name.strip()
     if name in ("pauli_x", "pauli_y", "pauli_z"):
@@ -113,16 +118,12 @@ def parse_gate(name: str) -> np.ndarray:
         if not math.isfinite(angle):
             raise ValueError(f"ry angle must be finite in {name!r}")
         return ry(angle)
-    m = _MATRIX_RE.match(name)
+    m = _MATRIX_RE.fullmatch(name)
     if m:
-        rows = re.findall(r"\[([^\[\]]*)\]", m.group("arg"))
-        if len(rows) != 2:
-            raise ValueError(f"matrix literal must have 2 rows: {name!r}")
-        entries = [[_parse_complex(tok) for tok in row.split(",")] for row in rows]
-        mat = np.array(entries, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"matrix literal must be 2x2: {name!r}")
-        if not all(map(cmath.isfinite, entries[0] + entries[1])):
+        entries = list(map(_parse_complex, m.groups()))
+        if not all(map(cmath.isfinite, entries)):
             raise ValueError(f"matrix entries must be finite in {name!r}")
-        return mat
+        return np.array(entries, dtype=complex).reshape(2, 2)
+    if name.startswith("matrix(") and name.endswith(")"):
+        raise ValueError(f"matrix literal must be 2x2: {name!r}")
     raise ValueError(f"unknown gate name {name!r}")

@@ -1,6 +1,7 @@
 """Entanglement quantification: two-qubit concurrence, GME concurrence, purity."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -41,11 +42,15 @@ def _validate_density(rho: np.ndarray, n: Optional[int] = None) -> np.ndarray:
     return rho
 
 
-def _clamp_unit(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    worst = np.max(values, initial=-np.inf)
+def _check_unit(worst: float) -> None:
+    """Reject a metric value above 1 by more than the numerical slack."""
     if worst > 1.0 + _CLAMP_SLACK:
         raise ValueError(f"metric value {worst} above 1 beyond numerical slack")
+
+
+def _clamp_unit(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    _check_unit(np.max(values, initial=-np.inf))
     return np.clip(values, 0.0, 1.0)
 
 
@@ -125,6 +130,13 @@ def _gme_from_entropy(minimum) -> np.ndarray:
     minimum = np.asarray(minimum, dtype=float)
     root = np.sqrt(2.0 * np.maximum(minimum, 0.0))
     return _clamp_unit(np.where(minimum < _EIGEN_DUST, 0.0, root))
+
+
+def _gme_from_entropy_scalar(minimum: float) -> float:
+    """``_gme_from_entropy`` of one Python float, with the same dust and clamp rule."""
+    value = 0.0 if minimum < _EIGEN_DUST else math.sqrt(2.0 * minimum)
+    _check_unit(value)
+    return min(value, 1.0)
 
 
 def pure_gme_concurrence(states: np.ndarray) -> np.ndarray:

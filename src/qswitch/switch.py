@@ -43,7 +43,8 @@ def _as_qubit_state(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2,):
         raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:  # also false for NaN
+    a, b = v.tolist()
+    if not abs(math.hypot(a.real, a.imag, b.real, b.imag) - 1.0) <= 1e-10:  # also false for NaN
         raise ValueError("input states must be finite and normalized")
     return v
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair
-from .metrics import _cut_purities_scalar, _gme_from_entropy
+from .metrics import _cut_purities_scalar, _gme_from_entropy_scalar
 from .switch import SwitchSpec, _end_vectors
 
 CONDITION_TOL = 1e-9
@@ -24,14 +24,6 @@ class ConditionReport:
     all_orthogonal: bool
     any_aligned: bool
     tol: float
-
-    def to_document(self) -> dict:
-        return {
-            "per_qubit_overlap": [[z.real, z.imag] for z in self.per_qubit_overlap],
-            "all_orthogonal": self.all_orthogonal,
-            "any_aligned": self.any_aligned,
-            "tol": self.tol,
-        }
 
 
 def _overlaps(ends: np.ndarray) -> tuple[complex, ...]:
@@ -152,6 +144,6 @@ def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
         return "biseparable"
     if _tangle(a) > tol:
         return "ghz-class"
-    if _gme_from_entropy(min(1.0 - p for p in purities)) > tol:
+    if _gme_from_entropy_scalar(min(1.0 - p for p in purities)) > tol:
         return "w-class"
     return "biseparable"

@@ -15,11 +15,11 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.linalg import kron, kron_all, num_qubits
+from qswitch.linalg import ATOL, kron, kron_all, num_qubits
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
-from qswitch.switch import MAX_QUBITS, canonical_phase
-from qswitch.verify import three_tangle
+from qswitch.switch import MAX_QUBITS, canonical_phase, run
+from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -102,6 +102,20 @@ def partial_trace(rho, keep):
     t = rho.reshape([2] * (2 * n)).transpose(perm + [n + q for q in perm])
     dk, dt = 2 ** len(keep), 2 ** len(traced)
     return np.einsum("ajbj->ab", t.reshape(dk, dt, dk, dt))
+
+
+def dense_is_unitary(m, tol=ATOL):
+    """The unitarity rule through numpy on any square matrix: every |entry| <= 1 + tol
+    (checked first, so that the Gram product cannot overflow) and every
+    |(m^dagger m - I) entry| <= tol."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if not np.abs(m).max() <= 1.0 + tol:
+        return False
+    gram = np.dot(m.conj().T, m)
+    gram.reshape(-1)[:: m.shape[0] + 1] -= 1.0
+    return np.abs(gram).max() <= tol
 
 
 def reference_certify_class(state, tol=1e-6):
@@ -234,6 +248,18 @@ def reference_branches_text(branches):
             doc["client_state"] = _state_doc(b.client_state)
         docs.append(doc)
     return json.dumps({"branches": docs}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_verify_text(spec, tol=CONDITION_TOL):
+    """stdout of ``qswitch verify``: the condition report and, for 3 qubits, the
+    class of each reachable outcome, through json.dumps at full precision."""
+    report = check_max_entanglement(spec, tol)
+    doc = {"per_qubit_overlap": [[z.real, z.imag] for z in report.per_qubit_overlap],
+           "all_orthogonal": report.all_orthogonal, "any_aligned": report.any_aligned,
+           "separable": report.any_aligned, "tol": report.tol}
+    if spec.n == 3:
+        doc["outcome_classes"] = {o.label: certify_class(o.state) for o in run(spec).reachable()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def reference_export(records, fmt, path):

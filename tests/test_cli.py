@@ -75,6 +75,32 @@ def test_verify_reports_outcome_classes(tmp_path, capsys):
     assert set(doc["outcome_classes"].values()) == {"w-class"}
 
 
+def test_verify_builds_the_order_images_once_and_checks_once(monkeypatch, tmp_path, capsys):
+    import qswitch.cli as cli
+    import qswitch.switch as switch
+    import qswitch.verify as verify
+
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (cli, switch, verify):  # every binding a verify call could reach
+        monkeypatch.setattr(module, "_end_vectors", counting(module._end_vectors))
+    monkeypatch.setattr(verify, "condition_report", counting(verify.condition_report))
+    for protocol, n in (("bell", 2), ("ghz", 3), ("w", 3)):
+        path = tmp_path / f"{protocol}{n}.json"
+        path.write_text(json.dumps({"protocol": protocol, "n": n,
+                                    "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
+        calls.clear()
+        assert main(["verify", "--spec", str(path)]) == EXIT_OK
+        assert sorted(calls) == ["_end_vectors", "condition_report"]
+        assert ("outcome_classes" in json.loads(capsys.readouterr().out)) == (n == 3)
+
+
 def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["sweep", "--protocol", "bell", "--lambda-steps", "5",
@@ -361,6 +387,18 @@ def test_rejection_prints_no_numpy_warning(tmp_path, doc, pointer):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and lines[0].endswith(f"(at '{pointer}')")
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_junk_matrix_literal_rejected_with_pointer(tmp_path, capsys, verb):
+    junk = "matrix([[1,0],[0,1]]xyz)"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER},
+                                                {"u": "pauli_z", "u_tilde": junk}])))
+    assert main([verb, "--spec", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: matrix literal must be 2x2: {junk!r} (at '/pairs/1/u_tilde')\n"
+    assert captured.out == ""
 
 
 def test_parser_reuse_keeps_no_state_between_calls(bell_spec, capsys):

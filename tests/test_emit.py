@@ -12,8 +12,10 @@ from conftest import (
     reference_branches_text,
     reference_ensemble_text,
     reference_export,
+    reference_verify_text,
 )
 from qswitch import Outcome, OutcomeEnsemble, emit, netsim, run
+from qswitch import verify as verify_mod
 from qswitch.cli import EXIT_OK, main
 from qswitch.documents import parse_spec, parse_topology
 from qswitch.netsim import BranchResult
@@ -76,6 +78,51 @@ def test_run_stdout_matches_json_dumps(tmp_path, capsys, name):
         assert not all(o.reachable for o in ensemble)
     out = _stdout(capsys, ["run", "--spec", str(path)])
     assert_same_text(out, reference_ensemble_text(ensemble))
+
+
+VERIFY_DOCS = {
+    **{name: {"protocol": p, "n": n, "pairs": [PAIR], "input": {"alpha": 0.5}}
+       for name, p, n in (("bell", "bell", 2), ("ghz3", "ghz", 3), ("w3", "w", 3))},
+    # qubit 1's gates commute, so both of its orders coincide
+    "aligned-ghz3": {"protocol": "ghz", "pairs": [PAIR, {"u": "pauli_z", "u_tilde": "identity"},
+                                                   PAIR]},
+    # every pair commutes: only the "+" outcome is reachable
+    "commuting-ghz3": {"protocol": "ghz", "n": 3,
+                       "pairs": [{"u": "pauli_z", "u_tilde": "pauli_z"}]},
+    "haar-ghz3": _haar_doc(11, "ghz", 3),
+    "haar-w3": _haar_doc(12, "w", 3),
+}
+
+
+@pytest.mark.parametrize("tol", [None, 0.3])
+@pytest.mark.parametrize("name", sorted(VERIFY_DOCS))
+def test_verify_stdout_matches_json_dumps(tmp_path, capsys, name, tol):
+    doc = VERIFY_DOCS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    spec = parse_spec(doc)
+    argv = ["verify", "--spec", str(path)] + ([] if tol is None else ["--tol", str(tol)])
+    out = _stdout(capsys, argv)
+    assert_same_text(out, reference_verify_text(spec, tol or verify_mod.CONDITION_TOL))
+    report = json.loads(out)
+    assert ("outcome_classes" in report) == (spec.n == 3)
+    if tol is None:
+        assert report["separable"] == name.startswith(("aligned", "commuting"))
+    if name == "commuting-ghz3":
+        assert list(report["outcome_classes"]) == ["+"]
+
+
+@pytest.mark.parametrize("name", ["bell", "ghz3", "w3", "commuting-ghz3"])
+def test_verify_stdout_with_signed_zero_overlap_parts(tmp_path, capsys, monkeypatch, name):
+    # np.vdot never returns a negative zero here, so every zero part is made one
+    overlaps = verify_mod._overlaps
+    monkeypatch.setattr(verify_mod, "_overlaps", lambda ends: tuple(
+        complex(z.real or -0.0, z.imag or -0.0) for z in overlaps(ends)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(VERIFY_DOCS[name]))
+    out = _stdout(capsys, ["verify", "--spec", str(path)])
+    assert "-0.0" in out
+    assert_same_text(out, reference_verify_text(parse_spec(VERIFY_DOCS[name])))
 
 
 # the topology shapes of the network benchmark

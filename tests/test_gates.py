@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import haar_unitary
+from conftest import dense_is_unitary, haar_unitary
 from qswitch.gates import (
     PAULI_Y,
     PAULI_Z,
@@ -113,14 +113,54 @@ def test_parse_gate_names():
     assert np.allclose(parse_gate("ry(1.5707963267948966)"), ry(math.pi / 2))
     got = parse_gate("matrix([[0+1i,0+0i],[0+0i,0-1i]])")
     assert np.allclose(got, np.diag([1j, -1j]))
+    for spaced in ("matrix( [ [ 1 , 0 ] , [ 0 , 1 ] ] )", "matrix([[1,0],\n [0,1]])",
+                   " matrix([[1+0i, 0], [0, 1]]) "):
+        assert np.array_equal(parse_gate(spaced), I2)
 
 
 @pytest.mark.parametrize("bad", ["hadamard", "ry()", "ry(x)", "matrix([[1,0]])", "matrix([[1]])",
                                  "matrix([[inf+0i,0+0i],[0+0i,1+0i]])",
-                                 "matrix([[1+0i,0+0i],[0+nani,1+0i]])"])
+                                 "matrix([[1+0i,0+0i],[0+nani,1+0i]])",
+                                 # junk around the literal, each once read as the identity
+                                 "matrix([[1,0],[0,1]]xyz)", "matrix(foo[1,0]bar[0,1])",
+                                 "matrix([1,0],[0,1])", "matrix([[1,0][0,1]])",
+                                 "matrix([[1,0],[0,1],])", "matrix([[1,0]],[[0,1]])"])
 def test_parse_gate_rejects(bad):
     with pytest.raises(ValueError):
         parse_gate(bad)
+
+
+_BAD_ENTRIES = [math.nan, complex(0, math.nan), math.inf, -math.inf, complex(0, -math.inf), 1e200]
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("entry", _BAD_ENTRIES, ids=repr)
+def test_unitarity_rejects_bad_entry_at_each_position(entry, position):
+    m = ry(1.0)  # every entry nonzero
+    m.reshape(-1)[position] = entry
+    assert not is_unitary(m)
+    with pytest.raises(ValueError, match="^u is not unitary"):
+        UnitaryPair(m, PAULI_Z)
+    with pytest.raises(ValueError, match="^u_tilde is not unitary"):
+        UnitaryPair(PAULI_Z, m)
+
+
+def test_scalar_unitarity_matches_dense_rule_near_tolerance():
+    # Haar unitaries plus a perturbation whose Gram deviation spreads over [1e-13, 1e-11]
+    rng = np.random.default_rng(5)
+    count = 100_000
+    z = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    noise = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    scale = 10.0 ** rng.uniform(-13.3, -11.3, size=count)
+    mats = q * (d / np.abs(d))[:, None, :] + scale[:, None, None] * noise
+    gram = np.swapaxes(mats.conj(), -1, -2) @ mats - np.eye(2)
+    deviation = np.abs(gram).max(axis=(-2, -1))
+    assert np.quantile(deviation, 0.05) < 1e-12 < np.quantile(deviation, 0.95)
+    differ = [i for i, m in enumerate(mats) if is_unitary(m) != dense_is_unitary(m)]
+    # the two roundings of the Gram product differ in the last bit only at the tolerance
+    assert all(abs(deviation[i] - 1e-12) <= 1e-15 for i in differ), deviation[differ]
 
 
 @pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j, complex(math.inf, 0), complex(0, math.nan)])

@@ -6,7 +6,14 @@ import pytest
 from conftest import default_pair, haar_unitary, random_pure_state
 from qswitch import SwitchSpec, concurrence, gme_concurrence, purity, run, superposed_input
 from qswitch.linalg import basis_state, density, kron, kron_all, reduced_density
-from qswitch.metrics import _cut_purities, _cut_purities_scalar
+from qswitch.metrics import (
+    _CLAMP_SLACK,
+    _EIGEN_DUST,
+    _cut_purities,
+    _cut_purities_scalar,
+    _gme_from_entropy,
+    _gme_from_entropy_scalar,
+)
 
 PHI_PLUS = (np.array([1, 0, 0, 1], dtype=complex)) / math.sqrt(2)
 W3 = (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1)) / math.sqrt(3)
@@ -135,3 +142,27 @@ def test_scalar_cut_purities_match_batched_and_dense(rng):
         assert np.max(np.abs(np.array(scalar) - expected)) <= 4e-16
         dense = [purity(reduced_density(state, [q])) for q in range(3)]
         assert np.allclose(scalar, dense, rtol=0.0, atol=1e-12)
+
+
+def _entropy_of(gme):
+    """The linear entropy whose GME concurrence sqrt(2 entropy) is ``gme``."""
+    return gme * gme / 2.0
+
+
+def test_scalar_gme_rule_matches_batched():
+    below, above = np.nextafter(_EIGEN_DUST, 0.0), np.nextafter(_EIGEN_DUST, 1.0)
+    within = [-0.25, -0.0, 0.0, below, _EIGEN_DUST, above, 0.3, 0.5,
+              _entropy_of(1.0 + _CLAMP_SLACK / 2), _entropy_of(1.0 + _CLAMP_SLACK)]
+    for minimum in map(float, within):
+        scalar = _gme_from_entropy_scalar(minimum)
+        assert type(scalar) is float and scalar == float(_gme_from_entropy(minimum))
+    assert _gme_from_entropy_scalar(below) == 0.0 < _gme_from_entropy_scalar(_EIGEN_DUST)
+    assert _gme_from_entropy_scalar(_entropy_of(1.0 + _CLAMP_SLACK / 2)) == 1.0
+    assert _gme_from_entropy_scalar(0.5) == 1.0
+    for minimum in (_entropy_of(1.0 + 2 * _CLAMP_SLACK), 1.0, math.inf):
+        with pytest.raises(ValueError, match="beyond numerical slack") as scalar:
+            _gme_from_entropy_scalar(minimum)
+        with pytest.raises(ValueError) as batched:
+            _gme_from_entropy(minimum)
+        assert str(scalar.value) == str(batched.value)
+    assert math.isnan(_gme_from_entropy_scalar(math.nan)) and np.isnan(_gme_from_entropy(math.nan))
