@@ -17,7 +17,7 @@ import sys
 
 from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
 from .documents import parse_spec, parse_topology
-from .switch import _end_vectors, controlled_outcomes, protocol_control, run as run_switch
+from .switch import run as run_switch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,15 +67,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load(args.spec, parse_spec)
-    ends = _end_vectors(spec.pairs, spec.inputs)  # shared by the check and the outcomes
     try:
-        report = verify_mod.condition_report(ends, tol=args.tol)
+        report = verify_mod.check_max_entanglement(spec, tol=args.tol)
     except ValueError as exc:
         raise ValidationError(f"bad --tol: {exc}") from exc
     classes = None
     if spec.n == 3:
-        outcomes = controlled_outcomes(*protocol_control(spec.protocol, spec.n), ends)
-        classes = {o.label: verify_mod.certify_class(o.state) for o in outcomes.reachable()}
+        outcomes = run_switch(spec).reachable()
+        classes = {o.label: verify_mod.certify_class(o.state) for o in outcomes}
     emit.write_verify(report, classes, sys.stdout)
     return EXIT_OK
 

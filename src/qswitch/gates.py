@@ -86,6 +86,8 @@ _RY_RE = re.compile(r"^ry\((?P<arg>[^)]+)\)$")
 # between its brackets and commas, read by _parse_complex
 _MATRIX_RE = re.compile(
     r"matrix\(\s*\[\s*\[([^][,]*),([^][,]*)\]\s*,\s*\[([^][,]*),([^][,]*)\]\s*\]\s*\)")
+# any other matrix(...) text, read only to name what is wrong with it
+_MATRIX_CALL_RE = re.compile(r"matrix\((.+)\)", re.DOTALL)
 
 
 def _parse_complex(token: str) -> complex:
@@ -95,6 +97,19 @@ def _parse_complex(token: str) -> complex:
         return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError:
         raise ValueError(f"cannot parse complex entry {token!r}") from None
+
+
+def _matrix_literal_error(name: str, arg: str) -> ValueError:
+    """The error for a ``matrix(arg)`` text outside the 2x2 form: a wrong row
+    count, then an unreadable entry, then non-finite entries of two 2-entry
+    rows, and otherwise the shape itself."""
+    rows = re.findall(r"\[([^][]*)\]", arg)
+    if len(rows) != 2:
+        return ValueError(f"matrix literal must have 2 rows: {name!r}")
+    entries = [[_parse_complex(tok) for tok in row.split(",")] for row in rows]
+    if list(map(len, entries)) == [2, 2] and not all(map(cmath.isfinite, entries[0] + entries[1])):
+        return ValueError(f"matrix entries must be finite in {name!r}")
+    return ValueError(f"matrix literal must be 2x2: {name!r}")
 
 
 def parse_gate(name: str) -> np.ndarray:
@@ -124,6 +139,7 @@ def parse_gate(name: str) -> np.ndarray:
         if not all(map(cmath.isfinite, entries)):
             raise ValueError(f"matrix entries must be finite in {name!r}")
         return np.array(entries, dtype=complex).reshape(2, 2)
-    if name.startswith("matrix(") and name.endswith(")"):
-        raise ValueError(f"matrix literal must be 2x2: {name!r}")
+    m = _MATRIX_CALL_RE.fullmatch(name)
+    if m:
+        raise _matrix_literal_error(name, m.group(1))
     raise ValueError(f"unknown gate name {name!r}")

@@ -54,31 +54,25 @@ def density(state: np.ndarray) -> np.ndarray:
 
 
 def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff every |entry| <= 1 + tol and every |(m^dagger m - I) entry| <= tol.
+    """True iff ``m`` is 2x2, every |entry| <= 1 + tol and every
+    |(m^dagger m - I) entry| <= tol.
 
-    A 2x2 matrix, the size of every gate, is checked in Python scalars; each
-    comparison is written so that a NaN fails it.
+    2x2 is the size of every gate. The check runs in Python scalars, each
+    comparison written so that a NaN fails it; the entries are bounded first,
+    so that the Gram entries below cannot overflow.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape == (2, 2):
-        entries = m.ravel().tolist()
-        if not all(abs(z) <= 1.0 + tol for z in entries):
-            return False
-        a, b, c, d = entries
-        w = [z.real * z.real + z.imag * z.imag for z in entries]
-        # m^dagger m - I from the columns (a, c) and (b, d); its (1, 0) entry is
-        # the conjugate of its (0, 1) entry, so it has the same modulus
-        gram = (w[0] + w[2] - 1.0, w[1] + w[3] - 1.0, a.conjugate() * b + c.conjugate() * d)
-        return all(abs(g) <= tol for g in gram)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.shape != (2, 2):
         return False
-    # a unitary's entries have modulus at most 1; a larger (or NaN) entry could
-    # overflow the Gram product below, so it is rejected before that product
-    if not np.abs(m).max() <= 1.0 + tol:
+    entries = m.ravel().tolist()
+    if not all(abs(z) <= 1.0 + tol for z in entries):
         return False
-    gram = np.dot(m.conj().T, m)
-    gram.reshape(-1)[:: m.shape[0] + 1] -= 1.0  # gram - identity, in place
-    return np.abs(gram).max() <= tol
+    a, b, c, d = entries
+    w = [z.real * z.real + z.imag * z.imag for z in entries]
+    # m^dagger m - I from the columns (a, c) and (b, d); its (1, 0) entry is
+    # the conjugate of its (0, 1) entry, so it has the same modulus
+    gram = (w[0] + w[2] - 1.0, w[1] + w[3] - 1.0, a.conjugate() * b + c.conjugate() * d)
+    return all(abs(g) <= tol for g in gram)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:

@@ -133,7 +133,7 @@ def _gme_from_entropy(minimum) -> np.ndarray:
 
 
 def _gme_from_entropy_scalar(minimum: float) -> float:
-    """``_gme_from_entropy`` of one Python float, with the same dust and clamp rule."""
+    """``_gme_from_entropy`` of one float, with the same dust and clamp rule."""
     value = 0.0 if minimum < _EIGEN_DUST else math.sqrt(2.0 * minimum)
     _check_unit(value)
     return min(value, 1.0)
@@ -172,5 +172,5 @@ def gme_concurrence(state: np.ndarray, all_bipartitions: bool = False) -> Metric
             float(single[cut[0]]) if len(cut) == 1
             else 1.0 - purity(reduced_density(state, cut))
         )
-    value = float(_gme_from_entropy(min(per_cut.values())))
+    value = _gme_from_entropy_scalar(min(per_cut.values()))
     return MetricReport(metric="gme_concurrence", value=value, subsystem_values=per_cut)

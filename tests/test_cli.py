@@ -75,32 +75,6 @@ def test_verify_reports_outcome_classes(tmp_path, capsys):
     assert set(doc["outcome_classes"].values()) == {"w-class"}
 
 
-def test_verify_builds_the_order_images_once_and_checks_once(monkeypatch, tmp_path, capsys):
-    import qswitch.cli as cli
-    import qswitch.switch as switch
-    import qswitch.verify as verify
-
-    calls = []
-
-    def counting(fn):
-        def counted(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return counted
-
-    for module in (cli, switch, verify):  # every binding a verify call could reach
-        monkeypatch.setattr(module, "_end_vectors", counting(module._end_vectors))
-    monkeypatch.setattr(verify, "condition_report", counting(verify.condition_report))
-    for protocol, n in (("bell", 2), ("ghz", 3), ("w", 3)):
-        path = tmp_path / f"{protocol}{n}.json"
-        path.write_text(json.dumps({"protocol": protocol, "n": n,
-                                    "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
-        calls.clear()
-        assert main(["verify", "--spec", str(path)]) == EXIT_OK
-        assert sorted(calls) == ["_end_vectors", "condition_report"]
-        assert ("outcome_classes" in json.loads(capsys.readouterr().out)) == (n == 3)
-
-
 def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["sweep", "--protocol", "bell", "--lambda-steps", "5",

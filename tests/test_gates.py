@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_local_tensor_matches_kron_composition():
     assert v.shape == (8, 8)
     assert np.allclose(v, kron_all([p.u] * 3))
     assert np.allclose(vt, kron_all([p.u_tilde] * 3))
-    assert is_unitary(v) and is_unitary(vt)
+    assert dense_is_unitary(v) and dense_is_unitary(vt)
 
 
 def test_local_tensor_empty_rejected():
@@ -127,6 +128,23 @@ def test_parse_gate_names():
                                  "matrix([[1,0],[0,1],])", "matrix([[1,0]],[[0,1]])"])
 def test_parse_gate_rejects(bad):
     with pytest.raises(ValueError):
+        parse_gate(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("matrix()", "unknown gate name"),
+    ("matrix([[1,0]])", "matrix literal must have 2 rows"),
+    ("matrix([[1,0],[0,1],[0,0]])", "matrix literal must have 2 rows"),
+    ("matrix([[],[]])", "cannot parse complex entry ''"),
+    ("matrix([[1, x],[0,1]])", "cannot parse complex entry ' x'"),
+    ("matrix([[x,0],[0,1]]xyz)", "cannot parse complex entry 'x'"),
+    ("matrix([[inf,0],[0,1]]xyz)", "matrix entries must be finite"),
+    ("matrix([[1,0,0],[0,1,0]])", "matrix literal must be 2x2"),
+    ("matrix([[1,0],[0,1]]xyz)", "matrix literal must be 2x2"),
+])
+def test_parse_gate_rejection_messages(bad, message):
+    # texts outside the 2x2 form keep the message of their first fault
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         parse_gate(bad)
 
 
@@ -161,6 +179,13 @@ def test_scalar_unitarity_matches_dense_rule_near_tolerance():
     differ = [i for i, m in enumerate(mats) if is_unitary(m) != dense_is_unitary(m)]
     # the two roundings of the Gram product differ in the last bit only at the tolerance
     assert all(abs(deviation[i] - 1e-12) <= 1e-15 for i in differ), deviation[differ]
+
+
+@pytest.mark.parametrize("m", [np.eye(1), np.eye(4), np.eye(2, 3), np.eye(2)[None]],
+                         ids=["1x1", "4x4", "2x3", "1x2x2"])
+def test_is_unitary_is_false_off_2x2(m):
+    # every gate is 2x2; larger operators are checked by conftest.dense_is_unitary
+    assert not is_unitary(m)
 
 
 @pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j, complex(math.inf, 0), complex(0, math.nan)])

@@ -8,6 +8,7 @@ from conftest import (
     assert_matches_reference,
     condition_spec,
     default_pair,
+    dense_is_unitary,
     dense_readout,
     haar_unitary,
     outcome_labels,
@@ -30,7 +31,7 @@ from qswitch import (
 )
 from qswitch.documents import parse_spec
 from qswitch.gates import local_tensor
-from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all
+from qswitch.linalg import basis_state, density, kron, kron_all
 from qswitch.metrics import gme_concurrence
 from qswitch.switch import (
     MAX_QUBITS,
@@ -67,7 +68,7 @@ def test_switch_operator_blocks():
 def test_switch_operator_unitary(rng):
     for _ in range(5):
         p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
-        assert is_unitary(switch_operator(p))
+        assert dense_is_unitary(switch_operator(p))
 
 
 def test_single_qubit_anticommuting_orders():
