@@ -93,9 +93,9 @@ def _cmd_sweep(args) -> int:
         plan = sweep_mod.default_plan(protocol, n, args.lambda_steps, args.alpha_steps)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    records = sweep_mod.run_sweep(plan)
-    sweep_mod.export(records, args.format, args.out)
-    _print_json({"rows": len(records), "path": args.out, "format": args.format})
+    table = sweep_mod.run_sweep(plan)
+    sweep_mod.export(table, args.format, args.out)
+    _print_json({"rows": len(table), "path": args.out, "format": args.format})
     return EXIT_OK
 
 

@@ -4,21 +4,18 @@ The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
 --report branches`` and the sweep CSV and JSON files print every float
 rounded to 12 significant digits. Their states hold up to 2^12 amplitudes
 drawn from few distinct values, so each array is formatted once per distinct
-value. The ``qswitch verify`` report prints its overlaps and ``tol`` at full
-precision. The bytes are those of ``json.dumps(doc, indent=2,
+value. A sweep file is written from the columns of a sweep table, with no
+per-row object. The ``qswitch verify`` report prints its overlaps and ``tol``
+at full precision. The bytes are those of ``json.dumps(doc, indent=2,
 sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values;
 the tests keep that construction as the reference.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 
 import numpy as np
-
-CSV_COLUMNS = ["lambda", "alpha", "outcome", "probability", "metric", "reachable"]
-
 
 def round12(x: float) -> float:
     """``x`` rounded to 12 significant digits, the precision of every document."""
@@ -124,36 +121,39 @@ def write_branches(branches, out) -> None:
     _write_document(out, "branches", objects())
 
 
-def _sweep_columns(records, text, none: str) -> tuple:
-    """The six columns of sweep records as text: each number as ``text`` of it, and
-    ``none`` for the metric of an unreachable row."""
-    lam, alpha, outcome, probability, metric, reachable = list(zip(*records)) or [()] * 6
-    metric_texts = _texts([0.0 if m is None else m for m in metric], text)
-    return (_texts(lam, text), _texts(alpha, text), outcome, _texts(probability, text),
-            [none if m is None else t for m, t in zip(metric, metric_texts)],
-            map(_bool, reachable))
+def _sweep_columns(table, text, label, none: str) -> tuple:
+    """The six columns of a sweep table as text, in row order: each number as ``text``
+    of it, each outcome as ``label`` of it, and ``none`` for an unreachable row's metric."""
+    lambdas, alphas, outcomes = table.probability.shape
+    reachable = table.reachable.reshape(-1)
+    metric = _texts(table.metric, text)
+    for i in np.flatnonzero(~reachable).tolist():
+        metric[i] = none
+    return ([t for t in _texts(table.lambda_grid, text) for _ in range(alphas * outcomes)],
+            [t for t in _texts(table.alpha_grid, text) for _ in range(outcomes)] * lambdas,
+            list(map(label, table.labels)) * (lambdas * alphas),
+            _texts(table.probability, text), metric, map(_bool, reachable.tolist()))
 
 
-def write_sweep_csv(records, fh) -> None:
-    """Write sweep records as CSV: a header row, then one row per record."""
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(zip(*_sweep_columns(records, _csv_text, "")))
+# csv.writer (excel dialect) would quote none of these fields: the template writes its bytes
+_CSV_ROW = "{},{},{},{},{},{}\r\n".format
 
 
-# one sweep record of a JSON sweep file, keys sorted
-_SWEEP_ROW = ('  {{\n    "alpha": {},\n    "lambda": {},\n    "metric": {},\n    "outcome": {},'
-              '\n    "probability": {},\n    "reachable": {}\n  }}').format
+def write_sweep_csv(table, fh) -> None:
+    """Write a sweep table as CSV: a header row, then one row per outcome."""
+    fh.write("lambda,alpha,outcome,probability,metric,reachable\r\n"
+             + "".join(map(_CSV_ROW, *_sweep_columns(table, _csv_text, str, ""))))
 
 
-def write_sweep_json(records, fh) -> None:
-    """Write sweep records as a JSON list of row objects and a newline."""
-    lam, alpha, outcome, probability, metric, reachable = _sweep_columns(
-        records, _json_text, "null")
-    labels = {o: json.dumps(o) for o in set(outcome)}
-    rows = ",\n".join(map(_SWEEP_ROW, alpha, lam, metric, map(labels.__getitem__, outcome),
-                           probability, reachable))
-    fh.write("[\n" + rows + "\n]\n" if records else "[]\n")
+# one row of a JSON sweep file from its six columns, keys sorted
+_SWEEP_ROW = ('  {{\n    "alpha": {1},\n    "lambda": {0},\n    "metric": {4},\n    "outcome": {2},'
+              '\n    "probability": {3},\n    "reachable": {5}\n  }}').format
+
+
+def write_sweep_json(table, fh) -> None:
+    """Write a sweep table as a JSON list of row objects and a newline."""
+    rows = ",\n".join(map(_SWEEP_ROW, *_sweep_columns(table, _json_text, json.dumps, "null")))
+    fh.write("[\n" + rows + "\n]\n" if rows else "[]\n")
 
 
 # the verify document, keys sorted; the third field is the outcome_classes member or ""

@@ -1,20 +1,20 @@
 """Parameter-sweep engine: metric surfaces over the rotation and input grids.
 
 Each grid point fixes u = pauli_z and u_tilde = ry(2*lambda) on every qubit
-and the product input eta(alpha)^n, runs the protocol and records one row per
-measurement outcome. The metric follows from the protocol: concurrence for
-bell, the single-cut GME concurrence for ghz and w. A grid holds at most
+and the product input eta(alpha)^n, runs the protocol and reads out one row
+per measurement outcome. The metric follows from the protocol: concurrence
+for bell, the single-cut GME concurrence for ghz and w. A grid holds at most
 ``MAX_SWEEP_POINTS`` (lambda, alpha) points, checked before it is allocated.
-The grid is evaluated as one batch of stacked arrays, and output is
+The grid is evaluated as one batch of arrays, kept as the columns of a
+``SweepTable`` that ``export`` writes with no per-row object. Output is
 deterministic: a row's bytes do not depend on the grid around it.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ MAX_SWEEP_POINTS = 2**16  # largest (lambda, alpha) grid: 256 x 256
 
 
 class SweepRecord(NamedTuple):
-    """One sweep row (a named tuple: rows are built by the thousand per grid)."""
+    """One sweep row, as iterating a ``SweepTable`` yields it."""
 
     lam: float
     alpha: float
@@ -42,6 +42,30 @@ class SweepRecord(NamedTuple):
     probability: float
     metric_value: Optional[float]  # None when the outcome is unreachable
     reachable: bool
+
+
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep result in columns. Axis 0 of each array runs over ``lambda_grid``,
+    axis 1 over ``alpha_grid`` and axis 2 over the outcome ``labels``; ``metric``
+    is 0 where an outcome is unreachable."""
+
+    lambda_grid: list[float]
+    alpha_grid: list[float]
+    labels: list[str]
+    probability: np.ndarray  # (lambda, alpha, outcome) floats
+    metric: np.ndarray  # (lambda, alpha, outcome) floats
+    reachable: np.ndarray  # (lambda, alpha, outcome) bools
+
+    def __len__(self) -> int:
+        return self.probability.size
+
+    def __iter__(self) -> Iterator[SweepRecord]:
+        """The rows by lambda, then alpha, then outcome; an unreachable row's metric is None."""
+        keys = product(self.lambda_grid, self.alpha_grid, self.labels)  # the C order
+        columns = [c.ravel().tolist() for c in (self.probability, self.metric, self.reachable)]
+        for (lam, alpha, label), p, value, live in zip(keys, *columns):
+            yield SweepRecord(lam, alpha, label, p, value if live else None, live)
 
 
 @dataclass
@@ -53,8 +77,6 @@ class SweepPlan:
 
     def __post_init__(self):
         check_protocol(self.protocol, self.n)
-        if not self.lambda_grid or not self.alpha_grid:
-            raise ValueError("grids must be nonempty")
         _check_points(len(self.lambda_grid), len(self.alpha_grid))
         for name, grid, lo, hi in (
             ("lambda", self.lambda_grid, 0.0, math.pi / 2),
@@ -67,6 +89,9 @@ class SweepPlan:
 
 
 def _check_points(lambda_steps: int, alpha_steps: int) -> None:
+    for name, steps in (("lambda", lambda_steps), ("alpha", alpha_steps)):
+        if steps < 1:
+            raise ValueError(f"{name} step count must be at least 1, got {steps}")
     if lambda_steps * alpha_steps > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid has {lambda_steps} x {alpha_steps} points, "
                          f"cap is {MAX_SWEEP_POINTS}")
@@ -83,12 +108,9 @@ def default_plan(protocol: str, n: int, lambda_steps: int = 33,
     )
 
 
-def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
-    """Evaluate the plan; rows are ordered by lambda, then alpha, then outcome.
-
-    The whole grid goes through the engine and the metric as one batch of
-    shape (lambda, alpha), so each row depends only on its own grid point.
-    """
+def run_sweep(plan: SweepPlan) -> SweepTable:
+    """Evaluate the plan into a ``SweepTable``: the whole grid goes through the engine and
+    the metric as one batch of shape (lambda, alpha), so a row depends only on its own point."""
     u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))[:, None]  # (lam, 1, 2, 2)
     ends = _order_images(gates.PAULI_Z, u_tilde, superposed_input(plan.alpha_grid))
     ends = np.broadcast_to(ends[:, :, None], ends.shape[:2] + (plan.n,) + ends.shape[2:])
@@ -97,43 +119,20 @@ def run_sweep(plan: SweepPlan) -> list[SweepRecord]:
     metric = pure_concurrence if plan.protocol == "bell" else pure_gme_concurrence
     values = np.zeros(probabilities.shape)
     values[reachable] = metric(states[reachable])
-    labels = control_labels(num_qubits(len(control)))
-    keys = product(plan.lambda_grid, plan.alpha_grid, labels)  # the C order of the arrays
-    columns = [c.ravel().tolist() for c in (probabilities, values, reachable)]
-    return [
-        SweepRecord(lam, alpha, label, p, value if live else None, live)
-        for (lam, alpha, label), p, value, live in zip(keys, *columns)
-    ]
+    return SweepTable(plan.lambda_grid, plan.alpha_grid, control_labels(num_qubits(len(control))),
+                      probabilities, values, reachable)
 
 
-def export(records: list[SweepRecord], fmt: str, path: str) -> None:
-    """Write records as CSV or JSON with 12-significant-digit floats."""
+def export(table: SweepTable, fmt: str, path: str) -> None:
+    """Write a sweep table as CSV or JSON with 12-significant-digit floats."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
-                emit.write_sweep_csv(records, fh)
+                emit.write_sweep_csv(table, fh)
         else:
             with open(path, "w") as fh:
-                emit.write_sweep_json(records, fh)
+                emit.write_sweep_json(table, fh)
     except OSError as exc:
         raise OSError(f"failed to write sweep output to {path}: {exc}") from exc
-
-
-def load_csv(path: str) -> list[SweepRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            reachable = row["reachable"] == "true"
-            records.append(
-                SweepRecord(
-                    lam=float(row["lambda"]),
-                    alpha=float(row["alpha"]),
-                    outcome=row["outcome"],
-                    probability=float(row["probability"]),
-                    metric_value=float(row["metric"]) if row["metric"] else None,
-                    reachable=reachable,
-                )
-            )
-    return records

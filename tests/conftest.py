@@ -18,6 +18,7 @@ from qswitch import (
 from qswitch.linalg import ATOL, kron, kron_all, num_qubits
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
+from qswitch.sweep import SweepRecord, SweepTable
 from qswitch.switch import MAX_QUBITS, canonical_phase, run
 from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
@@ -260,6 +261,22 @@ def reference_verify_text(spec, tol=CONDITION_TOL):
     if spec.n == 3:
         doc["outcome_classes"] = {o.label: certify_class(o.state) for o in run(spec).reachable()}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def load_csv(path):
+    """The sweep records of a CSV sweep file, read back through csv.DictReader."""
+    with open(path, newline="") as fh:
+        return [SweepRecord(lam=float(row["lambda"]), alpha=float(row["alpha"]),
+                            outcome=row["outcome"], probability=float(row["probability"]),
+                            metric_value=float(row["metric"]) if row["metric"] else None,
+                            reachable=row["reachable"] == "true")
+                for row in csv.DictReader(fh)]
+
+
+def empty_table():
+    """A sweep table of no rows."""
+    empty = np.zeros((0, 0, 2))
+    return SweepTable([], [], ["+", "-"], empty, empty, empty.astype(bool))
 
 
 def reference_export(records, fmt, path):

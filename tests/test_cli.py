@@ -206,6 +206,18 @@ def test_sweep_grid_over_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lambda_steps,alpha_steps", [("-2", "-2"), ("-300", "-300"), ("0", "5")])
+def test_sweep_step_count_below_one(tmp_path, capsys, lambda_steps, alpha_steps):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--protocol", "w3", "--lambda-steps", lambda_steps,
+               "--alpha-steps", alpha_steps, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"lambda step count must be at least 1, got {lambda_steps}" in err
+    assert not out.exists()
+
+
 def test_readme_documents_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     verbs = next(a for a in build_parser()._actions

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    empty_table,
     haar_unitary,
     random_pure_state,
     reference_branches_text,
@@ -15,6 +16,7 @@ from conftest import (
     reference_verify_text,
 )
 from qswitch import Outcome, OutcomeEnsemble, emit, netsim, run
+from qswitch import sweep as sweep_mod
 from qswitch import verify as verify_mod
 from qswitch.cli import EXIT_OK, main
 from qswitch.documents import parse_spec, parse_topology
@@ -186,18 +188,34 @@ def test_empty_documents_match_json_dumps(tmp_path):
     emit.write_ensemble(OutcomeEnsemble(()), out)
     assert out.getvalue() == reference_ensemble_text([])
     for fmt in ("csv", "json"):
-        export([], fmt, str(tmp_path / "new"))
-        reference_export([], fmt, str(tmp_path / "old"))
+        export(empty_table(), fmt, str(tmp_path / "new"))
+        reference_export(empty_table(), fmt, str(tmp_path / "old"))
         assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_export_matches_csv_writer_and_json_dump(tmp_path, protocol, n, fmt):
-    plan = default_plan(protocol, n, lambda_steps=9, alpha_steps=7)
-    assert {0.0, math.pi / 4, math.pi / 2} <= set(plan.lambda_grid)
-    assert {0.0, 1.0} <= set(plan.alpha_grid)
-    records = run_sweep(plan)
-    export(records, fmt, str(tmp_path / "new"))
-    reference_export(records, fmt, str(tmp_path / "old"))
-    assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
+    for steps in ((1, 1), (1, 7), (9, 1), (9, 7), (33, 33)):  # (lambda, alpha) grid shapes
+        table = run_sweep(default_plan(protocol, n, *steps))
+        # at lambda = 0 the gates commute: bell and ghz write unreachable rows, with no metric
+        assert protocol == "w" or not table.reachable.all()
+        export(table, fmt, str(tmp_path / "new"))
+        reference_export(table, fmt, str(tmp_path / "old"))
+        assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
+
+
+@pytest.mark.parametrize("protocol,fmt", [("w3", "csv"), ("ghz4", "json")])
+def test_cli_sweep_builds_no_row_records(tmp_path, capsys, monkeypatch, protocol, fmt):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep path built a SweepRecord")
+
+    monkeypatch.setattr(sweep_mod, "SweepRecord", forbidden)
+    out = tmp_path / f"new.{fmt}"
+    assert main(["sweep", "--protocol", protocol, "--lambda-steps", "9", "--alpha-steps", "7",
+                 "--format", fmt, "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    table = run_sweep(default_plan(*{"w3": ("w", 3), "ghz4": ("ghz", 4)}[protocol], 9, 7))
+    reference_export(table, fmt, str(tmp_path / "old"))
+    assert_same_text(out.read_bytes(), (tmp_path / "old").read_bytes())
+    assert json.loads(capsys.readouterr().out)["rows"] == len(table)

@@ -7,12 +7,12 @@ import pytest
 
 import qswitch.sweep as sweep
 
-from conftest import random_pure_state
+from conftest import empty_table, load_csv, random_pure_state
 from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
 from qswitch.linalg import density, kron_all
 from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
 from qswitch.switch import MAX_QUBITS, _end_vectors
-from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, load_csv, run_sweep
+from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, run_sweep
 
 
 def small_plan(protocol, n):
@@ -59,6 +59,11 @@ def test_grid_cap_checked_before_allocation(monkeypatch):
         default_plan("bell", 2, 10**5, 10**5)
     with pytest.raises(ValueError, match="cap is 65536"):
         SweepPlan("bell", 2, [0.0] * 257, [0.0] * 256)
+    for steps, axis in (((0, 5), "lambda"), ((5, 0), "alpha"), ((-2, -2), "lambda"),
+                        ((-300, -300), "lambda")):
+        message = f"^{axis} step count must be at least 1, got {min(steps)}$"
+        with pytest.raises(ValueError, match=message):
+            default_plan("bell", 2, *steps)
 
 
 def test_record_count_and_order():
@@ -98,7 +103,7 @@ def test_plus_branch_symmetry():
 
 def test_export_empty_csv(tmp_path):
     path = tmp_path / "empty.csv"
-    export([], "csv", str(path))
+    export(empty_table(), "csv", str(path))
     assert path.read_text() == "lambda,alpha,outcome,probability,metric,reachable\n"
 
 
@@ -157,12 +162,12 @@ def test_grid_shape_invariance(tmp_path):
 
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
-        export([], "yaml", str(tmp_path / "x"))
+        export(empty_table(), "yaml", str(tmp_path / "x"))
 
 
 def test_export_io_error(tmp_path):
     with pytest.raises(OSError):
-        export([], "csv", str(tmp_path / "missing" / "x.csv"))
+        export(empty_table(), "csv", str(tmp_path / "missing" / "x.csv"))
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4)])
