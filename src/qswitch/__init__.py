@@ -2,16 +2,8 @@
 controlled causal orders of local unitaries."""
 
 from .gates import UnitaryPair, backward_order, forward_order, parse_gate, pauli, ry
-from .metrics import MetricReport, concurrence, gme_concurrence, purity
-from .switch import (
-    Outcome,
-    OutcomeEnsemble,
-    SwitchSpec,
-    joint_state,
-    run,
-    superposed_input,
-    switch_operator,
-)
+from .metrics import MetricReport, concurrence, gme_concurrence
+from .switch import Outcome, OutcomeEnsemble, SwitchSpec, run, superposed_input
 from .verify import (
     ConditionReport,
     canonical_lu,
@@ -32,14 +24,11 @@ __all__ = [
     "MetricReport",
     "concurrence",
     "gme_concurrence",
-    "purity",
     "Outcome",
     "OutcomeEnsemble",
     "SwitchSpec",
-    "joint_state",
     "run",
     "superposed_input",
-    "switch_operator",
     "ConditionReport",
     "canonical_lu",
     "certify_class",

@@ -8,7 +8,7 @@ arrays. Qubit 0 is the leftmost tensor factor throughout, so basis index
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -16,17 +16,12 @@ ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty sequence of factors."""
-    factors = list(factors)
+    factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
         raise ValueError("kron_all requires at least one factor")
-    return reduce(kron, factors)
+    return reduce(np.kron, factors)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -45,12 +40,6 @@ def basis_state(n: int, index: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def density(state: np.ndarray) -> np.ndarray:
-    """Projector |state><state| of a pure state."""
-    state = np.asarray(state, dtype=complex)
-    return np.outer(state, state.conj())
 
 
 def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
@@ -78,18 +67,6 @@ def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
     m = np.asarray(m, dtype=complex)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
-
-
-def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state, without forming the full projector."""
-    state = np.asarray(state, dtype=complex)
-    n = num_qubits(state.shape[0])
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    traced = [q for q in range(n) if q not in keep]
-    t = state.reshape([2] * n).transpose(keep + traced).reshape(2 ** len(keep), -1)
-    return t @ t.conj().T
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:

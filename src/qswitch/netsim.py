@@ -106,6 +106,10 @@ def map_entanglement(
     n = len(pairs)
     if n > MAX_QUBITS or control.shape != (2**n,):
         raise ValueError(f"control must be an {n}-qubit state, with n at most {MAX_QUBITS}")
+    # false for NaN and inf too; summed in Python scalars, because an np.vdot
+    # form read about 5 % slower on the network benchmark
+    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= 1e-10:
+        raise ValueError("control must be finite and normalized")
     ends = _end_vectors(pairs, [_as_qubit_state(v) for v in inputs])
     return _branch_results(control, list(range(n)), ends, condition_report(ends).all_orthogonal)
 

@@ -20,8 +20,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .gates import UnitaryPair, backward_order, forward_order
-from .linalg import kron, num_qubits
+from .gates import UnitaryPair
+from .linalg import num_qubits
 
 UNREACHABLE_TOL = 1e-12
 MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
@@ -129,13 +129,6 @@ class SwitchSpec:
         return len(self.pairs)
 
 
-def switch_operator(pair: UnitaryPair) -> np.ndarray:
-    """The 4x4 controlled-order unitary on (target x control), target first."""
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return kron(forward_order(pair), p0) + kron(backward_order(pair), p1)
-
-
 def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The forward- (u @ u_tilde) and backward-order (u_tilde @ u) images of ``phi``:
     (..., order, 2), with u, u_tilde (..., 2, 2) and phi (..., 2) broadcast."""
@@ -239,12 +232,3 @@ def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
     return controlled_outcomes(*protocol_control(spec.protocol, spec.n),
                                _end_vectors(spec.pairs, spec.inputs))
-
-
-def joint_state(spec: SwitchSpec) -> np.ndarray:
-    """The unmeasured (targets x control) state after the controlled-order unitary."""
-    control, reverse = protocol_control(spec.protocol, spec.n)
-    live, stack = _branch_stack(control, reverse, _end_vectors(spec.pairs, spec.inputs))
-    out = np.zeros((stack.shape[1], len(control)), dtype=complex)
-    out[:, live] = stack.T * control[live]
-    return out.reshape(-1)

@@ -82,15 +82,6 @@ def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarra
     return list(ends.conj())
 
 
-def apply_local_unitaries(lus: list[np.ndarray], state: np.ndarray) -> np.ndarray:
-    """Apply lus[q] to qubit q of ``state``, one qubit axis at a time."""
-    n = len(lus)
-    t = np.asarray(state, dtype=complex).reshape([2] * n)
-    for q, u in enumerate(lus):
-        t = u @ t.reshape(2**q, 2, 2 ** (n - q - 1))
-    return t.reshape(-1)
-
-
 def _tangle(a: list[complex]) -> float:
     # 4|d1 - 2 d2 + 4 d3| over the amplitude list a[ijk]
     a000, a001, a010, a011, a100, a101, a110, a111 = a

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,11 +15,12 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.linalg import ATOL, kron, kron_all, num_qubits
+from qswitch.linalg import ATOL, kron_all, num_qubits
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
 from qswitch.sweep import SweepRecord, SweepTable
-from qswitch.switch import MAX_QUBITS, canonical_phase, run
+from qswitch.switch import (MAX_QUBITS, _branch_stack, _end_vectors, canonical_phase,
+                            protocol_control, run)
 from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -83,7 +84,66 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
     return spec
 
 
-# -- dense test-only oracle --
+# -- dense test-only oracles --
+
+
+def density(state):
+    """Projector |state><state| of a pure state."""
+    state = np.asarray(state, dtype=complex)
+    return np.outer(state, state.conj())
+
+
+def purity(rho):
+    """Tr(rho^2), between 1/2^n (maximally mixed) and 1 (pure)."""
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.trace(rho @ rho).real)
+
+
+def reduced_density(state, keep):
+    """Reduced density matrix of a pure state, without forming the full projector."""
+    state = np.asarray(state, dtype=complex)
+    n = num_qubits(state.shape[0])
+    keep = list(keep)
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    traced = [q for q in range(n) if q not in keep]
+    t = state.reshape([2] * n).transpose(keep + traced).reshape(2 ** len(keep), -1)
+    return t @ t.conj().T
+
+
+def gme_all_bipartitions(state):
+    """GME concurrence with the minimum taken over every bipartition, each once,
+    instead of over the single-qubit cuts only."""
+    n = num_qubits(len(state))
+    cuts = [list(c) for size in range(1, n // 2 + 1) for c in combinations(range(n), size)
+            if size < n / 2 or 0 in c]
+    return float(_gme_from_entropy(min(1.0 - purity(reduced_density(state, c)) for c in cuts)))
+
+
+def apply_local_unitaries(lus, state):
+    """Apply lus[q] to qubit q of ``state``, one qubit axis at a time."""
+    n = len(lus)
+    t = np.asarray(state, dtype=complex).reshape([2] * n)
+    for q, u in enumerate(lus):
+        t = u @ t.reshape(2**q, 2, 2 ** (n - q - 1))
+    return t.reshape(-1)
+
+
+def switch_operator(pair):
+    """The 4x4 controlled-order unitary on (target x control), target first."""
+    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
+    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
+    return np.kron(forward_order(pair), p0) + np.kron(backward_order(pair), p1)
+
+
+def joint_state(spec):
+    """The unmeasured (targets x control) state after the controlled-order
+    unitary, from the engine's branch stack."""
+    control, reverse = protocol_control(spec.protocol, spec.n)
+    live, stack = _branch_stack(control, reverse, _end_vectors(spec.pairs, spec.inputs))
+    out = np.zeros((stack.shape[1], len(control)), dtype=complex)
+    out[:, live] = stack.T * control[live]
+    return out.reshape(-1)
 
 
 def partial_trace(rho, keep):
@@ -179,7 +239,7 @@ def controlled_order_operator(pairs, cluster_of_qubit, m):
         factors = [backward_order(p) if bit else forward_order(p) for p, bit in zip(pairs, row)]
         proj = np.zeros((dim_c, dim_c), dtype=complex)
         proj[b, b] = 1.0
-        blocks.append(kron(kron_all(factors), proj))
+        blocks.append(np.kron(kron_all(factors), proj))
     return sum(blocks)
 
 

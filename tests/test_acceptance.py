@@ -9,7 +9,15 @@ import time
 
 import numpy as np
 
-from conftest import aligned_spec, condition_spec, random_pure_state, random_spec
+from conftest import (
+    aligned_spec,
+    condition_spec,
+    density,
+    purity,
+    random_pure_state,
+    random_spec,
+    reduced_density,
+)
 from qswitch import (
     SwitchSpec,
     UnitaryPair,
@@ -22,8 +30,7 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.linalg import basis_state, density, reduced_density
-from qswitch.metrics import purity
+from qswitch.linalg import basis_state
 from qswitch.documents import parse_topology
 from qswitch.netsim import map_entanglement, run_hierarchy
 from qswitch.sweep import SweepPlan, default_plan, export, run_sweep

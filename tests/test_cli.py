@@ -1,5 +1,7 @@
 import argparse
 import copy
+import importlib
+import inspect
 import io
 import json
 import math
@@ -236,6 +238,27 @@ def test_readme_library_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     tour = re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_public_surface():
+    # the package ships what the CLI and the library tour use; dense reference
+    # helpers live in tests/conftest.py
+    assert qswitch.__all__ == [
+        "UnitaryPair", "backward_order", "forward_order", "parse_gate", "pauli", "ry",
+        "MetricReport", "concurrence", "gme_concurrence",
+        "Outcome", "OutcomeEnsemble", "SwitchSpec", "run", "superposed_input",
+        "ConditionReport", "canonical_lu", "certify_class", "check_max_entanglement",
+        "check_separability", "overlap", "three_tangle",
+    ]
+    removed = {"qswitch": ["purity", "joint_state", "switch_operator"],
+               "qswitch.switch": ["joint_state", "switch_operator"],
+               "qswitch.verify": ["apply_local_unitaries"],
+               "qswitch.metrics": ["purity"],
+               "qswitch.linalg": ["reduced_density", "density", "kron"]}
+    for module, names in removed.items():
+        present = [n for n in names if hasattr(importlib.import_module(module), n)]
+        assert present == [], module
+    assert "all_bipartitions" not in inspect.signature(qswitch.gme_concurrence).parameters
 
 
 def _bell_doc(**fields):

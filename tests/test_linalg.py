@@ -5,33 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, partial_trace, random_density, random_pure_state
-from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
-from qswitch.linalg import (
-    basis_state,
+from conftest import (
     density,
-    eigvals_hermitian,
-    kron,
-    kron_all,
+    haar_unitary,
+    partial_trace,
+    random_density,
+    random_pure_state,
     reduced_density,
-    spin_flip,
-    sqrtm_psd,
 )
+from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
+from qswitch.linalg import basis_state, eigvals_hermitian, kron_all, spin_flip, sqrtm_psd
 
 I2 = np.eye(2, dtype=complex)
 
 
 def test_kron_identity():
-    assert np.allclose(kron(I2, I2), np.eye(4))
+    assert np.allclose(kron_all([I2, I2]), np.eye(4))
 
 
 def test_kron_pauli_z_diagonal():
-    assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
+    assert np.allclose(kron_all([PAULI_Z, PAULI_Z]), np.diag([1, -1, -1, 1]))
 
 
 def test_kron_matches_index_formula():
     a, b = PAULI_X, PAULI_Y
-    got = kron(a, b)
+    got = kron_all([a, b])
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -49,8 +47,8 @@ def test_kron_all_empty_rejected():
 def test_kron_associative_and_unitary(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (haar_unitary(rng) for _ in range(3))
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
-    ab = kron(a, b)
+    assert np.max(np.abs(kron_all([kron_all([a, b]), c]) - kron_all([a, kron_all([b, c])]))) <= 1e-12
+    ab = kron_all([a, b])
     assert np.max(np.abs(ab.conj().T @ ab - np.eye(4))) <= 1e-12
 
 

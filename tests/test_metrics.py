@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_pair, haar_unitary, random_pure_state
-from qswitch import SwitchSpec, concurrence, gme_concurrence, purity, run, superposed_input
-from qswitch.linalg import basis_state, density, kron, kron_all, reduced_density
+from conftest import (
+    density,
+    gme_all_bipartitions,
+    haar_unitary,
+    purity,
+    random_pure_state,
+    reduced_density,
+)
+from qswitch import SwitchSpec, concurrence, gme_concurrence, run, superposed_input
+from qswitch.linalg import basis_state, kron_all
 from qswitch.metrics import (
     _CLAMP_SLACK,
     _EIGEN_DUST,
@@ -62,7 +69,7 @@ def test_concurrence_pure_state_oracle_random(rng):
 def test_concurrence_local_unitary_invariance(rng):
     for _ in range(25):
         psi = random_pure_state(rng, 2)
-        rotated = kron(haar_unitary(rng), haar_unitary(rng)) @ psi
+        rotated = np.kron(haar_unitary(rng), haar_unitary(rng)) @ psi
         assert abs(concurrence(density(psi)) - concurrence(density(rotated))) <= 1e-9
 
 
@@ -72,7 +79,7 @@ def test_concurrence_zero_iff_rank_one(rng):
         svals = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
         rank_one = svals[1] / svals[0] < 1e-9
         assert (concurrence(density(psi)) < 1e-9) == rank_one
-    product = kron(random_pure_state(rng, 1), random_pure_state(rng, 1))
+    product = np.kron(random_pure_state(rng, 1), random_pure_state(rng, 1))
     assert concurrence(density(product)) < 1e-9
 
 
@@ -81,7 +88,7 @@ def test_gme_ghz_state():
 
 
 def test_gme_biseparable_vanishes():
-    state = kron(basis_state(1, 0), PHI_PLUS)
+    state = np.kron(basis_state(1, 0), PHI_PLUS)
     report = gme_concurrence(state)
     assert report.value <= 1e-9
     assert report.subsystem_values["0"] <= 1e-12  # the qubit-0 cut is pure
@@ -103,14 +110,21 @@ def test_gme_local_unitary_invariance(rng):
 
 def test_gme_all_bipartitions_flag():
     # a pair of Bell pairs is not GME although every single-qubit cut is mixed
-    state = kron(PHI_PLUS, PHI_PLUS)
+    state = np.kron(PHI_PLUS, PHI_PLUS)
     assert gme_concurrence(state).value > 0.9
-    assert gme_concurrence(state, all_bipartitions=True).value <= 1e-9
+    assert gme_all_bipartitions(state) <= 1e-9
 
 
 def test_gme_rejects_unnormalized():
     with pytest.raises(ValueError):
         gme_concurrence(2.0 * GHZ3)
+
+
+@pytest.mark.parametrize("state", [np.eye(4, dtype=complex) / 2, np.ones(1, dtype=complex)],
+                         ids=["2-d", "length-1"])
+def test_gme_rejects_non_vector(state):
+    with pytest.raises(ValueError, match=r"expected a 1-D state of length 2\^n with n >= 1"):
+        gme_concurrence(state)
 
 
 def test_purity_examples(rng):

@@ -13,7 +13,9 @@ from conftest import (
     haar_unitary,
     max_cross_client_coupling,
     outcome_labels,
+    purity,
     random_pure_state,
+    reduced_density,
 )
 from qswitch import (
     UnitaryPair,
@@ -25,8 +27,7 @@ from qswitch import (
     superposed_input,
 )
 from qswitch.documents import parse_topology
-from qswitch.linalg import basis_state, kron, kron_all, reduced_density
-from qswitch.metrics import purity
+from qswitch.linalg import basis_state, kron_all
 from qswitch.netsim import Topology, map_entanglement, run_hierarchy
 from qswitch.verify import condition_report
 
@@ -86,7 +87,9 @@ def test_map_entanglement_identity_pairs():
     (ghz_state(2), 2, np.array([1.0, 0.0, 0.0, 0.0]), "single-qubit"),
     (ghz_state(2), 2, np.array([2.0, 0.0]), "normalized"),
     (ghz_state(2), 2, np.array([math.nan, 0.0]), "normalized"),
-], ids=["length-mismatch", "shape-4", "norm-2", "nan"])
+    (np.ones(4), 2, None, "control must be finite and normalized"),
+    (np.full(4, math.nan), 2, None, "control must be finite and normalized"),
+], ids=["length-mismatch", "shape-4", "norm-2", "nan", "control-norm-4", "control-nan"])
 def test_map_entanglement_rejects(control, n, bad_input, match):
     inputs = [superposed_input(0.5)] * n
     if bad_input is not None:
@@ -175,7 +178,7 @@ def test_coupling_audit_detects_entangling_block():
 def _assert_matches_dense(branches, control, cluster_of_qubit, pairs, inputs):
     # dense audit operator on (clients x control), then an explicit H^(x)m readout
     m = len(control).bit_length() - 1
-    joint = controlled_order_operator(pairs, cluster_of_qubit, m) @ kron(kron_all(inputs), control)
+    joint = controlled_order_operator(pairs, cluster_of_qubit, m) @ np.kron(kron_all(inputs), control)
     reference = dense_readout(joint, m)
     assert [b.control_outcome for b in branches] == outcome_labels(m)
     assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)

@@ -7,9 +7,9 @@ import pytest
 
 import qswitch.sweep as sweep
 
-from conftest import empty_table, load_csv, random_pure_state
+from conftest import density, empty_table, load_csv, random_pure_state
 from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
-from qswitch.linalg import density, kron_all
+from qswitch.linalg import kron_all
 from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
 from qswitch.switch import MAX_QUBITS, _end_vectors
 from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, run_sweep

@@ -5,16 +5,20 @@ import pytest
 
 from conftest import (
     aligned_spec,
+    apply_local_unitaries,
     assert_matches_reference,
     condition_spec,
     default_pair,
     dense_is_unitary,
     dense_readout,
+    density,
     haar_unitary,
+    joint_state,
     outcome_labels,
     partial_trace,
     random_pure_state,
     random_spec,
+    switch_operator,
 )
 from qswitch import (
     SwitchSpec,
@@ -22,16 +26,14 @@ from qswitch import (
     concurrence,
     forward_order,
     backward_order,
-    joint_state,
     pauli,
     run,
     ry,
     superposed_input,
-    switch_operator,
 )
 from qswitch.documents import parse_spec
 from qswitch.gates import local_tensor
-from qswitch.linalg import basis_state, density, kron, kron_all
+from qswitch.linalg import basis_state, kron_all
 from qswitch.metrics import gme_concurrence
 from qswitch.switch import (
     MAX_QUBITS,
@@ -43,7 +45,7 @@ from qswitch.switch import (
     controlled_outcomes,
     protocol_control,
 )
-from qswitch.verify import apply_local_unitaries, canonical_lu
+from qswitch.verify import canonical_lu
 
 I2 = np.eye(2, dtype=complex)
 
@@ -220,7 +222,7 @@ def test_joint_state_commuting_is_product():
     j = joint_state(SwitchSpec("bell", [pair] * 2, inputs))
     v, vt = local_tensor([pair] * 2)
     plus_c = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    assert np.allclose(j, kron(v @ vt @ kron_all(inputs), plus_c))
+    assert np.allclose(j, np.kron(v @ vt @ kron_all(inputs), plus_c))
 
 
 def test_joint_state_w_unit_norm(rng):
@@ -309,7 +311,7 @@ def _dense_reference(spec):
     for b, mask in enumerate(masks):
         order = kron_all([backward_order(p) if r else forward_order(p)
                           for p, r in zip(spec.pairs, mask)])
-        joint = joint + kron(order @ phi, basis_state(m, b))
+        joint = joint + np.kron(order @ phi, basis_state(m, b))
     return m, joint / math.sqrt(len(masks))
 
 

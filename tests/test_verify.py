@@ -9,11 +9,15 @@ import qswitch.metrics as metrics
 import qswitch.verify as verify
 from conftest import (
     aligned_spec,
+    apply_local_unitaries,
     condition_spec,
     default_pair,
+    density,
     haar_unitary,
+    purity,
     random_pure_state,
     random_spec,
+    reduced_density,
     reference_certify_class,
 )
 from qswitch import (
@@ -35,9 +39,8 @@ from qswitch import (
     three_tangle,
 )
 from qswitch.cli import EXIT_OK, main
-from qswitch.linalg import basis_state, density, is_unitary, kron, kron_all, reduced_density
-from qswitch.metrics import _cut_purities, purity
-from qswitch.verify import apply_local_unitaries
+from qswitch.linalg import basis_state, is_unitary, kron_all
+from qswitch.metrics import _cut_purities
 
 GHZ3 = (basis_state(3, 0) + basis_state(3, 7)) / math.sqrt(2)
 W3 = (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1)) / math.sqrt(3)
@@ -235,7 +238,7 @@ def test_certify_class_local_unitary_invariance(rng):
     examples = {
         "ghz-class": GHZ3,
         "w-class": W3,
-        "biseparable": kron(basis_state(1, 0), phi_plus),
+        "biseparable": np.kron(basis_state(1, 0), phi_plus),
         "separable": kron_all([random_pure_state(rng, 1) for _ in range(3)]),
     }
     for expected, state in examples.items():
@@ -250,7 +253,7 @@ def test_certify_class_examples(rng):
     assert certify_class(GHZ3) == "ghz-class"
     assert certify_class(W3) == "w-class"
     phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
-    assert certify_class(kron(basis_state(1, 0), phi_plus)) == "biseparable"
+    assert certify_class(np.kron(basis_state(1, 0), phi_plus)) == "biseparable"
     product = kron_all([random_pure_state(rng, 1) for _ in range(3)])
     assert certify_class(product) == "separable"
 
@@ -305,7 +308,7 @@ def test_norm_rule_between_the_squared_and_plain_norm():
     # gme_concurrence accepts | ||a|| - 1 | <= 1e-10, about twice as loose: a
     # norm of 1 + 7e-11 passes the second rule only
     phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
-    for psi in (GHZ3, W3, kron(basis_state(1, 0), phi_plus), basis_state(3, 5)):
+    for psi in (GHZ3, W3, np.kron(basis_state(1, 0), phi_plus), basis_state(3, 5)):
         inside, band = (1.0 + 3e-11) * psi, (1.0 + 7e-11) * psi
         assert certify_class(inside) == certify_class(psi)
         assert three_tangle(inside) == pytest.approx(three_tangle(psi), abs=1e-9)
@@ -406,7 +409,7 @@ def test_certify_class_reads_no_batched_purities(monkeypatch, tmp_path, capsys):
     examples = {
         "ghz-class": GHZ3,
         "w-class": W3,
-        "biseparable": kron(basis_state(1, 0), phi_plus),
+        "biseparable": np.kron(basis_state(1, 0), phi_plus),
         "separable": basis_state(3, 5),
     }
     for expected, state in examples.items():
