@@ -1,16 +1,18 @@
 """Entanglement quantification: two-qubit concurrence and GME concurrence."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import eigvals_hermitian, is_hermitian, num_qubits, spin_flip, sqrtm_psd
+from .linalg import num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots
+_DENSITY_ATOL = 1e-10  # Hermiticity, trace and smallest-eigenvalue slack of a density matrix
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -19,42 +21,47 @@ class MetricReport:
     subsystem_values: Optional[dict[str, float]] = None
 
 
-def _validate_density(rho: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    qubits = num_qubits(rho.shape[0])
-    if n is not None and qubits != n:
-        raise ValueError(f"expected a {n}-qubit density matrix, got {qubits} qubits")
-    if not is_hermitian(rho):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError("density matrix must have unit trace")
-    return rho
-
-
-def _check_unit(worst: float) -> None:
-    """Reject a metric value above 1 by more than the numerical slack."""
-    if worst > 1.0 + _CLAMP_SLACK:
-        raise ValueError(f"metric value {worst} above 1 beyond numerical slack")
+def _is_hermitian(m: np.ndarray) -> bool:
+    return np.max(np.abs(m - m.conj().T)) <= _DENSITY_ATOL
 
 
 def _clamp_unit(values) -> np.ndarray:
+    """Clip metric values to [0, 1], rejecting one above 1 by more than the numerical slack."""
     values = np.asarray(values, dtype=float)
-    _check_unit(np.max(values, initial=-np.inf))
+    worst = np.max(values, initial=-np.inf)
+    if worst > 1.0 + _CLAMP_SLACK:
+        raise ValueError(f"metric value {worst} above 1 beyond numerical slack")
     return np.clip(values, 0.0, 1.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Two-qubit concurrence max{0, mu1 - mu2 - mu3 - mu4}.
+    """Two-qubit concurrence max{0, mu1 - mu2 - mu3 - mu4} (Wootters, PRL 80, 2245, 1998).
 
-    The mu_i are the square roots of the eigenvalues of rho @ spin_flip(rho)
-    in decreasing order, computed via the Hermitian product
-    sqrt(rho) @ spin_flip(rho) @ sqrt(rho).
+    The mu_i are the square roots of the eigenvalues of the Hermitian product
+    sqrt(rho) @ flip(rho) @ sqrt(rho) in decreasing order, with the spin flip
+    flip(rho) = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y); without the
+    entrywise conjugate the value is not an entanglement monotone on complex
+    states. ``rho`` must be a 4x4 density matrix: Hermitian and of unit trace
+    within 1e-10, and positive semidefinite, no eigenvalue below -1e-10.
     """
-    rho = _validate_density(rho, n=2)
-    root = sqrtm_psd(rho)
-    vals = eigvals_hermitian(root @ spin_flip(rho) @ root)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    qubits = num_qubits(rho.shape[0])
+    if qubits != 2:
+        raise ValueError(f"expected a 2-qubit density matrix, got {qubits} qubits")
+    if not _is_hermitian(rho):
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > _DENSITY_ATOL:
+        raise ValueError("density matrix must have unit trace")
+    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    if vals[0] < -_DENSITY_ATOL:
+        raise ValueError("density matrix must be positive semidefinite")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    product = root @ (_YY @ rho.conj() @ _YY) @ root
+    if not _is_hermitian(product):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals = np.linalg.eigvalsh(product)[::-1]
     vals = np.where(vals < _EIGEN_DUST, 0.0, vals)  # sqrt would amplify dust
     mus = np.sqrt(vals)
     return float(_clamp_unit(mus[0] - mus[1] - mus[2] - mus[3]))
@@ -117,13 +124,6 @@ def _gme_from_entropy(minimum) -> np.ndarray:
     return _clamp_unit(np.where(minimum < _EIGEN_DUST, 0.0, root))
 
 
-def _gme_from_entropy_scalar(minimum: float) -> float:
-    """``_gme_from_entropy`` of one float, with the same dust and clamp rule."""
-    value = 0.0 if minimum < _EIGEN_DUST else math.sqrt(2.0 * minimum)
-    _check_unit(value)
-    return min(value, 1.0)
-
-
 def pure_gme_concurrence(states: np.ndarray) -> np.ndarray:
     """Single-cut GME concurrence of normalised pure states over any leading
     batch axes: (..., 2^n) -> (...), equal to ``gme_concurrence(psi).value``."""
@@ -139,8 +139,8 @@ def gme_concurrence(state: np.ndarray) -> MetricReport:
     size = state.shape[0] if state.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise ValueError(f"expected a 1-D state of length 2^n with n >= 1, got shape {state.shape}")
-    if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:  # NaN and inf fail too
+    if not abs(np.vdot(state, state).real - 1.0) <= 1e-10:  # NaN and inf fail too
         raise ValueError("state must be normalized")
     per_cut = {str(q): v for q, v in enumerate((1.0 - _cut_purities(state)).tolist())}
-    return MetricReport(value=_gme_from_entropy_scalar(min(per_cut.values())),
+    return MetricReport(value=float(_gme_from_entropy(min(per_cut.values()))),
                         subsystem_values=per_cut)

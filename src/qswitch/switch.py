@@ -44,7 +44,8 @@ def _as_qubit_state(v) -> np.ndarray:
     if v.shape != (2,):
         raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
     a, b = v.tolist()
-    if not abs(math.hypot(a.real, a.imag, b.real, b.imag) - 1.0) <= 1e-10:  # also false for NaN
+    norm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    if not abs(norm2 - 1.0) <= 1e-10:  # also false for NaN
         raise ValueError("input states must be finite and normalized")
     return v
 

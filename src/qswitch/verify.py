@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import UnitaryPair
-from .metrics import _cut_purities_scalar, _gme_from_entropy_scalar
+from .metrics import _cut_purities_scalar
 from .switch import SwitchSpec, _end_vectors
 
 CONDITION_TOL = 1e-9
+CLASS_TOL = 1e-6  # purity and tangle threshold of certify_class
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,17 @@ def three_tangle(state: np.ndarray) -> float:
     return _tangle(state.tolist())
 
 
-def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
+def certify_class(state: np.ndarray) -> str:
     """Classify a pure 3-qubit state: separable | biseparable | ghz-class | w-class.
 
-    Separability tiers come from the single-qubit marginal purities; among
-    genuinely tripartite-entangled states the residual 3-tangle separates the
-    GHZ class (tau > tol) from the W class (GME concurrence, read off the
-    same purities, above tol).
-
-    All of it, and the norm rule |sum |a_i|^2 - 1| <= 1e-10 of ``three_tangle``,
-    is read in one scalar pass over the eight amplitudes.
+    The class comes from the single-qubit marginal purities and the 3-tangle at
+    the fixed threshold CLASS_TOL = 1e-6. Three pure cuts (purity > 1 - CLASS_TOL)
+    make a separable state, one or two a biseparable one. With no pure cut, tau >
+    CLASS_TOL is the GHZ class and the rest the W class: every cut's linear entropy
+    is then at least CLASS_TOL, so the GME concurrence, at least sqrt(2 CLASS_TOL),
+    is above CLASS_TOL and decides nothing. All of it, and the norm rule
+    |sum |a_i|^2 - 1| <= 1e-10 of ``three_tangle``, is read in one scalar pass
+    over the eight amplitudes.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
@@ -127,14 +129,9 @@ def certify_class(state: np.ndarray, tol: float = 1e-6) -> str:
     a = state.tolist()
     if not abs(sum(z.real * z.real + z.imag * z.imag for z in a) - 1.0) <= 1e-10:
         raise ValueError("state must be normalized")  # NaN and inf fail too
-    purities = _cut_purities_scalar(a)
-    pure_cuts = sum(p > 1.0 - tol for p in purities)
+    pure_cuts = sum(p > 1.0 - CLASS_TOL for p in _cut_purities_scalar(a))
     if pure_cuts == 3:
         return "separable"
     if pure_cuts >= 1:
         return "biseparable"
-    if _tangle(a) > tol:
-        return "ghz-class"
-    if _gme_from_entropy_scalar(min(1.0 - p for p in purities)) > tol:
-        return "w-class"
-    return "biseparable"
+    return "ghz-class" if _tangle(a) > CLASS_TOL else "w-class"

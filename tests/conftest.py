@@ -181,7 +181,10 @@ def dense_is_unitary(m, tol=ATOL):
 
 def reference_certify_class(state, tol=1e-6):
     """``certify_class`` through numpy: batched marginal purities, then the
-    public ``three_tangle``, then the GME concurrence of the same purities."""
+    public ``three_tangle``, then the GME concurrence of the same purities.
+
+    ``certify_class`` has no GME step; agreement with this oracle shows that
+    the step never decides a class."""
     purities = _cut_purities(np.asarray(state, dtype=complex))
     pure_cuts = int(np.count_nonzero(purities > 1.0 - tol))
     if pure_cuts == 3:

@@ -253,12 +253,16 @@ def test_public_surface():
     removed = {"qswitch": ["purity", "joint_state", "switch_operator"],
                "qswitch.switch": ["joint_state", "switch_operator"],
                "qswitch.verify": ["apply_local_unitaries"],
-               "qswitch.metrics": ["purity"],
-               "qswitch.linalg": ["reduced_density", "density", "kron"]}
+               "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"],
+               "qswitch.linalg": ["reduced_density", "density", "kron", "dagger",
+                                  "is_hermitian", "eigvals_hermitian", "sqrtm_psd",
+                                  "spin_flip", "HERMITIAN_ATOL"]}
     for module, names in removed.items():
         present = [n for n in names if hasattr(importlib.import_module(module), n)]
         assert present == [], module
     assert "all_bipartitions" not in inspect.signature(qswitch.gme_concurrence).parameters
+    for fn in (qswitch.certify_class, importlib.import_module("qswitch.linalg").is_unitary):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def _bell_doc(**fields):
@@ -297,9 +301,16 @@ def _topology_doc(**fields):
      "'/pairs/1/u'"),
     (_bell_doc(pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 3), "'/pairs'"),
     (_bell_doc(n=3, pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}]), "'/n'"),
+    ({k: v for k, v in _bell_doc().items() if k != "pairs"}, "pairs is required (at '/pairs')"),
+    (_bell_doc(input={"amplitudes": [[0, 0], [1, 0]]}),
+     "amplitude vector must have a nonzero, finite norm (at '/input/amplitudes/0')"),
+    (_bell_doc(protocol="ghz", n=3, pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 3,
+               input={"amplitudes": [[1, 0], [0, 1]]}),
+     "2 input states for 3 qubits (at '/input/amplitudes')"),
 ], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string",
         "control-biased", "amplitudes-number", "amplitudes-flat", "gate-unknown",
-        "gate-not-unitary", "bell-three-pairs", "bell-n-three"])
+        "gate-not-unitary", "bell-three-pairs", "bell-n-three", "pairs-missing",
+        "amplitudes-zero", "amplitudes-too-few"])
 def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -321,8 +332,12 @@ def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     (_topology_doc(gates={"u_tilde": RY_QUARTER}), "'/gates/u'"),
     (_topology_doc(control="biased"), "'/control'"),
     (_topology_doc(entanglers=[{"id": "e1", "clients": 3}]), "'/entanglers'"),
+    (_topology_doc(alpha=1.5), "'/alpha'"),
+    (_topology_doc(entanglers=[{"id": "e1"}, {"id": "e2", "clients": 3}]),
+     "'/entanglers/0/clients'"),
 ], ids=["not-an-object", "entanglers-string", "gates-string", "alpha-null", "clients-fraction",
-        "link-loss-nonzero", "gates-without-u", "control-unknown", "one-entangler"])
+        "link-loss-nonzero", "gates-without-u", "control-unknown", "one-entangler",
+        "alpha-above-one", "clients-missing"])
 def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))

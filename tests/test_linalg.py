@@ -14,7 +14,7 @@ from conftest import (
     reduced_density,
 )
 from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
-from qswitch.linalg import basis_state, eigvals_hermitian, kron_all, spin_flip, sqrtm_psd
+from qswitch.linalg import basis_state, kron_all
 
 I2 = np.eye(2, dtype=complex)
 
@@ -88,45 +88,3 @@ def test_reduced_density_matches_partial_trace(rng):
     for keep in ([0], [2], [0, 2]):
         assert np.allclose(reduced_density(psi, keep), partial_trace(rho, keep))
 
-
-def test_eigvals_hermitian_examples():
-    assert np.allclose(eigvals_hermitian(I2), [1, 1])
-    assert np.allclose(eigvals_hermitian(PAULI_Z), [1, -1])
-    assert np.allclose(eigvals_hermitian(np.diag([2 / 3, 1 / 3])), [2 / 3, 1 / 3])
-
-
-def test_eigvals_hermitian_sum_is_trace(rng):
-    rho = random_density(rng, 2)
-    assert abs(eigvals_hermitian(rho).sum() - np.trace(rho).real) <= 1e-10
-
-
-def test_eigvals_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigvals_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_spin_flip_bell_state_invariant():
-    phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
-    rho = density(phi_plus)
-    assert np.allclose(spin_flip(rho), rho)
-
-
-def test_spin_flip_basis_state():
-    assert np.allclose(spin_flip(density(basis_state(2, 0))), density(basis_state(2, 3)))
-
-
-def test_spin_flip_is_involution(rng):
-    for _ in range(20):
-        rho = random_density(rng, 2)
-        assert np.max(np.abs(spin_flip(spin_flip(rho)) - rho)) <= 1e-12
-
-
-def test_spin_flip_wrong_dimension():
-    with pytest.raises(ValueError):
-        spin_flip(np.eye(8, dtype=complex))
-
-
-def test_sqrtm_psd(rng):
-    rho = random_density(rng, 2)
-    root = sqrtm_psd(rho)
-    assert np.allclose(root @ root, rho)

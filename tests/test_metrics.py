@@ -19,7 +19,6 @@ from qswitch.metrics import (
     _cut_purities,
     _cut_purities_scalar,
     _gme_from_entropy,
-    _gme_from_entropy_scalar,
 )
 
 PHI_PLUS = (np.array([1, 0, 0, 1], dtype=complex)) / math.sqrt(2)
@@ -53,11 +52,28 @@ def test_concurrence_partial_entanglement_vs_oracle():
     assert abs(c - pure_concurrence_oracle(psi)) <= 1e-9
 
 
-def test_concurrence_rejects_invalid_input():
+def test_concurrence_rejects_invalid_input(rng):
     with pytest.raises(ValueError):
         concurrence(np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(ValueError):
         concurrence(np.eye(8, dtype=complex) / 8)
+    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skew[0, 1] = 0.1
+    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+        concurrence(skew)
+    # unit trace and Hermitian, but with a negative eigenvalue
+    frame = haar_unitary(rng, 4)
+    for spectrum in ([2.0, -1.0, 0.0, 0.0], [1.4, -0.4, 0.0, 0.0]):
+        for rho in (np.diag(spectrum), (frame * spectrum) @ frame.conj().T):
+            with pytest.raises(ValueError, match="density matrix must be positive semidefinite"):
+                concurrence(rho)
+
+
+def test_concurrence_werner_states():
+    # p |Phi+><Phi+| + (1 - p) I/4 has C = max(0, (3p - 1)/2)
+    for p in np.linspace(0.0, 1.0, 101):
+        rho = p * density(PHI_PLUS) + (1.0 - p) * np.eye(4) / 4
+        assert abs(concurrence(rho) - max(0.0, (3.0 * p - 1.0) / 2.0)) <= 1e-12
 
 
 def test_concurrence_pure_state_oracle_random(rng):
@@ -164,19 +180,21 @@ def _entropy_of(gme):
 
 
 def test_scalar_gme_rule_matches_batched():
+    # gme_concurrence reads its one value through the batched rule, as a float
     below, above = np.nextafter(_EIGEN_DUST, 0.0), np.nextafter(_EIGEN_DUST, 1.0)
     within = [-0.25, -0.0, 0.0, below, _EIGEN_DUST, above, 0.3, 0.5,
               _entropy_of(1.0 + _CLAMP_SLACK / 2), _entropy_of(1.0 + _CLAMP_SLACK)]
-    for minimum in map(float, within):
-        scalar = _gme_from_entropy_scalar(minimum)
-        assert type(scalar) is float and scalar == float(_gme_from_entropy(minimum))
-    assert _gme_from_entropy_scalar(below) == 0.0 < _gme_from_entropy_scalar(_EIGEN_DUST)
-    assert _gme_from_entropy_scalar(_entropy_of(1.0 + _CLAMP_SLACK / 2)) == 1.0
-    assert _gme_from_entropy_scalar(0.5) == 1.0
+    values = _gme_from_entropy(np.array(within))
+    for minimum, expected in zip(map(float, within), values.tolist()):
+        assert float(_gme_from_entropy(minimum)) == expected
+    assert type(gme_concurrence(W3).value) is float
+    assert float(_gme_from_entropy(below)) == 0.0 < float(_gme_from_entropy(_EIGEN_DUST))
+    assert float(_gme_from_entropy(_entropy_of(1.0 + _CLAMP_SLACK / 2))) == 1.0
+    assert float(_gme_from_entropy(0.5)) == 1.0
     for minimum in (_entropy_of(1.0 + 2 * _CLAMP_SLACK), 1.0, math.inf):
         with pytest.raises(ValueError, match="beyond numerical slack") as scalar:
-            _gme_from_entropy_scalar(minimum)
-        with pytest.raises(ValueError) as batched:
             _gme_from_entropy(minimum)
+        with pytest.raises(ValueError) as batched:
+            _gme_from_entropy(np.array([0.3, minimum]))
         assert str(scalar.value) == str(batched.value)
-    assert math.isnan(_gme_from_entropy_scalar(math.nan)) and np.isnan(_gme_from_entropy(math.nan))
+    assert np.isnan(_gme_from_entropy(math.nan))

@@ -255,6 +255,11 @@ def test_spec_validation():
         SwitchSpec("nope", [p] * 2, [eta] * 2)
     with pytest.raises(ValueError, match="finite"):
         SwitchSpec("bell", [p] * 2, [np.array([math.nan, 0.0]), eta])
+    # the squared-norm rule of every state check: ||v||^2 = 1 + 1.5e-10 fails
+    # although | ||v|| - 1 | = 7.5e-11
+    with pytest.raises(ValueError, match="finite and normalized"):
+        SwitchSpec("bell", [p] * 2, [math.sqrt(1.0 + 1.5e-10) * eta, eta])
+    assert SwitchSpec("bell", [p] * 2, [math.sqrt(1.0 + 0.5e-10) * eta, eta]).n == 2
     with pytest.raises(ValueError, match="cap"):
         SwitchSpec("w", [p] * (MAX_QUBITS + 1), [eta] * (MAX_QUBITS + 1))
 

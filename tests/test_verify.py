@@ -304,18 +304,18 @@ def test_certify_class_rejects_non_finite_state(bad):
 
 
 def test_norm_rule_between_the_squared_and_plain_norm():
-    # certify_class and three_tangle accept |sum |a_i|^2 - 1| <= 1e-10, and
-    # gme_concurrence accepts | ||a|| - 1 | <= 1e-10, about twice as loose: a
-    # norm of 1 + 7e-11 passes the second rule only
+    # every state check accepts |sum |a_i|^2 - 1| <= 1e-10, so a norm of
+    # 1 + 7e-11 (squared 1 + 1.4e-10), inside the looser rule
+    # | ||a|| - 1 | <= 1e-10, fails all three
     phi_plus = (basis_state(2, 0) + basis_state(2, 3)) / math.sqrt(2)
     for psi in (GHZ3, W3, np.kron(basis_state(1, 0), phi_plus), basis_state(3, 5)):
         inside, band = (1.0 + 3e-11) * psi, (1.0 + 7e-11) * psi
         assert certify_class(inside) == certify_class(psi)
         assert three_tangle(inside) == pytest.approx(three_tangle(psi), abs=1e-9)
-        for check in (certify_class, three_tangle):
+        assert gme_concurrence(inside).value == pytest.approx(gme_concurrence(psi).value, abs=1e-9)
+        for check in (certify_class, three_tangle, gme_concurrence):
             with pytest.raises(ValueError, match="state must be normalized"):
                 check(band)
-        assert gme_concurrence(band).value == pytest.approx(gme_concurrence(psi).value, abs=1e-9)
 
 
 def _biseparable(rng, lone_qubit):
@@ -327,9 +327,9 @@ def _random_lus(rng, state):
     return apply_local_unitaries([haar_unitary(rng) for _ in range(3)], state)
 
 
-def _assert_same_classes(states, tol=1e-6):
+def _assert_same_classes(states):
     for state in states:
-        assert certify_class(state, tol) == reference_certify_class(state, tol)
+        assert certify_class(state) == reference_certify_class(state)
 
 
 def test_certify_class_matches_numpy_route_on_haar_states():
@@ -361,7 +361,7 @@ def test_certify_class_matches_numpy_route_through_tangle_threshold(rng):
     # W + eps GHZ has tau = 16 eps / (3 sqrt 6) + O(eps^2): the sweep crosses
     # tau = tol, where the class flips from w-class to ghz-class, while every
     # single-qubit cut stays far from pure
-    tol = 1e-6
+    tol = verify.CLASS_TOL
     states = []
     for eps in np.geomspace(0.2, 5.0, 241) * tol * 3 * math.sqrt(6) / 16:
         psi = W3 + eps * GHZ3
@@ -370,15 +370,15 @@ def test_certify_class_matches_numpy_route_through_tangle_threshold(rng):
     # both routes read the tangle through the same helper, bit for bit, so a
     # point next to tol cannot split them
     assert min(tangles) < tol < max(tangles)
-    assert {certify_class(s, tol) for s in states} == {"w-class", "ghz-class"}
-    _assert_same_classes(states, tol)
+    assert {certify_class(s) for s in states} == {"w-class", "ghz-class"}
+    _assert_same_classes(states)
 
 
 def test_certify_class_matches_numpy_route_through_purity_threshold(rng):
     # cos t |0> |00> + sin t |1> |11> (every cut mixed) and |0> (cos t |00> + sin t |11>)
     # (qubit 0 pure) have mixed-cut purity 1 - sin^2(2t) / 2, which the sweep
     # carries through 1 - tol
-    tol = 1e-6
+    tol = verify.CLASS_TOL
     t_star = math.asin(math.sqrt(2 * tol)) / 2
     seen = set()
     # t = t_star itself is left out: there a mixed cut's purity equals 1 - tol
@@ -393,7 +393,7 @@ def test_certify_class_matches_numpy_route_through_purity_threshold(rng):
             # the two purity routes differ by at most 2.2e-16 (2 ulps here);
             # no point sits within 4 ulps of 1 - tol, so none can flip a class
             assert _ulps_from(purities, 1.0 - tol) > 4
-            label = certify_class(state, tol)
+            label = certify_class(state)
             assert label == reference_certify_class(state, tol)
             seen.add(label)
     assert seen == {"separable", "biseparable", "ghz-class"}
