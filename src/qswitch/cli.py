@@ -47,7 +47,8 @@ def _load(path: str, parse):
     try:  # an OSError names the path and reaches main as an I/O error
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # malformed JSON, bad UTF-8 or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bad UTF-8, an over-long integer or nesting past the recursion limit
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     try:
         return parse(doc)

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .gates import UnitaryPair, _parse_complex, parse_gate
-from .linalg import is_unitary
+from .gates import UnitaryPair, _parse_complex, is_unitary, parse_gate
 from .netsim import CONTROLS, Topology
 from .switch import MAX_QUBITS, PROTOCOLS, UNREACHABLE_TOL, SwitchSpec, superposed_input
 

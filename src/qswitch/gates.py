@@ -1,4 +1,5 @@
-"""Single-qubit gate constructors and local tensor assemblies.
+"""Single-qubit gate constructors, the 2x2 unitarity check and local tensor
+assemblies.
 
 The two-gate bundle applied to each qubit is a :class:`UnitaryPair`; the two
 composition orders of a pair are exposed as ``forward_order`` (second gate
@@ -10,10 +11,11 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .linalg import is_unitary, kron_all
+ATOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -40,6 +42,28 @@ def ry(angle) -> np.ndarray:
     half = np.asarray(angle, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+
+
+def is_unitary(m: np.ndarray) -> bool:
+    """True iff ``m`` is 2x2, every |entry| <= 1 + ATOL and every
+    |(m^dagger m - I) entry| <= ATOL.
+
+    2x2 is the size of every gate. The check runs in Python scalars, each
+    comparison written so that a NaN fails it; the entries are bounded first,
+    so that the Gram entries below cannot overflow.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        return False
+    entries = m.ravel().tolist()
+    if not all(abs(z) <= 1.0 + ATOL for z in entries):
+        return False
+    a, b, c, d = entries
+    w = [z.real * z.real + z.imag * z.imag for z in entries]
+    # m^dagger m - I from the columns (a, c) and (b, d); its (1, 0) entry is
+    # the conjugate of its (0, 1) entry, so it has the same modulus
+    gram = (w[0] + w[2] - 1.0, w[1] + w[3] - 1.0, a.conjugate() * b + c.conjugate() * d)
+    return all(abs(g) <= ATOL for g in gram)
 
 
 @dataclass(frozen=True)
@@ -76,9 +100,7 @@ def local_tensor(pairs: list[UnitaryPair]) -> tuple[np.ndarray, np.ndarray]:
     """The n-qubit local tensors (u_0 x ... x u_{n-1}, u~_0 x ... x u~_{n-1})."""
     if not pairs:
         raise ValueError("local_tensor requires at least one pair")
-    v = kron_all([p.u for p in pairs])
-    v_tilde = kron_all([p.u_tilde for p in pairs])
-    return v, v_tilde
+    return reduce(np.kron, [p.u for p in pairs]), reduce(np.kron, [p.u_tilde for p in pairs])
 
 
 _RY_RE = re.compile(r"^ry\((?P<arg>[^)]+)\)$")

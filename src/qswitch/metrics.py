@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import num_qubits
+from .switch import num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots

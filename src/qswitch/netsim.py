@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .gates import UnitaryPair
-from .linalg import basis_state, kron_all, num_qubits
 from .switch import (MAX_QUBITS, _as_qubit_state, _end_vectors, controlled_outcomes,
-                     superposed_input)
+                     num_qubits, superposed_input)
 from .verify import condition_report
 
 CONTROLS = ("ghz", "plus_product")
@@ -84,7 +84,7 @@ def _branch_results(
     control: np.ndarray, cluster_of_qubit: list[int], ends: np.ndarray, in_frame: bool
 ) -> list[BranchResult]:
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
-    fwd, bwd = kron_all(frame[:, 0]), kron_all(frame[:, 1])  # all-forward F, all-backward B
+    fwd, bwd = (reduce(np.kron, frame[:, k]) for k in (0, 1))  # all-forward F, all-backward B
     reverse = _reverse_table(cluster_of_qubit, num_qubits(len(control)))
     return [
         BranchResult(o.label, o.probability, o.state,
@@ -132,9 +132,10 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
             )
     m = len(topo.entanglers)
     if topo.control == "ghz":
-        control = (basis_state(m, 0) + basis_state(m, 2**m - 1)) / math.sqrt(2.0)
+        control = np.zeros(2**m, dtype=complex)
+        control[[0, -1]] = 1.0 / math.sqrt(2.0)
     else:
-        control = kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m)
+        control = reduce(np.kron, [np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m)
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
     return _branch_results(control, cluster_of_qubit, ends, report.all_orthogonal)
 

@@ -13,35 +13,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import emit, gates
-from .linalg import num_qubits
 from .metrics import pure_concurrence, pure_gme_concurrence
 from .switch import (
     _order_images,
     branch_readout,
     check_protocol,
     control_labels,
+    num_qubits,
     protocol_control,
     superposed_input,
 )
 
 MAX_SWEEP_POINTS = 2**16  # largest (lambda, alpha) grid: 256 x 256
-
-
-class SweepRecord(NamedTuple):
-    """One sweep row, as iterating a ``SweepTable`` yields it."""
-
-    lam: float
-    alpha: float
-    outcome: str
-    probability: float
-    metric_value: Optional[float]  # None when the outcome is unreachable
-    reachable: bool
 
 
 @dataclass(frozen=True)
@@ -59,13 +46,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return self.probability.size
-
-    def __iter__(self) -> Iterator[SweepRecord]:
-        """The rows by lambda, then alpha, then outcome; an unreachable row's metric is None."""
-        keys = product(self.lambda_grid, self.alpha_grid, self.labels)  # the C order
-        columns = [c.ravel().tolist() for c in (self.probability, self.metric, self.reachable)]
-        for (lam, alpha, label), p, value, live in zip(keys, *columns):
-            yield SweepRecord(lam, alpha, label, p, value if live else None, live)
 
 
 @dataclass

@@ -10,6 +10,10 @@ form, returning the outcome ensemble. The protocols only choose the control:
   the two orders of the n-qubit local tensors;
 * the W-like protocol: n cyclic terms, each reversing the order on exactly
   one qubit, steered by a control register of d = ceil(log2 n) qubits.
+
+State vectors are 1-D complex arrays of length 2^n. Qubit 0 is the leftmost
+tensor factor throughout, so basis index ``b0 b1 ... b_{n-1}`` reads left to
+right.
 """
 from __future__ import annotations
 
@@ -21,12 +25,18 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .gates import UnitaryPair
-from .linalg import num_qubits
 
 UNREACHABLE_TOL = 1e-12
 MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
 
 PROTOCOLS = ("bell", "ghz", "w")
+
+
+def num_qubits(dim: int) -> int:
+    n = int(dim).bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return n
 
 
 def canonical_phase(state: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+from collections import namedtuple
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -15,12 +17,12 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.linalg import ATOL, kron_all, num_qubits
+from qswitch.gates import ATOL
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
-from qswitch.sweep import SweepRecord, SweepTable
+from qswitch.sweep import SweepTable
 from qswitch.switch import (MAX_QUBITS, _branch_stack, _end_vectors, canonical_phase,
-                            protocol_control, run)
+                            num_qubits, protocol_control, run)
 from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -85,6 +87,21 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
 
 
 # -- dense test-only oracles --
+
+
+def kron_all(factors):
+    """Left-to-right Kronecker product of a nonempty sequence of factors."""
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    if not factors:
+        raise ValueError("kron_all requires at least one factor")
+    return reduce(np.kron, factors)
+
+
+def basis_state(n, index):
+    """Computational basis state |index> on n qubits, qubit 0 the leftmost factor."""
+    v = np.zeros(2**n, dtype=complex)
+    v[index] = 1.0
+    return v
 
 
 def density(state):
@@ -326,13 +343,25 @@ def reference_verify_text(spec, tol=CONDITION_TOL):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+SweepRow = namedtuple("SweepRow", "lam alpha outcome probability metric_value reachable")
+
+
+def sweep_rows(table):
+    """The rows of a ``SweepTable`` by lambda, then alpha, then outcome (the C
+    order of its arrays); an unreachable row's ``metric_value`` is None."""
+    keys = product(table.lambda_grid, table.alpha_grid, table.labels)
+    columns = [c.ravel().tolist() for c in (table.probability, table.metric, table.reachable)]
+    for (lam, alpha, label), p, value, live in zip(keys, *columns):
+        yield SweepRow(lam, alpha, label, p, value if live else None, live)
+
+
 def load_csv(path):
-    """The sweep records of a CSV sweep file, read back through csv.DictReader."""
+    """The rows of a CSV sweep file, read back through csv.DictReader."""
     with open(path, newline="") as fh:
-        return [SweepRecord(lam=float(row["lambda"]), alpha=float(row["alpha"]),
-                            outcome=row["outcome"], probability=float(row["probability"]),
-                            metric_value=float(row["metric"]) if row["metric"] else None,
-                            reachable=row["reachable"] == "true")
+        return [SweepRow(lam=float(row["lambda"]), alpha=float(row["alpha"]),
+                         outcome=row["outcome"], probability=float(row["probability"]),
+                         metric_value=float(row["metric"]) if row["metric"] else None,
+                         reachable=row["reachable"] == "true")
                 for row in csv.DictReader(fh)]
 
 
@@ -342,8 +371,10 @@ def empty_table():
     return SweepTable([], [], ["+", "-"], empty, empty, empty.astype(bool))
 
 
-def reference_export(records, fmt, path):
-    """Sweep records written through csv.writer or json.dump."""
+def reference_export(table, fmt, path):
+    """The rows of a sweep table written through csv.writer or json.dump."""
+    records = sweep_rows(table)
+
     def g(x):
         return format(x, ".12g")
 

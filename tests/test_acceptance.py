@@ -11,6 +11,7 @@ import numpy as np
 
 from conftest import (
     aligned_spec,
+    basis_state,
     condition_spec,
     density,
     purity,
@@ -30,7 +31,6 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.linalg import basis_state
 from qswitch.documents import parse_topology
 from qswitch.netsim import map_entanglement, run_hierarchy
 from qswitch.sweep import SweepPlan, default_plan, export, run_sweep

@@ -1,3 +1,4 @@
+"""The dense linear-algebra oracles of tests/conftest.py that other tests build on."""
 import math
 
 import numpy as np
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    basis_state,
     density,
     haar_unitary,
+    kron_all,
     partial_trace,
     random_density,
     random_pure_state,
     reduced_density,
 )
 from qswitch.gates import PAULI_X, PAULI_Y, PAULI_Z
-from qswitch.linalg import basis_state, kron_all
 
 I2 = np.eye(2, dtype=complex)
 

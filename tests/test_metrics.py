@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    basis_state,
     density,
     gme_all_bipartitions,
     haar_unitary,
+    kron_all,
     purity,
     random_pure_state,
     reduced_density,
 )
 from qswitch import SwitchSpec, concurrence, gme_concurrence, run, superposed_input
-from qswitch.linalg import basis_state, kron_all
 from qswitch.metrics import (
     _CLAMP_SLACK,
     _EIGEN_DUST,

@@ -5,12 +5,14 @@ import pytest
 
 from conftest import (
     assert_matches_reference,
+    basis_state,
     condition_pairs,
     condition_spec,
     controlled_order_operator,
     default_pair,
     dense_readout,
     haar_unitary,
+    kron_all,
     max_cross_client_coupling,
     outcome_labels,
     purity,
@@ -27,7 +29,6 @@ from qswitch import (
     superposed_input,
 )
 from qswitch.documents import parse_topology
-from qswitch.linalg import basis_state, kron_all
 from qswitch.netsim import Topology, map_entanglement, run_hierarchy
 from qswitch.verify import condition_report
 

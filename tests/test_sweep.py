@@ -7,9 +7,8 @@ import pytest
 
 import qswitch.sweep as sweep
 
-from conftest import density, empty_table, load_csv, random_pure_state
+from conftest import density, empty_table, kron_all, load_csv, random_pure_state, sweep_rows
 from qswitch import SwitchSpec, UnitaryPair, pauli, run, ry, superposed_input
-from qswitch.linalg import kron_all
 from qswitch.metrics import concurrence, gme_concurrence, pure_concurrence, pure_gme_concurrence
 from qswitch.switch import MAX_QUBITS, _end_vectors
 from qswitch.sweep import MAX_SWEEP_POINTS, SweepPlan, default_plan, export, run_sweep
@@ -68,22 +67,22 @@ def test_grid_cap_checked_before_allocation(monkeypatch):
 
 def test_record_count_and_order():
     plan = small_plan("w", 3)
-    records = run_sweep(plan)
-    assert len(records) == 9 * 5 * 4  # lambda x alpha x outcome
-    keys = [(r.lam, r.alpha, r.outcome) for r in records]
+    table = run_sweep(plan)
+    assert len(table) == 9 * 5 * 4  # lambda x alpha x outcome
+    keys = [(r.lam, r.alpha, r.outcome) for r in sweep_rows(table)]
     assert keys == sorted(keys)
 
 
 def test_ridge_alpha_independent():
     plan = SweepPlan("ghz", 3, [math.pi / 4], list(np.linspace(0, 1, 7)))
-    for r in run_sweep(plan):
+    for r in sweep_rows(run_sweep(plan)):
         assert r.reachable
         assert abs(r.metric_value - 1.0) <= 1e-9
 
 
 def test_edges_separable():
     plan = SweepPlan("bell", 2, [0.0, math.pi / 2], list(np.linspace(0, 1, 5)))
-    for r in run_sweep(plan):
+    for r in sweep_rows(run_sweep(plan)):
         if r.reachable:
             assert r.metric_value <= 1e-9
         else:
@@ -95,7 +94,7 @@ def test_plus_branch_symmetry():
     plan = SweepPlan("bell", 2, lams, [0.3])
     by_lam = {
         round(r.lam, 12): r.metric_value
-        for r in run_sweep(plan)
+        for r in sweep_rows(run_sweep(plan))
         if r.outcome == "+"
     }
     assert abs(by_lam[round(math.pi / 8, 12)] - by_lam[round(3 * math.pi / 8, 12)]) <= 1e-9
@@ -109,23 +108,23 @@ def test_export_empty_csv(tmp_path):
 
 def test_export_json_round_trip(tmp_path):
     plan = small_plan("bell", 2)
-    records = run_sweep(plan)
+    table = run_sweep(plan)
     path = tmp_path / "out.json"
-    export(records, "json", str(path))
+    export(table, "json", str(path))
     docs = json.loads(path.read_text())
-    assert len(docs) == len(records)
-    for doc, rec in zip(docs, records):
+    assert len(docs) == len(table)
+    for doc, rec in zip(docs, sweep_rows(table)):
         assert abs(doc["lambda"] - rec.lam) <= 1e-11
         assert doc["reachable"] == rec.reachable
 
 
 def test_export_csv_round_trip(tmp_path):
     plan = small_plan("ghz", 3)
-    records = run_sweep(plan)
+    table = run_sweep(plan)
     path = tmp_path / "out.csv"
-    export(records, "csv", str(path))
+    export(table, "csv", str(path))
     loaded = load_csv(str(path))
-    for a, b in zip(loaded, records):
+    for a, b in zip(loaded, sweep_rows(table)):
         assert a.outcome == b.outcome and a.reachable == b.reachable
         assert abs(a.lam - b.lam) <= 1e-11
         if b.metric_value is not None:
@@ -142,7 +141,7 @@ def test_rerun_determinism(tmp_path):
     reloaded = load_csv(str(p1))
     deltas = [
         abs(a.metric_value - b.metric_value)
-        for a, b in zip(reloaded, fresh)
+        for a, b in zip(reloaded, sweep_rows(fresh))
         if b.metric_value is not None
     ]
     assert max(deltas) < 1e-11
@@ -189,9 +188,9 @@ def test_batched_sweep_matches_per_point_reference(protocol, n):
                 else:
                     value = gme_concurrence(o.state).value
                 reference.append((lam, alpha, o.label, o.probability, value))
-    records = run_sweep(plan)
-    assert len(records) == len(reference)
-    for r, (lam, alpha, label, p, value) in zip(records, reference):
+    table = run_sweep(plan)
+    assert len(table) == len(reference)
+    for r, (lam, alpha, label, p, value) in zip(sweep_rows(table), reference):
         assert (r.lam, r.alpha, r.outcome) == (lam, alpha, label)
         assert abs(r.probability - p) <= 1e-12
         assert r.reachable == (value is not None)

@@ -7,6 +7,7 @@ from conftest import (
     aligned_spec,
     apply_local_unitaries,
     assert_matches_reference,
+    basis_state,
     condition_spec,
     default_pair,
     dense_is_unitary,
@@ -14,6 +15,7 @@ from conftest import (
     density,
     haar_unitary,
     joint_state,
+    kron_all,
     outcome_labels,
     partial_trace,
     random_pure_state,
@@ -33,7 +35,6 @@ from qswitch import (
 )
 from qswitch.documents import parse_spec
 from qswitch.gates import local_tensor
-from qswitch.linalg import basis_state, kron_all
 from qswitch.metrics import gme_concurrence
 from qswitch.switch import (
     MAX_QUBITS,

@@ -10,10 +10,12 @@ import qswitch.verify as verify
 from conftest import (
     aligned_spec,
     apply_local_unitaries,
+    basis_state,
     condition_spec,
     default_pair,
     density,
     haar_unitary,
+    kron_all,
     purity,
     random_pure_state,
     random_spec,
@@ -39,7 +41,7 @@ from qswitch import (
     three_tangle,
 )
 from qswitch.cli import EXIT_OK, main
-from qswitch.linalg import basis_state, is_unitary, kron_all
+from qswitch.gates import is_unitary
 from qswitch.metrics import _cut_purities
 
 GHZ3 = (basis_state(3, 0) + basis_state(3, 7)) / math.sqrt(2)
