@@ -2,13 +2,16 @@
 
 The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
 --report branches`` and the sweep CSV and JSON files print every float
-rounded to 12 significant digits. Their states hold up to 2^12 amplitudes
-drawn from few distinct values, so each array is formatted once per distinct
-value. A sweep file is written from the columns of a sweep table, with no
-per-row object. The ``qswitch verify`` report prints its overlaps and ``tol``
-at full precision. The bytes are those of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values;
-the tests keep that construction as the reference.
+rounded to 12 significant digits. The states of a document hold up to 2^12
+amplitudes each, drawn from few distinct values, so all the states of a
+document share one table of their distinct parts, each formatted once. The
+probabilities, fidelities and sweep columns are formatted once per distinct
+value of each array. A sweep file is written from the columns of a sweep
+table, with no per-row object. The ``qswitch verify`` report prints its
+overlaps and ``tol`` at full precision. The bytes are those of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline (and of
+``csv.writer``) on the same values; the tests keep that construction as the
+reference.
 """
 from __future__ import annotations
 
@@ -33,20 +36,13 @@ def _json_text(x: float) -> str:
     return _float_text(round12(x))
 
 
-def _table(values, text) -> tuple[list[int], dict]:
-    """The bit pattern of each value, and ``text`` of the value of each distinct pattern."""
-    # keyed by bit pattern: keyed by float, -0.0 would merge into 0.0. A dict, not
-    # np.unique: its first call in a process adds ~0.5 MB of resident memory
+def _texts(values, text) -> list[str]:
+    """``text(x)`` of each value, called once per distinct value."""
+    # keyed by bit pattern: keyed by float, -0.0 would merge into 0.0
     keys = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64).tolist()
     distinct = list(dict.fromkeys(keys))
     floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-    return keys, dict(zip(distinct, map(text, floats)))
-
-
-def _texts(values, text) -> list[str]:
-    """``text(x)`` of each value, called once per distinct value."""
-    keys, table = _table(values, text)
-    return list(map(table.__getitem__, keys))
+    return list(map(dict(zip(distinct, map(text, floats))).__getitem__, keys))
 
 
 def _csv_text(x: float) -> str:
@@ -69,14 +65,27 @@ _AFTER_RE = ",\n          "
 _AFTER_IM = "\n        ],\n        [\n          "
 
 
-def _state(state) -> str:
-    """A state's ``[[re, im], ...]`` list, one table lookup per part."""
-    keys, texts = _table(np.ascontiguousarray(state, dtype=complex).view(np.float64), _json_text)
-    parts = [None] * len(keys)
-    parts[0::2] = map({k: t + _AFTER_RE for k, t in texts.items()}.__getitem__, keys[0::2])
-    parts[1::2] = map({k: t + _AFTER_IM for k, t in texts.items()}.__getitem__, keys[1::2])
-    parts[-1] = texts[keys[-1]] + "\n        ]"
-    return "[\n        [\n          " + "".join(parts) + "\n      ]"
+def _states(states):
+    """Yield each state's ``[[re, im], ...]`` list, from one table of the distinct parts of all."""
+    if not states:
+        return
+    # keyed by bit pattern, so -0.0 stays apart from 0.0 and each NaN payload keeps its
+    # own entry. One sort and a search per state make no Python object per part, and
+    # hold one state's pieces at a time; not numpy's unique, whose first call in a process
+    # adds ~0.5 MB of resident memory
+    distinct = np.concatenate(states, dtype=complex).view(np.int64)
+    distinct.sort()
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    texts = list(map(_json_text, distinct.view(np.float64).tolist()))
+    after_re = np.array([t + _AFTER_RE for t in texts], dtype=object)
+    after_im = np.array([t + _AFTER_IM for t in texts], dtype=object)
+    for state in states:
+        index = np.searchsorted(distinct, np.ascontiguousarray(state, dtype=complex).view(np.int64))
+        pieces = np.empty(len(index), dtype=object)
+        pieces[0::2] = after_re[index[0::2]]
+        pieces[1::2] = after_im[index[1::2]]
+        pieces[-1] = texts[index[-1]] + "\n        ]"
+        yield "[\n        [\n          " + "".join(pieces.tolist()) + "\n      ]"
 
 
 def _write_document(out, key: str, objects) -> None:
@@ -93,12 +102,13 @@ def write_ensemble(ensemble, out) -> None:
     """Write the ``run`` document ``{"outcomes": [...]}`` of an outcome ensemble."""
     outcomes = list(ensemble)
     probabilities = _texts([o.probability for o in outcomes], _json_text)
+    states = _states([o.state for o in outcomes if o.reachable])
 
     def objects():
         for o, p in zip(outcomes, probabilities):
             doc = {"label": json.dumps(o.label), "probability": p, "reachable": _bool(o.reachable)}
             if o.reachable:
-                doc["state"] = _state(o.state)
+                doc["state"] = next(states)
             yield _object(doc)
 
     _write_document(out, "outcomes", objects())
@@ -108,6 +118,7 @@ def write_branches(branches, out) -> None:
     """Write the ``netsim --report branches`` document ``{"branches": [...]}``."""
     probabilities = _texts([b.probability for b in branches], _json_text)
     fidelities = _texts([b.ghz_fidelity if b.reachable else 0.0 for b in branches], _json_text)
+    states = _states([b.client_state for b in branches if b.reachable])
 
     def objects():
         for b, p, f in zip(branches, probabilities, fidelities):
@@ -115,7 +126,7 @@ def write_branches(branches, out) -> None:
                    "reachable": _bool(b.reachable)}
             if b.reachable:
                 doc["ghz_fidelity"] = f
-                doc["client_state"] = _state(b.client_state)
+                doc["client_state"] = next(states)
             yield _object(doc)
 
     _write_document(out, "branches", objects())

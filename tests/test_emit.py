@@ -192,6 +192,79 @@ def test_empty_documents_match_json_dumps(tmp_path):
         assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
 
 
+def _distinct_patterns(values):
+    return len(set(np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64).tolist()))
+
+
+def _count_json_text(monkeypatch):
+    calls = []
+    json_text = emit._json_text
+    monkeypatch.setattr(emit, "_json_text", lambda x: calls.append(x) or json_text(x))
+    return calls
+
+
+def test_states_of_a_document_format_each_distinct_part_once(monkeypatch):
+    calls = _count_json_text(monkeypatch)
+    ensemble = run(parse_spec(RUN_DOCS["w11"]))
+    emit.write_ensemble(ensemble, io.StringIO())
+    states = [o.state.view(float) for o in ensemble if o.reachable]
+    assert len(states) == 16
+    assert len(calls) <= (_distinct_patterns(np.concatenate(states))
+                          + _distinct_patterns([o.probability for o in ensemble]))
+
+    calls.clear()
+    topology = {"entanglers": [{"id": f"e{j + 1}", "clients": 2} for j in range(4)],
+                "gates": PAIR, "alpha": 0.5, "control": "plus_product"}
+    branches = netsim.run_hierarchy(parse_topology(topology))
+    emit.write_branches(branches, io.StringIO())
+    reachable = [b for b in branches if b.reachable]
+    assert len(reachable) == 16
+    # the fidelities are a column of their own, formatted once per distinct value
+    assert len(calls) <= (_distinct_patterns(np.concatenate([b.client_state.view(float)
+                                                             for b in reachable]))
+                          + _distinct_patterns([b.probability for b in branches])
+                          + _distinct_patterns([b.ghz_fidelity for b in reachable]))
+
+
+def _ensemble_text(outcomes):
+    out = io.StringIO()
+    emit.write_ensemble(OutcomeEnsemble(tuple(outcomes)), out)
+    return out.getvalue()
+
+
+def _branches_text(branches):
+    out = io.StringIO()
+    emit.write_branches(branches, out)
+    return out.getvalue()
+
+
+def test_states_of_mixed_lengths_and_shared_parts_match_json_dumps(rng):
+    def state(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    # reachable states of 1, 2 and 8 amplitudes, with unreachable outcomes between them
+    outcomes = [Outcome("a", 0.0, None), Outcome("b", 0.25, state(1)), Outcome("c", 0.0, None),
+                Outcome("d", 0.5, state(2)), Outcome("e", 0.25, state(8)), Outcome("f", 0.0, None)]
+    assert_same_text(_ensemble_text(outcomes), reference_ensemble_text(outcomes))
+    branches = [BranchResult(o.label, o.probability, o.state, 1.0 - o.probability)
+                for o in outcomes]
+    assert_same_text(_branches_text(branches), reference_branches_text(branches))
+
+    # every state the same; every part a negative zero
+    same = state(4)
+    outcomes = [Outcome("+" * (i + 1), 0.25, same.copy()) for i in range(4)]
+    outcomes.append(Outcome("-0", 0.0, np.full(4, complex(-0.0, -0.0))))
+    text = _ensemble_text(outcomes)
+    assert text.count("-0.0") == 8
+    assert_same_text(text, reference_ensemble_text(outcomes))
+
+
+def test_branch_documents_without_states_match_json_dumps():
+    assert _branches_text([]) == reference_branches_text([])
+    branches = [BranchResult(f"+{i}", p, None, None) for i, p in enumerate([0.0, -0.0, 5e-324])]
+    assert_same_text(_branches_text(branches), reference_branches_text(branches))
+
+
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_export_matches_csv_writer_and_json_dump(tmp_path, protocol, n, fmt):
