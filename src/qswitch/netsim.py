@@ -15,20 +15,21 @@ and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
 ``verify.canonical_lu``. That frame sends each qubit's forward-order image to
 |0> and its backward-order image to |1>, so F and B are the all-forward and
 all-backward product states; when the orthogonality condition fails there is
-no frame and they are |0...0> and |1...1>.
+no frame and they are |0...0> and |1...1>. Both are built as the two rows of
+``switch._branch_stack`` whose reverse rows are all 0 and all 1, the same
+left-to-right products as a Kronecker fold.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .gates import UnitaryPair
-from .switch import (MAX_QUBITS, _as_qubit_state, _end_vectors, controlled_outcomes,
-                     num_qubits, superposed_input)
+from .switch import (MAX_QUBITS, _as_qubit_state, _branch_stack, _end_vectors,
+                     controlled_outcomes, num_qubits, superposed_input)
 from .verify import condition_report
 
 CONTROLS = ("ghz", "plus_product")
@@ -84,7 +85,8 @@ def _branch_results(
     control: np.ndarray, cluster_of_qubit: list[int], ends: np.ndarray, in_frame: bool
 ) -> list[BranchResult]:
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
-    fwd, bwd = (reduce(np.kron, frame[:, k]) for k in (0, 1))  # all-forward F, all-backward B
+    n = len(cluster_of_qubit)
+    fwd, bwd = _branch_stack([[0] * n, [1] * n], frame)  # all-forward F, all-backward B
     reverse = _reverse_table(cluster_of_qubit, num_qubits(len(control)))
     return [
         BranchResult(o.label, o.probability, o.state,
@@ -135,7 +137,8 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
         control = np.zeros(2**m, dtype=complex)
         control[[0, -1]] = 1.0 / math.sqrt(2.0)
     else:
-        control = reduce(np.kron, [np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m)
+        plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        control = _branch_stack([[0] * m], np.broadcast_to(plus, (m, 2, 2)))[0]  # |+>^(x)m
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
     return _branch_results(control, cluster_of_qubit, ends, report.all_orthogonal)
 

@@ -11,6 +11,12 @@ form, returning the outcome ensemble. The protocols only choose the control:
 * the W-like protocol: n cyclic terms, each reversing the order on exactly
   one qubit, steered by a control register of d = ceil(log2 n) qubits.
 
+The readout is one matrix product per ensemble: the signs of H^(x)m, read as
+the parity of popcount(k & b) for outcome k and live control state b, times
+the live control amplitudes, applied to the stack of branch states. The
+single-instance form then fixes the global phase of every reachable state in
+one ``canonical_phase`` call on the stack.
+
 State vectors are 1-D complex arrays of length 2^n. Qubit 0 is the leftmost
 tensor factor throughout, so basis index ``b0 b1 ... b_{n-1}`` reads left to
 right.
@@ -39,14 +45,25 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def canonical_phase(state: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first nonzero amplitude is real positive."""
-    state = np.asarray(state, dtype=complex)
-    nonzero = np.flatnonzero(np.abs(state) > UNREACHABLE_TOL)
-    if not nonzero.size:
-        return state
-    a = state[nonzero[0]]
-    return state * (a.conjugate() / abs(a))
+def canonical_phase(states: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each state in a stack (..., 2^n) so that its
+    first amplitude above UNREACHABLE_TOL is real positive; a state with no
+    such amplitude comes back unchanged.
+
+    Each state is multiplied by a.conjugate() / abs(a) for its first such
+    amplitude a. abs(a) is taken as np.hypot, which is what the scalar ``abs``
+    computes; the array ``np.abs`` can differ in the last bit, and with it the
+    printed states.
+    """
+    states = np.asarray(states, dtype=complex)
+    rows = states.reshape(-1, states.shape[-1])
+    above = np.abs(rows) > UNREACHABLE_TOL
+    first = above.argmax(axis=-1) + np.arange(0, rows.size, rows.shape[-1])  # flat indices
+    found, lead = above.ravel()[first], rows.ravel()[first]
+    scale = np.where(found, np.hypot(lead.real, lead.imag), 1.0)
+    fixed = rows * (lead.conj() / scale)[:, None]
+    np.copyto(fixed, rows, where=~found[:, None])
+    return fixed.reshape(states.shape)
 
 
 def _as_qubit_state(v) -> np.ndarray:
@@ -157,21 +174,22 @@ def _end_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> np.ndarr
                          np.array(inputs, dtype=complex))
 
 
-def _branch_stack(
-    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Live control basis states (|amplitude| > UNREACHABLE_TOL) and, one row
-    each, the product state they select, built one qubit at a time from the
-    end vectors so that no n-qubit operator is formed. ``ends`` may carry
-    leading batch axes, which the stack keeps: (..., live, 2^n)."""
+def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The product state that each row of ``reverse`` selects: qubit q takes its
+    backward-order image from ``ends`` where the row is set at q, its forward
+    one elsewhere. It is built one qubit at a time, left to right, with the same
+    products as ``reduce(np.kron, ...)``, so that no n-qubit operator is formed.
+    ``ends`` may carry leading batch axes, which the stack keeps: (..., rows, 2^n)."""
     n = ends.shape[-3]
-    live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
-    factors = ends[..., np.arange(n), np.asarray(reverse, dtype=np.intp)[live], :]
-    stack = factors[..., 0, :]  # qubit 0 alone: (..., live, 2)
+    factors = ends[..., np.arange(n), np.asarray(reverse, dtype=np.intp), :]
+    stack = factors[..., 0, :]  # qubit 0 alone: (..., rows, 2)
     for q in range(1, n):
         stack = (stack[..., :, None] * factors[..., q, None, :]).reshape(
             stack.shape[:-1] + (2 ** (q + 1),))
-    return live, stack
+    return stack
+
+
+_SIGNS = np.array([1.0, -1.0])
 
 
 def branch_readout(
@@ -190,13 +208,11 @@ def branch_readout(
     """
     control = np.asarray(control, dtype=complex)
     m = num_qubits(len(control))
-    live, stack = _branch_stack(control, reverse, np.asarray(ends, dtype=complex))
+    live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
+    stack = _branch_stack(np.asarray(reverse)[live], np.asarray(ends, dtype=complex))
     # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
-    both = np.arange(2**m)[:, None] & live[None, :]
-    parity = both.copy()
-    for k in range(1, m):
-        parity ^= both >> k
-    raw = ((1.0 - 2.0 * (parity & 1)) * (control[live] * 2.0 ** (-m / 2.0))) @ stack
+    signs = _SIGNS[np.bitwise_count(np.arange(2**m)[:, None] & live[None, :]) & 1]
+    raw = (signs * (control[live] * 2.0 ** (-m / 2.0))) @ stack
     probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
     reachable = probabilities >= UNREACHABLE_TOL
     raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
@@ -220,8 +236,9 @@ def controlled_outcomes(
     ``+-`` with the control qubits read most significant first.
     """
     p, reachable, states = branch_readout(control, reverse, ends)
-    rows = zip(control_labels(num_qubits(len(control))), p.tolist(), reachable.tolist(), states)
-    return OutcomeEnsemble(tuple(Outcome(label, pk, canonical_phase(state) if live else None)
+    rows = zip(control_labels(num_qubits(len(control))), p.tolist(), reachable.tolist(),
+               canonical_phase(states))  # unreachable rows are zero and come back unchanged
+    return OutcomeEnsemble(tuple(Outcome(label, pk, state if live else None)
                                  for label, pk, live, state in rows))
 
 

@@ -21,7 +21,7 @@ from qswitch.gates import ATOL
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
 from qswitch.sweep import SweepTable
-from qswitch.switch import (MAX_QUBITS, _branch_stack, _end_vectors, canonical_phase,
+from qswitch.switch import (MAX_QUBITS, UNREACHABLE_TOL, _branch_stack, _end_vectors,
                             num_qubits, protocol_control, run)
 from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
@@ -157,7 +157,8 @@ def joint_state(spec):
     """The unmeasured (targets x control) state after the controlled-order
     unitary, from the engine's branch stack."""
     control, reverse = protocol_control(spec.protocol, spec.n)
-    live, stack = _branch_stack(control, reverse, _end_vectors(spec.pairs, spec.inputs))
+    live = np.flatnonzero(control)
+    stack = _branch_stack(reverse[live], _end_vectors(spec.pairs, spec.inputs))
     out = np.zeros((stack.shape[1], len(control)), dtype=complex)
     out[:, live] = stack.T * control[live]
     return out.reshape(-1)
@@ -215,6 +216,17 @@ def reference_certify_class(state, tol=1e-6):
     return "biseparable"
 
 
+def reference_canonical_phase(state):
+    """The phase fix of one state: its first amplitude a above 1e-12 made real
+    positive by the numpy-scalar factor a.conjugate() / abs(a)."""
+    state = np.asarray(state, dtype=complex)
+    nonzero = np.flatnonzero(np.abs(state) > UNREACHABLE_TOL)
+    if not nonzero.size:
+        return state
+    a = state[nonzero[0]]
+    return state * (a.conjugate() / abs(a))
+
+
 def outcome_labels(m):
     """Control outcome labels in report order, most significant qubit first."""
     return ["".join(bits) for bits in product("+-", repeat=m)]
@@ -231,7 +243,8 @@ def dense_readout(joint, m):
     reference = []
     for row in rows:
         p = float(np.vdot(row, row).real)
-        reference.append((p, canonical_phase(row / math.sqrt(p)) if p >= 1e-12 else None))
+        state = reference_canonical_phase(row / math.sqrt(p)) if p >= 1e-12 else None
+        reference.append((p, state))
     return reference
 
 

@@ -29,7 +29,8 @@ from qswitch import (
     superposed_input,
 )
 from qswitch.documents import parse_topology
-from qswitch.netsim import Topology, map_entanglement, run_hierarchy
+from qswitch.netsim import Topology, _reverse_table, map_entanglement, run_hierarchy
+from qswitch.switch import _end_vectors, controlled_outcomes
 from qswitch.verify import condition_report
 
 RY_QUARTER = f"ry({math.pi / 2})"
@@ -249,3 +250,67 @@ def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
         calls.clear()
         call()
         assert sorted(calls) == ["check", "ends"]
+
+
+def _fidelity(fwd, bwd, state):
+    return float((abs(np.vdot(fwd, state)) + abs(np.vdot(bwd, state))) ** 2 / 2.0)
+
+
+@pytest.mark.parametrize("n", [7, 8])  # the sizes of the network benchmark
+def test_map_entanglement_matches_branch_sum_at_benchmark_sizes(rng, n):
+    # the dense reference is sum_b c_b |branch_b>|b> read out through an explicit
+    # H^(x)n, where control qubit q (most significant first) reverses pair q
+    pairs, inputs = condition_pairs(rng, n)
+    ends = [(forward_order(p) @ phi, backward_order(p) @ phi) for p, phi in zip(pairs, inputs)]
+    fwd, bwd = kron_all([f for f, _ in ends]), kron_all([b for _, b in ends])
+    for control in (random_pure_state(rng, n), ghz_state(n)):
+        joint = np.stack([c * kron_all([e[(b >> (n - 1 - q)) & 1] for q, e in enumerate(ends)])
+                          for b, c in enumerate(control)], axis=1)
+        reference = dense_readout(joint, n)
+        branches = map_entanglement(control, pairs, inputs)
+        assert [b.control_outcome for b in branches] == outcome_labels(n)
+        assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)
+        for b, (_, state) in zip(branches, reference):
+            assert abs(b.ghz_fidelity - _fidelity(fwd, bwd, state)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, k, control", [  # the five network benchmark topologies, then two more
+    (3, 3, "ghz"), (2, 5, "ghz"), (2, 4, "ghz"), (3, 3, "plus_product"), (4, 2, "plus_product"),
+    (2, 2, "ghz"), (3, 2, "plus_product"),
+])
+def test_hierarchy_equals_kron_built_references_bitwise(m, k, control):
+    topo = parse_topology({"entanglers": [{"id": f"e{j}", "clients": k} for j in range(m)],
+                           "gates": {"u": "pauli_z", "u_tilde": RY_QUARTER}, "alpha": 0.5,
+                           "control": control})
+    n = m * k
+    ends = _end_vectors([topo.pair_template] * n, [superposed_input(0.5)] * n)
+    amps = (ghz_state(m) if control == "ghz"
+            else kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m))
+    expected = controlled_outcomes(amps, _reverse_table([q // k for q in range(n)], m), ends)
+    fwd, bwd = kron_all(ends[:, 0]), kron_all(ends[:, 1])
+    branches = run_hierarchy(topo)
+    assert len(branches) == 2**m
+    for b, o in zip(branches, expected):
+        assert b.probability == o.probability
+        assert np.array_equal(b.client_state, o.state)
+        assert b.ghz_fidelity == _fidelity(fwd, bwd, b.client_state)
+
+
+@pytest.mark.parametrize("in_frame", [True, False])
+def test_map_entanglement_equals_kron_built_references_bitwise(rng, in_frame):
+    # distinct pairs, so a reordered F or B shows; a non-orthogonal pair leaves
+    # no canonical frame, and then F = |0000> and B = |1111>
+    n = 4
+    pairs, inputs = condition_pairs(rng, n)
+    if not in_frame:
+        pairs[1] = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
+    ends = _end_vectors(pairs, inputs)
+    assert condition_report(ends).all_orthogonal == in_frame
+    frame = ends if in_frame else np.broadcast_to(np.eye(2), ends.shape)
+    fwd, bwd = kron_all(frame[:, 0]), kron_all(frame[:, 1])
+    control = random_pure_state(rng, n)
+    branches = map_entanglement(control, pairs, inputs)
+    expected = controlled_outcomes(control, _reverse_table(list(range(n)), n), ends)
+    for b, o in zip(branches, expected):
+        assert b.probability == o.probability and np.array_equal(b.client_state, o.state)
+        assert b.ghz_fidelity == _fidelity(fwd, bwd, b.client_state)

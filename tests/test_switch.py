@@ -20,6 +20,7 @@ from conftest import (
     partial_trace,
     random_pure_state,
     random_spec,
+    reference_canonical_phase,
     switch_operator,
 )
 from qswitch import (
@@ -124,6 +125,33 @@ def test_branch_readout_postselects(rng, protocol, n):
         assert [o.probability for o in ens] == p.tolist()
         assert [o.reachable for o in ens] == reachable.tolist()
     assert not reachable.all()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+def test_canonical_phase_of_a_stack_equals_the_per_state_fix_bitwise():
+    rng = np.random.default_rng(0)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 2000))  # the first amplitudes
+    rows = [phases[:, None] * np.array([1.0, 0.5j, -0.25, 0.1 + 0.1j])]
+    rows.append(np.array([
+        [1e-12, 1e-12j, -3e-13 + 1e-13j, 0.6 - 0.8j],  # leading entries at or below 1e-12
+        [-1e-13, 8e-13 + 8e-13j, 0.0, -0.6j],  # |a| = 1.13e-12 leads
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0 - 0.0j, 1e-13 - 0.0j, -1e-12j, -0.0],  # nothing above 1e-12: unchanged
+        [-0.0 + 0.6j, 0.8 - 0.0j, -0.0 - 0.0j, 0.0],
+        [-0.6 - 0.0j, -0.0 + 0.8j, 0.0 - 0.0j, -0.0 + 0.0j],
+    ]))
+    stack = np.concatenate(rows)
+    fixed = canonical_phase(stack)
+    assert fixed.shape == stack.shape
+    for got, state in zip(fixed, stack):
+        assert np.array_equal(_bits(got), _bits(reference_canonical_phase(state)))
+    batched = canonical_phase(stack.reshape(2, -1, 4))  # leading axes are kept
+    assert np.array_equal(_bits(batched.reshape(stack.shape)), _bits(fixed))
+    state = random_pure_state(rng, 3) * phases[0]
+    assert np.array_equal(_bits(canonical_phase(state)), _bits(reference_canonical_phase(state)))
 
 
 def test_bell_maximal_at_quarter_turn():
