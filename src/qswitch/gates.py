@@ -48,22 +48,25 @@ def is_unitary(m: np.ndarray) -> bool:
     """True iff ``m`` is 2x2, every |entry| <= 1 + ATOL and every
     |(m^dagger m - I) entry| <= ATOL.
 
-    2x2 is the size of every gate. The check runs in Python scalars, each
-    comparison written so that a NaN fails it; the entries are bounded first,
-    so that the Gram entries below cannot overflow.
+    2x2 is the size of every gate. The check is straight-line code on the four
+    entries a, b, c, d as Python complex scalars: first |a|, |b|, |c|, |d| <=
+    1 + ATOL, so that the Gram entries cannot overflow, then |(|a|^2 + |c|^2)
+    - 1|, |(|b|^2 + |d|^2) - 1| and |conj(a) b + conj(c) d| <= ATOL. Every
+    test is a ``<=`` comparison, which a NaN fails.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         return False
-    entries = m.ravel().tolist()
-    if not all(abs(z) <= 1.0 + ATOL for z in entries):
+    a, b, c, d = m.ravel().tolist()
+    bound = 1.0 + ATOL
+    if not (abs(a) <= bound and abs(b) <= bound and abs(c) <= bound and abs(d) <= bound):
         return False
-    a, b, c, d = entries
-    w = [z.real * z.real + z.imag * z.imag for z in entries]
     # m^dagger m - I from the columns (a, c) and (b, d); its (1, 0) entry is
     # the conjugate of its (0, 1) entry, so it has the same modulus
-    gram = (w[0] + w[2] - 1.0, w[1] + w[3] - 1.0, a.conjugate() * b + c.conjugate() * d)
-    return all(abs(g) <= ATOL for g in gram)
+    g00 = a.real * a.real + a.imag * a.imag + (c.real * c.real + c.imag * c.imag) - 1.0
+    g11 = b.real * b.real + b.imag * b.imag + (d.real * d.real + d.imag * d.imag) - 1.0
+    g01 = a.conjugate() * b + c.conjugate() * d
+    return abs(g00) <= ATOL and abs(g11) <= ATOL and abs(g01) <= ATOL
 
 
 @dataclass(frozen=True)

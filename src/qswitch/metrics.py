@@ -95,26 +95,29 @@ def _cut_purities(states: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-# amplitude index pairs (i, i | 2^(2-q)) that differ only in qubit q's bit
-_QUBIT_PAIRS = tuple(tuple((i, i | bit) for i in range(8) if not i & bit) for bit in (4, 2, 1))
+def _purity(r00: float, r11: float, r01: complex) -> float:
+    return r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag)
 
 
 def _cut_purities_scalar(a: list[complex]) -> list[float]:
     """``_cut_purities`` of one 3-qubit state given as its eight amplitudes, in
     Python scalars: qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_j|^2
-    and r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), and purity
-    r00^2 + r11^2 + 2|r01|^2."""
-    weights = [z.real * z.real + z.imag * z.imag for z in a]
-    out = []
-    for pairs in _QUBIT_PAIRS:
-        r00 = r11 = 0.0
-        r01 = 0j
-        for i, j in pairs:
-            r00 += weights[i]
-            r11 += weights[j]
-            r01 += a[i] * a[j].conjugate()
-        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
-    return out
+    and r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), in
+    increasing i, and purity r00^2 + r11^2 + 2|r01|^2. The sums are written
+    out, left to right."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    w0, w1, w2, w3, w4, w5, w6, w7 = [z.real * z.real + z.imag * z.imag for z in a]
+    return [
+        _purity(w0 + w1 + w2 + w3, w4 + w5 + w6 + w7,  # qubit 0: pairs (i, i | 4)
+                a0 * a4.conjugate() + a1 * a5.conjugate() + a2 * a6.conjugate()
+                + a3 * a7.conjugate()),
+        _purity(w0 + w1 + w4 + w5, w2 + w3 + w6 + w7,  # qubit 1: pairs (i, i | 2)
+                a0 * a2.conjugate() + a1 * a3.conjugate() + a4 * a6.conjugate()
+                + a5 * a7.conjugate()),
+        _purity(w0 + w2 + w4 + w6, w1 + w3 + w5 + w7,  # qubit 2: pairs (i, i | 1)
+                a0 * a1.conjugate() + a2 * a3.conjugate() + a4 * a5.conjugate()
+                + a6 * a7.conjugate()),
+    ]
 
 
 def _gme_from_entropy(minimum) -> np.ndarray:

@@ -160,7 +160,12 @@ class SwitchSpec:
 def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The forward- (u @ u_tilde) and backward-order (u_tilde @ u) images of ``phi``:
     (..., order, 2), with u, u_tilde (..., 2, 2) and phi (..., 2) broadcast."""
-    orders = np.stack([u @ u_tilde, u_tilde @ u], -3)
+    fwd = u @ u_tilde
+    # the two products are copied into place, as np.stack would copy them,
+    # without its per-call overhead, which counts on a few qubits
+    orders = np.empty(fwd.shape[:-2] + (2,) + fwd.shape[-2:], dtype=fwd.dtype)
+    orders[..., 0, :, :] = fwd
+    orders[..., 1, :, :] = u_tilde @ u
     return (orders @ phi[..., None, :, None])[..., 0]
 
 

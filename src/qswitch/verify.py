@@ -13,7 +13,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .metrics import _cut_purities_scalar
-from .switch import SwitchSpec, _end_vectors
+from .switch import SwitchSpec, _as_qubit_state, _end_vectors
 
 CONDITION_TOL = 1e-9
 CLASS_TOL = 1e-6  # purity and tangle threshold of certify_class
@@ -33,8 +33,11 @@ def _overlaps(ends: np.ndarray) -> tuple[complex, ...]:
 
 
 def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:
-    """<phi| backward_order(pair)^dagger forward_order(pair) |phi>."""
-    return _overlaps(_end_vectors([pair], [phi]))[0]
+    """<phi| backward_order(pair)^dagger forward_order(pair) |phi>.
+
+    ``phi`` must be a finite, normalised single-qubit state, as in ``SwitchSpec``.
+    """
+    return _overlaps(_end_vectors([pair], [_as_qubit_state(phi)]))[0]
 
 
 def condition_report(ends: np.ndarray, tol: float = CONDITION_TOL) -> ConditionReport:

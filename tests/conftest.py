@@ -197,6 +197,38 @@ def dense_is_unitary(m, tol=ATOL):
     return np.abs(gram).max() <= tol
 
 
+def reference_is_unitary(m):
+    """``is_unitary`` as a loop over a list of the entries and one of the Gram
+    entries, with the same float operations as the straight-line form."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        return False
+    entries = m.ravel().tolist()
+    if not all(abs(z) <= 1.0 + ATOL for z in entries):
+        return False
+    a, b, c, d = entries
+    w = [z.real * z.real + z.imag * z.imag for z in entries]
+    gram = (w[0] + w[2] - 1.0, w[1] + w[3] - 1.0, a.conjugate() * b + c.conjugate() * d)
+    return all(abs(g) <= ATOL for g in gram)
+
+
+def reference_cut_purities_scalar(a):
+    """The single-qubit purities of a 3-qubit state's eight amplitudes, each sum
+    accumulated in a loop from zero over the pairs (i, i | 2^(2-q))."""
+    weights = [z.real * z.real + z.imag * z.imag for z in a]
+    out = []
+    for bit in (4, 2, 1):
+        r00 = r11 = 0.0
+        r01 = 0j
+        for i in range(8):
+            if not i & bit:
+                r00 += weights[i]
+                r11 += weights[i | bit]
+                r01 += a[i] * a[i | bit].conjugate()
+        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
+    return out
+
+
 def reference_certify_class(state, tol=1e-6):
     """``certify_class`` through numpy: batched marginal purities, then the
     public ``three_tangle``, then the GME concurrence of the same purities.

@@ -159,6 +159,47 @@ def test_verify_rejects_bad_tol(bell_spec, tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def _spec_file(tmp_path, protocol, n):
+    path = tmp_path / f"{protocol}{n}.json"
+    path.write_text(json.dumps({"protocol": protocol, "n": n,
+                                "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}],
+                                "input": {"alpha": 0.5}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3)])
+def test_verify_builds_the_order_images_once_and_checks_once(tmp_path, capsys, monkeypatch,
+                                                             protocol, n):
+    import qswitch.cli as cli
+    import qswitch.switch as switch
+    import qswitch.verify as verify
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    # every binding that a verify request can reach the two functions through
+    for module in (cli, switch, verify):
+        monkeypatch.setattr(module, "_end_vectors", counting("ends", module._end_vectors))
+    monkeypatch.setattr(verify, "condition_report", counting("check", verify.condition_report))
+    assert main(["verify", "--spec", _spec_file(tmp_path, protocol, n)]) == EXIT_OK
+    assert ("outcome_classes" in json.loads(capsys.readouterr().out)) == (n == 3)
+    assert sorted(calls) == ["check", "ends"]
+
+
+@pytest.mark.parametrize("protocol", ["ghz", "w"])
+def test_verify_rejects_bad_tol_on_three_qubits(tmp_path, capsys, protocol):
+    assert main(["verify", "--spec", _spec_file(tmp_path, protocol, 3), "--tol", "0.5"]) \
+        == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad --tol: ")
+    assert captured.out == ""
+
+
 def test_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -31,11 +31,18 @@ def _literal(m):
     return "matrix([" + ",".join(rows) + "])"
 
 
-def _haar_doc(seed, protocol, n):
+def _haar_doc(seed, protocol, n, strings=False, aligned=None):
+    """A spec of Haar gates and inputs, the amplitudes as [re, im] pairs or, with
+    ``strings``, as "a+bi" literals; qubit ``aligned`` gets commuting gates u, u @ u,
+    so that both of its orders coincide."""
     rng = np.random.default_rng(seed)
     pairs = [{"u": _literal(haar_unitary(rng)), "u_tilde": _literal(haar_unitary(rng))}
              for _ in range(n)]
-    amplitudes = [[[float(z.real), float(z.imag)] for z in random_pure_state(rng, 1)]
+    if aligned is not None:
+        u = haar_unitary(rng)
+        pairs[aligned] = {"u": _literal(u), "u_tilde": _literal(u @ u)}
+    amplitudes = [[f"{float(z.real)!r}{float(z.imag):+}i" if strings
+                   else [float(z.real), float(z.imag)] for z in random_pure_state(rng, 1)]
                   for _ in range(n)]
     return {"version": 1, "protocol": protocol, "n": n, "pairs": pairs,
             "input": {"amplitudes": amplitudes}}
@@ -92,6 +99,11 @@ VERIFY_DOCS = {
                        "pairs": [{"u": "pauli_z", "u_tilde": "pauli_z"}]},
     "haar-ghz3": _haar_doc(11, "ghz", 3),
     "haar-w3": _haar_doc(12, "w", 3),
+    # the three spec families of the verify benchmark: Haar, generic with
+    # "a+bi" amplitudes, and one aligned qubit among Haar ones
+    "haar-bell": _haar_doc(13, "bell", 2),
+    "generic-ghz3": _haar_doc(14, "ghz", 3, strings=True),
+    "aligned-haar-w3": _haar_doc(15, "w", 3, aligned=1),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import dense_is_unitary, haar_unitary, kron_all
+from conftest import dense_is_unitary, haar_unitary, kron_all, reference_is_unitary
 from qswitch.gates import (
     ATOL,
     PAULI_Y,
@@ -182,6 +182,35 @@ def test_scalar_unitarity_matches_dense_rule_near_tolerance():
     differ = [i for i, m in enumerate(mats) if is_unitary(m) != dense[i]]
     # the two roundings of the Gram product differ in the last bit only at the tolerance
     assert all(abs(deviation[i] - 1e-12) <= 1e-15 for i in differ), deviation[differ]
+
+
+def test_is_unitary_decides_like_the_entry_loop():
+    # near-tolerance Haar matrices, and each entry of a Haar matrix replaced in
+    # turn by a value at or past the entry bound or not finite
+    rng = np.random.default_rng(6)
+    count = 20_000
+    z = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    noise = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    scale = 10.0 ** rng.uniform(-13.3, -11.3, size=count)
+    mats = list(q * (d / np.abs(d))[:, None, :] + scale[:, None, None] * noise)
+    special = [1.0 + ATOL, np.nextafter(1.0 + ATOL, 2.0), -1.0 - 2 * ATOL, 1j * (1.0 + ATOL),
+               1e200, 1e308 + 1e308j, 5e-324, -0.0, complex(-0.0, -0.0),
+               math.inf, -math.inf, math.nan, complex(0, math.nan), complex(math.inf, math.nan)]
+    for value in special:
+        for k in range(4):
+            m = haar_unitary(rng)
+            m.reshape(-1)[k] = value
+            mats.append(m)
+    mats += [I2 * (1.0 + ATOL), PAULI_Y * complex(math.nan, 0), np.full((2, 2), math.nan)]
+    # orthogonal columns whose first Gram entry lies within rounding of ATOL, so
+    # that summing it as |a|^2 + (|c|^2 - 1) would accept what the rule rejects
+    s = 0.9999999999995
+    for a, c in ((0.8682292408913991, 0.4961632647245712),
+                 (0.36674358257827244, 0.9303220650068738)):
+        mats.append(np.array([[a, -c * s], [c, a * s]], dtype=complex))
+    assert [is_unitary(m) for m in mats] == [reference_is_unitary(m) for m in mats]
 
 
 @pytest.mark.parametrize("m", [np.eye(1), np.eye(4), np.eye(2, 3), np.eye(2)[None]],

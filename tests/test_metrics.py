@@ -12,6 +12,7 @@ from conftest import (
     purity,
     random_pure_state,
     reduced_density,
+    reference_cut_purities_scalar,
 )
 from qswitch import SwitchSpec, concurrence, gme_concurrence, run, superposed_input
 from qswitch.metrics import (
@@ -173,6 +174,18 @@ def test_scalar_cut_purities_match_batched_and_dense(rng):
         assert np.max(np.abs(np.array(scalar) - expected)) <= 4e-16
         dense = [purity(reduced_density(state, [q])) for q in range(3)]
         assert np.allclose(scalar, dense, rtol=0.0, atol=1e-12)
+
+
+def test_scalar_cut_purities_equal_the_pair_loop_bitwise(rng):
+    # random states, states with signed-zero, subnormal, huge and non-finite parts
+    states = [random_pure_state(rng, 3).tolist() for _ in range(500)]
+    states += [GHZ3.tolist(), W3.tolist(), [complex(-0.0, -0.0)] * 8,
+               [complex(-0.0, 1e-170), complex(5e-324, -0.0)] * 4,
+               [1e154 + 1e154j] + [0j] * 7, [complex(math.nan, 0)] + [1 + 0j] * 7,
+               [complex(math.inf, -math.inf)] + [0j] * 7]
+    for a in states:
+        got, expected = _cut_purities_scalar(a), reference_cut_purities_scalar(a)
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), a
 
 
 def _entropy_of(gme):

@@ -91,6 +91,16 @@ def test_overlap_anticommuting_pair():
     assert abs(got - (-1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("phi,message", [
+    ([2, 0], "finite and normalized"),  # four times the overlap of |0> if read as given
+    ([math.nan, 0], "finite and normalized"),
+    ([1, 0, 0], "single-qubit"),
+], ids=["unnormalised", "nan", "shape-3"])
+def test_overlap_rejects_a_bad_input_state(phi, message):
+    with pytest.raises(ValueError, match=message):
+        overlap(default_pair(), np.array(phi, dtype=complex))
+
+
 def test_condition_report_default_family():
     spec = SwitchSpec("ghz", [default_pair()] * 3, [superposed_input(0.5)] * 3)
     report = check_max_entanglement(spec)
