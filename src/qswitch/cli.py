@@ -4,9 +4,6 @@ This module only parses arguments, reads files and formats output; spec and
 topology documents are parsed and validated by ``documents``, and all
 numerics live in the library modules.
 
-A ``verify`` request builds the order images of its spec once: the condition
-check and, for 3 qubits, the outcome run both read that one array.
-
 The ``run`` outcome ensemble, the ``verify`` report and the ``netsim --report
 branches`` list are written straight to text by ``emit``, as are the sweep
 files. The ``netsim`` summary and the ``sweep`` summary line go through
@@ -20,7 +17,7 @@ import sys
 
 from . import emit, netsim, sweep as sweep_mod, verify as verify_mod
 from .documents import parse_spec, parse_topology
-from .switch import _end_vectors, controlled_outcomes, protocol_control, run as run_switch
+from .switch import run as run_switch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -71,14 +68,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load(args.spec, parse_spec)
-    ends = _end_vectors(spec.pairs, spec.inputs)  # read by the check and by the 3-qubit run
     try:
-        report = verify_mod.condition_report(ends, args.tol)
+        report = verify_mod.check_max_entanglement(spec, args.tol)
     except ValueError as exc:
         raise ValidationError(f"bad --tol: {exc}") from exc
     classes = None
     if spec.n == 3:
-        outcomes = controlled_outcomes(*protocol_control(spec.protocol, 3), ends).reachable()
+        outcomes = run_switch(spec).reachable()
         classes = {o.label: verify_mod.certify_class(o.state) for o in outcomes}
     emit.write_verify(report, classes, sys.stdout)
     return EXIT_OK

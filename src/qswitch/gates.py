@@ -73,7 +73,9 @@ def is_unitary(m: np.ndarray) -> bool:
 class UnitaryPair:
     """The two single-qubit unitaries coherently reordered on one qubit.
 
-    Unitarity is validated once at construction so hot loops can skip it.
+    Unitarity is validated once at construction so hot loops can skip it; the
+    pair keeps read-only copies of the two matrices, so no later write to the
+    caller's arrays reaches it.
     """
 
     u: np.ndarray
@@ -81,7 +83,8 @@ class UnitaryPair:
 
     def __post_init__(self):
         for name, m in (("u", self.u), ("u_tilde", self.u_tilde)):
-            m = np.asarray(m, dtype=complex)
+            m = np.array(m, dtype=complex)
+            m.setflags(write=False)
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
             if not is_unitary(m):

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .switch import num_qubits
+from .switch import NORM_TOL, num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots
@@ -142,7 +142,7 @@ def gme_concurrence(state: np.ndarray) -> MetricReport:
     size = state.shape[0] if state.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise ValueError(f"expected a 1-D state of length 2^n with n >= 1, got shape {state.shape}")
-    if not abs(np.vdot(state, state).real - 1.0) <= 1e-10:  # NaN and inf fail too
+    if not abs(np.vdot(state, state).real - 1.0) <= NORM_TOL:  # NaN and inf fail too
         raise ValueError("state must be normalized")
     per_cut = {str(q): v for q, v in enumerate((1.0 - _cut_purities(state)).tolist())}
     return MetricReport(value=float(_gme_from_entropy(min(per_cut.values()))),

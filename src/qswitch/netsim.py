@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .gates import UnitaryPair
-from .switch import (MAX_QUBITS, _as_qubit_state, _branch_stack, _end_vectors,
+from .switch import (MAX_QUBITS, NORM_TOL, _as_qubit_state, _branch_stack, _end_vectors,
                      controlled_outcomes, num_qubits, superposed_input)
 from .verify import condition_report
 
@@ -47,19 +47,24 @@ class BranchResult:
         return self.client_state is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Coordinator plus edge entanglers, each serving a cluster of clients."""
+    """Coordinator plus edge entanglers, each serving a cluster of clients.
+    Immutable, with ``entanglers`` a tuple, so that it stays within the qubit cap."""
 
-    entanglers: list[tuple[str, int]]  # (node id, client count)
+    entanglers: tuple[tuple[str, int], ...]  # (node id, client count)
     pair_template: UnitaryPair
     alpha: float = 0.5
     control: str = "ghz"  # one of CONTROLS
 
     def __post_init__(self):
-        if len(self.entanglers) < 2:
+        entanglers = tuple((node, k) for node, k in self.entanglers)
+        object.__setattr__(self, "entanglers", entanglers)
+        if len(entanglers) < 2:
             raise ValueError("topology needs at least two entanglers")
-        if any(k < 2 for _, k in self.entanglers):
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for _, k in entanglers):
+            raise ValueError("each entangler's client count must be an integer")
+        if any(k < 2 for _, k in entanglers):
             raise ValueError("each entangler must serve at least 2 clients")
         if self.control not in CONTROLS:
             raise ValueError(f"unknown control preparation {self.control!r}")
@@ -110,7 +115,7 @@ def map_entanglement(
         raise ValueError(f"control must be an {n}-qubit state, with n at most {MAX_QUBITS}")
     # false for NaN and inf too; summed in Python scalars, because an np.vdot
     # form read about 5 % slower on the network benchmark
-    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= 1e-10:
+    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= NORM_TOL:
         raise ValueError("control must be finite and normalized")
     ends = _end_vectors(pairs, [_as_qubit_state(v) for v in inputs])
     return _branch_results(control, list(range(n)), ends, condition_report(ends).all_orthogonal)

@@ -24,15 +24,16 @@ right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .gates import UnitaryPair
 
 UNREACHABLE_TOL = 1e-12
+NORM_TOL = 1e-10  # a state is normalised when |sum |a_i|^2 - 1| <= NORM_TOL
 MAX_QUBITS = 12  # largest simulated register: a 2^12 state vector per outcome
 
 PROTOCOLS = ("bell", "ghz", "w")
@@ -67,13 +68,15 @@ def canonical_phase(states: np.ndarray) -> np.ndarray:
 
 
 def _as_qubit_state(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
+    """A read-only copy of ``v``, checked to be a finite, normalised qubit state."""
+    v = np.array(v, dtype=complex)
     if v.shape != (2,):
         raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
     a, b = v.tolist()
     norm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    if not abs(norm2 - 1.0) <= 1e-10:  # also false for NaN
+    if not abs(norm2 - 1.0) <= NORM_TOL:  # also false for NaN
         raise ValueError("input states must be finite and normalized")
+    v.setflags(write=False)
     return v
 
 
@@ -134,23 +137,30 @@ def check_protocol(protocol: str, n: int) -> None:
         raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchSpec:
     """Protocol descriptor: which unitaries act on which product input.
 
     The control register always starts in the even superposition, which the
-    generation conditions all assume.
+    generation conditions all assume. Immutable: ``pairs`` and ``inputs`` are
+    tuples, the inputs read-only copies, and the read-only ``ends`` (n, 2, 2)
+    holds their order images, built once here for every run and check.
     """
 
     protocol: str
-    pairs: list[UnitaryPair]
-    inputs: list[np.ndarray]
+    pairs: tuple[UnitaryPair, ...]
+    inputs: tuple[np.ndarray, ...]
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_protocol(self.protocol, len(self.pairs))
-        self.inputs = [_as_qubit_state(v) for v in self.inputs]
-        if len(self.inputs) != len(self.pairs):
-            raise ValueError("pairs and inputs must have the same length")
+        pairs = tuple(self.pairs)
+        check_protocol(self.protocol, len(pairs))
+        inputs = tuple(_as_qubit_state(v) for v in self.inputs)
+        ends = _end_vectors(pairs, inputs)  # also checks that the lengths agree
+        ends.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "ends", ends)
 
     @property
     def n(self) -> int:
@@ -169,7 +179,7 @@ def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.nda
     return (orders @ phi[..., None, :, None])[..., 0]
 
 
-def _end_vectors(pairs: list[UnitaryPair], inputs: list[np.ndarray]) -> np.ndarray:
+def _end_vectors(pairs: Sequence[UnitaryPair], inputs: Sequence[np.ndarray]) -> np.ndarray:
     """Per qubit, the forward- and backward-order images of its input: (n, 2, 2)."""
     if not pairs:
         raise ValueError("at least one qubit is required")
@@ -263,5 +273,4 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    return controlled_outcomes(*protocol_control(spec.protocol, spec.n),
-                               _end_vectors(spec.pairs, spec.inputs))
+    return controlled_outcomes(*protocol_control(spec.protocol, spec.n), spec.ends)

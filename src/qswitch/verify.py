@@ -13,7 +13,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .metrics import _cut_purities_scalar
-from .switch import SwitchSpec, _as_qubit_state, _end_vectors
+from .switch import NORM_TOL, SwitchSpec, _as_qubit_state, _end_vectors
 
 CONDITION_TOL = 1e-9
 CLASS_TOL = 1e-6  # purity and tangle threshold of certify_class
@@ -61,7 +61,7 @@ def condition_report(ends: np.ndarray, tol: float = CONDITION_TOL) -> ConditionR
 
 def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> ConditionReport:
     """``condition_report`` on the order images of ``spec``."""
-    return condition_report(_end_vectors(spec.pairs, spec.inputs), tol)
+    return condition_report(spec.ends, tol)
 
 
 def check_separability(spec: SwitchSpec, tol: float = CONDITION_TOL) -> bool:
@@ -78,12 +78,11 @@ def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarra
     them reduces a "+" outcome to (|0...0> + |1...1>)/sqrt(2) and a W-type
     outcome to a signed equal superposition of weight-one basis states.
     """
-    ends = _end_vectors(spec.pairs, spec.inputs)
-    if not condition_report(ends, tol).all_orthogonal:
+    if not condition_report(spec.ends, tol).all_orthogonal:
         raise ValueError(
             "canonical reduction undefined: per-qubit orthogonality condition not met"
         )
-    return list(ends.conj())
+    return list(spec.ends.conj())
 
 
 def _tangle(a: list[complex]) -> float:
@@ -109,7 +108,7 @@ def three_tangle(state: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("three_tangle expects a 3-qubit state vector")
-    if not abs(np.vdot(state, state).real - 1.0) <= 1e-10:
+    if not abs(np.vdot(state, state).real - 1.0) <= NORM_TOL:
         raise ValueError("state must be normalized")
     return _tangle(state.tolist())
 
@@ -130,7 +129,7 @@ def certify_class(state: np.ndarray) -> str:
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
     a = state.tolist()
-    if not abs(sum(z.real * z.real + z.imag * z.imag for z in a) - 1.0) <= 1e-10:
+    if not abs(sum(z.real * z.real + z.imag * z.imag for z in a) - 1.0) <= NORM_TOL:
         raise ValueError("state must be normalized")  # NaN and inf fail too
     pure_cuts = sum(p > 1.0 - CLASS_TOL for p in _cut_purities_scalar(a))
     if pure_cuts == 3:

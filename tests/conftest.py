@@ -82,8 +82,9 @@ def aligned_spec(rng, protocol, n, aligned_qubit=0):
         np.diag([1.0, -1.0]).astype(complex),
         np.diag([1.0, np.exp(1j * theta)]),
     )
-    spec.pairs[aligned_qubit] = commuting
-    return spec
+    pairs = list(spec.pairs)
+    pairs[aligned_qubit] = commuting
+    return SwitchSpec(spec.protocol, pairs, spec.inputs)
 
 
 # -- dense test-only oracles --

@@ -183,7 +183,8 @@ def test_verify_builds_the_order_images_once_and_checks_once(tmp_path, capsys, m
         return counted
 
     # every binding that a verify request can reach the two functions through
-    for module in (cli, switch, verify):
+    assert not hasattr(cli, "_end_vectors")
+    for module in (switch, verify):
         monkeypatch.setattr(module, "_end_vectors", counting("ends", module._end_vectors))
     monkeypatch.setattr(verify, "condition_report", counting("check", verify.condition_report))
     assert main(["verify", "--spec", _spec_file(tmp_path, protocol, n)]) == EXIT_OK

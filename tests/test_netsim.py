@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,31 @@ def test_topology_validation():
         Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, control="biased")
 
 
+@pytest.mark.parametrize("clients", [2.0, 3.0, True, "2", None])
+def test_topology_rejects_a_client_count_that_is_not_an_integer(clients):
+    with pytest.raises(ValueError, match="client count must be an integer"):
+        Topology(entanglers=[("e1", clients), ("e2", 2)], pair_template=default_pair())
+
+
+def test_topology_takes_a_numpy_integer_client_count():
+    topo = Topology(entanglers=[("e1", np.int64(2)), ("e2", 2)], pair_template=default_pair())
+    assert len(run_hierarchy(topo)) == 4
+
+
+def test_topology_is_an_immutable_snapshot():
+    topo = parse_topology({"entanglers": [{"id": "a", "clients": 2}, {"id": "b", "clients": 2}]})
+    assert topo.entanglers == (("a", 2), ("b", 2))
+    with pytest.raises(AttributeError):
+        topo.entanglers.append(("c", 7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.entanglers = (("a", 6), ("b", 7))
+    entanglers = [("a", 2), ("b", 2)]
+    topo = Topology(entanglers=entanglers, pair_template=default_pair())
+    entanglers.append(("c", 7))
+    entanglers[0] = ("a", 9)
+    assert topo.total_clients == 4 and len(run_hierarchy(topo)) == 4
+
+
 def test_no_cross_client_coupling():
     pairs = [default_pair()] * 4
     op = controlled_order_operator(pairs, [0, 0, 1, 1], 2)
@@ -229,6 +255,7 @@ def test_hierarchy_matches_dense_reference(rng, clusters, control):
 
 def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
     import qswitch.netsim as netsim
+    import qswitch.switch as switch
     import qswitch.verify as verify
 
     calls = []
@@ -243,6 +270,8 @@ def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
         monkeypatch.setattr(module, "_end_vectors", counting("ends", module._end_vectors))
         monkeypatch.setattr(module, "condition_report",
                             counting("check", module.condition_report))
+    # the spec that canonical_lu reads builds its order images in switch
+    monkeypatch.setattr(switch, "_end_vectors", counting("ends", switch._end_vectors))
     for call in (lambda: run_hierarchy(default_topology([2, 3])),
                  lambda: map_entanglement(ghz_state(3), [default_pair()] * 3,
                                           [superposed_input(0.5)] * 3),

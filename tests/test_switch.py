@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -316,6 +317,59 @@ def test_spec_json_explicit_amplitudes():
     spec = parse_spec(doc)
     assert np.allclose(spec.inputs[0], [0.6, 0.8])
     assert np.allclose(spec.inputs[1], [1.0, 0.0])
+
+
+def _ensemble_bits(ens):
+    return [(o.label, o.probability, None if o.state is None else o.state.tobytes())
+            for o in ens]
+
+
+def test_later_writes_to_the_callers_arrays_do_not_reach_the_spec():
+    u, u_tilde, v = pauli("z"), ry(math.pi / 2), superposed_input(0.3)
+    pairs, inputs = [UnitaryPair(u, u_tilde)] * 2, [v, v.copy()]
+    spec = SwitchSpec("bell", pairs, inputs)
+    before = _ensemble_bits(run(spec))
+    v[:] = [3, 4]
+    u[:] = 2 * I2
+    u_tilde[:] = 0
+    pairs.append(UnitaryPair(I2, I2))
+    inputs[0] = superposed_input(1.0)
+    assert _ensemble_bits(run(spec)) == before
+    assert np.array_equal(spec.pairs[0].u, pauli("z"))
+    assert spec.n == 2
+
+
+def test_spec_and_pair_arrays_are_read_only(rng):
+    spec = condition_spec(rng, "ghz", 3)
+    pair = spec.pairs[0]
+    for array in (spec.inputs[0], spec.ends, pair.u, pair.u_tilde):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_spec_is_frozen_with_tuple_fields(rng):
+    spec = random_spec(rng, "ghz", 3)
+    assert isinstance(spec.pairs, tuple) and isinstance(spec.inputs, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.pairs = spec.pairs[:2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.ends = np.zeros((3, 2, 2), dtype=complex)
+
+
+def test_replace_revalidates_and_rebuilds_the_order_images(rng):
+    spec = random_spec(rng, "ghz", 3)
+    old_ends = spec.ends.copy()
+    pairs = [UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(3)]
+    new = dataclasses.replace(spec, pairs=pairs)
+    assert np.array_equal(new.ends, _end_vectors(pairs, spec.inputs))
+    assert not new.ends.flags.writeable
+    assert np.array_equal(spec.ends, old_ends)
+    with pytest.raises(ValueError, match="same length"):
+        dataclasses.replace(spec, pairs=pairs[:2])
+    with pytest.raises(ValueError, match="exactly 2 qubits"):
+        dataclasses.replace(spec, protocol="bell")
+    with pytest.raises(ValueError, match="normalized"):
+        dataclasses.replace(spec, inputs=[np.array([1.0, 1.0])] * 3)
 
 
 def test_condition_spec_both_outcomes_reachable(rng):
