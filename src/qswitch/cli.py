@@ -38,10 +38,6 @@ topology JSON:
 """
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _load(path: str, parse):
     """Read the JSON document at ``path`` and ``parse`` it into its type."""
     try:  # an OSError names the path and reaches main as an I/O error
@@ -49,11 +45,8 @@ def _load(path: str, parse):
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bad UTF-8, an over-long integer or nesting past the recursion limit
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    try:
-        return parse(doc)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    return parse(doc)
 
 
 def _print_json(doc) -> None:
@@ -71,7 +64,7 @@ def _cmd_verify(args) -> int:
     try:
         report = verify_mod.check_max_entanglement(spec, args.tol)
     except ValueError as exc:
-        raise ValidationError(f"bad --tol: {exc}") from exc
+        raise ValueError(f"bad --tol: {exc}") from exc
     classes = None
     if spec.n == 3:
         outcomes = run_switch(spec).reachable()
@@ -90,10 +83,7 @@ _PROTOCOL_CHOICES = {
 
 def _cmd_sweep(args) -> int:
     protocol, n = _PROTOCOL_CHOICES[args.protocol]
-    try:
-        plan = sweep_mod.default_plan(protocol, n, args.lambda_steps, args.alpha_steps)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    plan = sweep_mod.default_plan(protocol, n, args.lambda_steps, args.alpha_steps)
     table = sweep_mod.run_sweep(plan)
     sweep_mod.export(table, args.format, args.out)
     _print_json({"rows": len(table), "path": args.out, "format": args.format})
@@ -102,10 +92,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_netsim(args) -> int:
     topo = _load(args.topology, parse_topology)
-    try:
-        branches = netsim.run_hierarchy(topo)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    branches = netsim.run_hierarchy(topo)
     if args.report == "branches":
         emit.write_branches(branches, sys.stdout)
     else:
@@ -163,13 +150,14 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command line: 0 on success, 1 on bad input (any ``ValueError``), 2 on I/O."""
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

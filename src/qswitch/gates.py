@@ -69,7 +69,7 @@ def is_unitary(m: np.ndarray) -> bool:
     return abs(g00) <= ATOL and abs(g11) <= ATOL and abs(g01) <= ATOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryPair:
     """The two single-qubit unitaries coherently reordered on one qubit.
 

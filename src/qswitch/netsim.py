@@ -35,7 +35,7 @@ from .verify import condition_report
 CONTROLS = ("ghz", "plus_product")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchResult:
     control_outcome: str
     probability: float
@@ -47,7 +47,7 @@ class BranchResult:
         return self.client_state is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Coordinator plus edge entanglers, each serving a cluster of clients.
     Immutable, with ``entanglers`` a tuple, so that it stays within the qubit cap."""

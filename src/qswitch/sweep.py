@@ -31,14 +31,14 @@ from .switch import (
 MAX_SWEEP_POINTS = 2**16  # largest (lambda, alpha) grid: 256 x 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """A sweep result in columns. Axis 0 of each array runs over ``lambda_grid``,
     axis 1 over ``alpha_grid`` and axis 2 over the outcome ``labels``; ``metric``
     is 0 where an outcome is unreachable."""
 
-    lambda_grid: list[float]
-    alpha_grid: list[float]
+    lambda_grid: tuple[float, ...]
+    alpha_grid: tuple[float, ...]
     labels: list[str]
     probability: np.ndarray  # (lambda, alpha, outcome) floats
     metric: np.ndarray  # (lambda, alpha, outcome) floats
@@ -48,14 +48,18 @@ class SweepTable:
         return self.probability.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepPlan:
+    """The grids of one sweep: immutable, with tuple grids, so its checks keep holding."""
+
     protocol: str  # 'bell' | 'ghz' | 'w'
     n: int
-    lambda_grid: list[float]
-    alpha_grid: list[float]
+    lambda_grid: tuple[float, ...]
+    alpha_grid: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lambda_grid", tuple(self.lambda_grid))
+        object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
         check_protocol(self.protocol, self.n)
         _check_points(len(self.lambda_grid), len(self.alpha_grid))
         for name, grid, lo, hi in (
@@ -83,8 +87,8 @@ def default_plan(protocol: str, n: int, lambda_steps: int = 33,
     return SweepPlan(
         protocol=protocol,
         n=n,
-        lambda_grid=list(np.linspace(0.0, math.pi / 2, lambda_steps)),
-        alpha_grid=list(np.linspace(0.0, 1.0, alpha_steps)),
+        lambda_grid=np.linspace(0.0, math.pi / 2, lambda_steps),
+        alpha_grid=np.linspace(0.0, 1.0, alpha_steps),
     )
 
 

@@ -91,7 +91,7 @@ def superposed_input(alpha) -> np.ndarray:
     return np.stack([np.sqrt(alpha), np.sqrt(1.0 - alpha)], -1).astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
     """One coherent-basis measurement result of the control register."""
 
@@ -104,7 +104,7 @@ class Outcome:
         return self.state is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeEnsemble:
     outcomes: tuple[Outcome, ...]
 
@@ -137,7 +137,7 @@ def check_protocol(protocol: str, n: int) -> None:
         raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchSpec:
     """Protocol descriptor: which unitaries act on which product input.
 
@@ -150,7 +150,7 @@ class SwitchSpec:
     protocol: str
     pairs: tuple[UnitaryPair, ...]
     inputs: tuple[np.ndarray, ...]
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pairs = tuple(self.pairs)

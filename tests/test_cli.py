@@ -76,6 +76,21 @@ def test_verify_reports_outcome_classes(tmp_path, capsys):
     assert main(["verify", "--spec", str(path)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["outcome_classes"].values()) == {"w-class"}
+    path.write_text(json.dumps({"protocol": "ghz", "n": 3,
+                                "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}],
+                                "input": {"alpha": 0.5}}))
+    assert main(["verify", "--spec", str(path)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["outcome_classes"].values()) == {"ghz-class"}
+    # qubit 1's gates commute, so both of its orders coincide
+    path.write_text(json.dumps({"protocol": "ghz",
+                                "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER},
+                                          {"u": "pauli_z", "u_tilde": "identity"},
+                                          {"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
+    assert main(["verify", "--spec", str(path)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["separable"] is True
+    assert set(doc["outcome_classes"].values()) == {"biseparable"}
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -106,6 +121,9 @@ def test_netsim_summary(topology, capsys):
     assert doc["reachable_branches"] == 8
     assert doc["min_ghz_fidelity"] >= 1 - 1e-9
     assert abs(doc["total_probability"] - 1.0) <= 1e-9
+    # the summary rounds to 12 digits, so the ideal GHZ9 network reads exactly 1
+    assert doc["min_ghz_fidelity"] == 1 and doc["total_probability"] == 1
+    assert doc["reachable_branches"] == doc["branches"]
 
 
 def test_netsim_branches(topology, capsys):
@@ -310,7 +328,8 @@ def test_public_surface():
     removed = {"qswitch": ["purity", "joint_state", "switch_operator"],
                "qswitch.switch": ["joint_state", "switch_operator"],
                "qswitch.verify": ["apply_local_unitaries"],
-               "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"]}
+               "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"],
+               "qswitch.cli": ["ValidationError"]}
     for module, names in removed.items():
         present = [n for n in names if hasattr(importlib.import_module(module), n)]
         assert present == [], module

@@ -105,6 +105,7 @@ def test_branch_probabilities_sum_to_one():
     for branches in (
         map_entanglement(ghz_state(3), [default_pair()] * 3, [superposed_input(0.5)] * 3),
         run_hierarchy(default_topology([3, 3, 3])),
+        run_hierarchy(dataclasses.replace(default_topology([3, 3, 3]), control="plus_product")),
     ):
         assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-10
 
@@ -134,9 +135,12 @@ def test_hierarchy_product_control_not_global_ghz():
             "control": "plus_product",
         }
     )
-    for b in run_hierarchy(topo):
+    branches = run_hierarchy(topo)
+    assert len(branches) == 8 and all(b.reachable for b in branches)
+    for b in branches:
         if b.reachable:
             assert b.ghz_fidelity <= 0.5 + 1e-9
+            assert b.ghz_fidelity >= 0
 
 
 def test_hierarchy_refuses_condition_violation():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -31,6 +32,16 @@ def test_plan_validation():
         SweepPlan("bell", 2, [0.0, 0.5], [-1e-13, 0.5])
     with pytest.raises(ValueError):
         SweepPlan("bell", 2, [math.nan], [0.5])
+    # the plan is a snapshot: its checks cannot be got round after construction
+    lambdas, alphas = [0.0, 0.5], [0.0, 1.0]
+    plan = SweepPlan("ghz", 3, lambdas, alphas)
+    lambdas.append(100.0)
+    alphas[0] = -1.0
+    assert plan.lambda_grid == (0.0, 0.5) and plan.alpha_grid == (0.0, 1.0)
+    for field, value in (("n", 14), ("protocol", "nope"), ("lambda_grid", (0.0, 100.0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, field, value)
+    assert isinstance(default_plan("w", 3, 3, 2).lambda_grid, tuple)
 
 
 @pytest.mark.parametrize("protocol,n,message", [

@@ -35,9 +35,11 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.documents import parse_spec
+from qswitch.documents import parse_spec, parse_topology
 from qswitch.gates import local_tensor
 from qswitch.metrics import gme_concurrence
+from qswitch.netsim import run_hierarchy
+from qswitch.sweep import default_plan, run_sweep
 from qswitch.switch import (
     MAX_QUBITS,
     UNREACHABLE_TOL,
@@ -354,6 +356,35 @@ def test_spec_is_frozen_with_tuple_fields(rng):
         spec.pairs = spec.pairs[:2]
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.ends = np.zeros((3, 2, 2), dtype=complex)
+
+
+def _bell_spec():
+    return SwitchSpec("bell", [default_pair()] * 2, [superposed_input(0.5)] * 2)
+
+
+def _topology():
+    return parse_topology({"entanglers": [{"id": "a", "clients": 2}, {"id": "b", "clients": 2}]})
+
+
+# each call builds a new instance equal in value to the last
+_ARRAY_HOLDING_TYPES = {
+    "UnitaryPair": default_pair,
+    "SwitchSpec": _bell_spec,
+    "Outcome": lambda: run(_bell_spec()).outcomes[0],
+    "OutcomeEnsemble": lambda: run(_bell_spec()),
+    "Topology": _topology,
+    "BranchResult": lambda: run_hierarchy(_topology())[0],
+    "SweepTable": lambda: run_sweep(default_plan("bell", 2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDING_TYPES))
+def test_array_holding_types_compare_and_hash_by_identity(name):
+    a, b = _ARRAY_HOLDING_TYPES[name](), _ARRAY_HOLDING_TYPES[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert a in [a] and b not in [a] and [a, b].index(b) == 1
 
 
 def test_replace_revalidates_and_rebuilds_the_order_images(rng):
