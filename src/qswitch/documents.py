@@ -14,8 +14,9 @@ import numpy as np
 
 from .gates import UnitaryPair, _parse_complex, is_unitary, parse_gate
 from .netsim import CONTROLS, Topology
-from .switch import MAX_QUBITS, PROTOCOLS, UNREACHABLE_TOL, SwitchSpec, superposed_input
+from .switch import PROTOCOLS, UNREACHABLE_TOL, SwitchSpec, superposed_input
 
+MAX_SPEC_QUBITS = 4096  # largest spec document, checked before one pair is broadcast n times
 _DEFAULT_GATES = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}
 
 
@@ -127,8 +128,8 @@ def parse_spec(doc) -> SwitchSpec:
     pair_docs = _member(doc, "/pairs", list)
     n = _member(doc, "/n", int, len(pair_docs))
     with _at("/n"):
-        if n > MAX_QUBITS:  # before broadcasting a single pair n times
-            raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
+        if n > MAX_SPEC_QUBITS:
+            raise ValueError(f"spec has {n} qubits, cap is {MAX_SPEC_QUBITS}")
         if len(pair_docs) != 1 and n != len(pair_docs):
             raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
     pairs = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]

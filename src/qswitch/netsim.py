@@ -6,8 +6,8 @@ control register whose basis states select, per client qubit, one of the two
 order images of its input; every control qubit is then measured in the
 coherent basis. Each call builds the order images once (``switch._end_vectors``)
 and checks the orthogonality condition on them once (``verify.condition_report``);
-no protocol spec is involved, so any n >= 1 clients run. Topology documents
-are parsed by ``documents.parse_topology``.
+no protocol spec is involved, so any 1 <= n <= 12 clients run (the engine's
+cap). Topology documents are parsed by ``documents.parse_topology``.
 
 Each branch is reported with its probability, client state
 and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
@@ -50,7 +50,7 @@ class BranchResult:
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Coordinator plus edge entanglers, each serving a cluster of clients.
-    Immutable, with ``entanglers`` a tuple, so that it stays within the qubit cap."""
+    Immutable, with ``entanglers`` a tuple, so that its checks keep holding."""
 
     entanglers: tuple[tuple[str, int], ...]  # (node id, client count)
     pair_template: UnitaryPair
@@ -68,11 +68,9 @@ class Topology:
             raise ValueError("each entangler must serve at least 2 clients")
         if self.control not in CONTROLS:
             raise ValueError(f"unknown control preparation {self.control!r}")
-        total = self.total_clients + len(self.entanglers)
-        if total > MAX_QUBITS:
-            raise ValueError(
-                f"topology needs {total} simulated qubits, cap is {MAX_QUBITS}"
-            )
+        superposed_input(self.alpha)  # raises unless 0 <= alpha <= 1
+        if self.total_clients > MAX_QUBITS:  # for the document pointer, and to keep m <= 6
+            raise ValueError(f"topology has {self.total_clients} clients, cap is {MAX_QUBITS}")
 
     @property
     def total_clients(self) -> int:
@@ -111,10 +109,10 @@ def map_entanglement(
     """
     control = np.asarray(control, dtype=complex)
     n = len(pairs)
-    if n > MAX_QUBITS or control.shape != (2**n,):
-        raise ValueError(f"control must be an {n}-qubit state, with n at most {MAX_QUBITS}")
-    # false for NaN and inf too; summed in Python scalars, because an np.vdot
-    # form read about 5 % slower on the network benchmark
+    if control.shape != (2**n,):
+        raise ValueError(f"control must be an {n}-qubit state")
+    # false for NaN and inf too; the same scalar sum as _as_qubit_state, since the
+    # order of summation can decide a norm at the NORM_TOL edge
     if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= NORM_TOL:
         raise ValueError("control must be finite and normalized")
     ends = _end_vectors(pairs, [_as_qubit_state(v) for v in inputs])

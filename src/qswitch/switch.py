@@ -125,16 +125,17 @@ class OutcomeEnsemble:
 
 
 def check_protocol(protocol: str, n: int) -> None:
-    """Raise ValueError unless ``protocol`` is known and can run on n qubits."""
+    """Raise ValueError unless ``protocol`` is known and runs on n qubits, n an integer;
+    there is no upper bound: ``_branch_stack`` caps the states that are built."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
     minimum = {"bell": 2, "ghz": 2, "w": 3}[protocol]
     if protocol == "bell" and n != 2:
         raise ValueError("bell protocol requires exactly 2 qubits")
     if n < minimum:
         raise ValueError(f"{protocol} protocol requires at least {minimum} qubits")
-    if n > MAX_QUBITS:
-        raise ValueError(f"spec has {n} qubits, cap is {MAX_QUBITS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +195,11 @@ def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
     backward-order image from ``ends`` where the row is set at q, its forward
     one elsewhere. It is built one qubit at a time, left to right, with the same
     products as ``reduce(np.kron, ...)``, so that no n-qubit operator is formed.
-    ``ends`` may carry leading batch axes, which the stack keeps: (..., rows, 2^n)."""
+    ``ends`` may carry leading batch axes, which the stack keeps: (..., rows, 2^n).
+    Every path builds its states here, and n > ``MAX_QUBITS`` is refused first."""
     n = ends.shape[-3]
+    if n > MAX_QUBITS:
+        raise ValueError(f"state has {n} qubits, cap is {MAX_QUBITS}")
     factors = ends[..., np.arange(n), np.asarray(reverse, dtype=np.intp), :]
     stack = factors[..., 0, :]  # qubit 0 alone: (..., rows, 2)
     for q in range(1, n):
@@ -246,7 +250,7 @@ def controlled_outcomes(
     """Measure every control qubit of a controlled-order superposition.
 
     The single-instance form of ``branch_readout``, for any control and the
-    order images ``ends`` (n, 2, 2) of any n >= 1 qubits (``_end_vectors``):
+    order images ``ends`` (n, 2, 2) of any 1 <= n <= 12 qubits (``_end_vectors``):
     each reachable state is phase-fixed, and outcomes are labelled like
     ``+-`` with the control qubits read most significant first.
     """

@@ -156,7 +156,27 @@ def test_run_rejects_spec_over_qubit_cap(tmp_path, capsys):
         "input": {"alpha": 0.5},
     }))
     assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
-    assert "cap is 12" in capsys.readouterr().err
+    # the engine refuses the state, with no pointer, since the spec itself is valid
+    assert capsys.readouterr().err == "error: state has 13 qubits, cap is 12\n"
+    # the document cap comes before a single pair is broadcast n times
+    path.write_text(json.dumps({"protocol": "w", "n": 4097,
+                                "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
+    for verb in ("run", "verify"):
+        assert main([verb, "--spec", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: spec has 4097 qubits, cap is 4096 (at '/n')\n"
+
+
+@pytest.mark.parametrize("n", [13, 100, 4096])
+def test_verify_reads_specs_wider_than_the_qubit_cap(tmp_path, capsys, n):
+    # verify reads only the (n, 2, 2) order images, so no 2^n state bounds it
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({"protocol": "ghz", "n": n, "input": {"alpha": 0.3},
+                                "pairs": [{"u": "pauli_z", "u_tilde": "ry(0.7)"}]}))
+    assert main(["verify", "--spec", str(path)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    c = qswitch.overlap(qswitch.UnitaryPair(qswitch.pauli("z"), qswitch.ry(0.7)),
+                        qswitch.superposed_input(0.3))
+    assert doc["per_qubit_overlap"] == [[c.real, c.imag]] * n
 
 
 def test_run_rejects_n_disagreeing_with_pairs(tmp_path, capsys):

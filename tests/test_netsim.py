@@ -160,10 +160,16 @@ def test_topology_validation():
         Topology(entanglers=[("e1", 3)], pair_template=pair)
     with pytest.raises(ValueError):
         Topology(entanglers=[("e1", 1), ("e2", 2)], pair_template=pair)
-    with pytest.raises(ValueError):
-        Topology(entanglers=[("e1", 6), ("e2", 5)], pair_template=pair)  # 12 qubit cap
+    # the cap counts clients, whose states are built, not the entanglers' control qubits
+    assert Topology(entanglers=[("e1", 6), ("e2", 5)], pair_template=pair).total_clients == 11
+    assert Topology(entanglers=[("e1", 6), ("e2", 6)], pair_template=pair).total_clients == 12
+    with pytest.raises(ValueError, match="^topology has 13 clients, cap is 12$"):
+        Topology(entanglers=[("e1", 7), ("e2", 6)], pair_template=pair)
     with pytest.raises(ValueError):
         Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, control="biased")
+    for alpha in (2.0, math.nan, "x"):  # refused at construction, not first by run_hierarchy
+        with pytest.raises(ValueError):
+            Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, alpha=alpha)
 
 
 @pytest.mark.parametrize("clients", [2.0, 3.0, True, "2", None])
@@ -307,9 +313,10 @@ def test_map_entanglement_matches_branch_sum_at_benchmark_sizes(rng, n):
             assert abs(b.ghz_fidelity - _fidelity(fwd, bwd, state)) <= 1e-12
 
 
-@pytest.mark.parametrize("m, k, control", [  # the five network benchmark topologies, then two more
+@pytest.mark.parametrize("m, k, control", [  # the five network benchmark topologies, then five more
     (3, 3, "ghz"), (2, 5, "ghz"), (2, 4, "ghz"), (3, 3, "plus_product"), (4, 2, "plus_product"),
     (2, 2, "ghz"), (3, 2, "plus_product"),
+    (4, 3, "ghz"), (6, 2, "plus_product"), (2, 6, "ghz"),  # 12 clients plus 2-6 entanglers
 ])
 def test_hierarchy_equals_kron_built_references_bitwise(m, k, control):
     topo = parse_topology({"entanglers": [{"id": f"e{j}", "clients": k} for j in range(m)],

@@ -32,6 +32,9 @@ def test_plan_validation():
         SweepPlan("bell", 2, [0.0, 0.5], [-1e-13, 0.5])
     with pytest.raises(ValueError):
         SweepPlan("bell", 2, [math.nan], [0.5])
+    for n in (3.0, True):  # a float would reach the engine, and True read as n = 1
+        with pytest.raises(ValueError, match=f"^qubit count must be an integer, got {n}$"):
+            SweepPlan("ghz", n, [0.0, 0.5], [0.0, 1.0])
     # the plan is a snapshot: its checks cannot be got round after construction
     lambdas, alphas = [0.0, 0.5], [0.0, 1.0]
     plan = SweepPlan("ghz", 3, lambdas, alphas)
@@ -48,14 +51,21 @@ def test_plan_validation():
     ("nope", 3, "unknown protocol 'nope'"),
     ("w", 2, "w protocol requires at least 3 qubits"),
     ("ghz", 1, "ghz protocol requires at least 2 qubits"),
-    ("ghz", MAX_QUBITS + 2, f"spec has {MAX_QUBITS + 2} qubits, cap is {MAX_QUBITS}"),
+    ("ghz", MAX_QUBITS + 2, f"state has {MAX_QUBITS + 2} qubits, cap is {MAX_QUBITS}"),
     ("bell", 5, "bell protocol requires exactly 2 qubits"),
 ])
 def test_plan_checks_protocol_like_spec(protocol, n, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SweepPlan(protocol, n, [0.0, 1.0], [0.0, 1.0])
+    match = f"^{re.escape(message)}$"
     eta, pair = superposed_input(0.5), UnitaryPair(pauli("z"), ry(math.pi / 2))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    if n > MAX_QUBITS:  # a valid plan and spec: the engine refuses the width when they run
+        plan = SweepPlan(protocol, n, [0.0, 1.0], [0.0, 1.0])
+        for call, arg in ((run_sweep, plan), (run, SwitchSpec(protocol, [pair] * n, [eta] * n))):
+            with pytest.raises(ValueError, match=match):
+                call(arg)
+        return
+    with pytest.raises(ValueError, match=match):
+        SweepPlan(protocol, n, [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match=match):
         SwitchSpec(protocol, [pair] * n, [eta] * n)
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import qswitch.netsim
 
 from conftest import (
     aligned_spec,
@@ -38,8 +41,8 @@ from qswitch import (
 from qswitch.documents import parse_spec, parse_topology
 from qswitch.gates import local_tensor
 from qswitch.metrics import gme_concurrence
-from qswitch.netsim import run_hierarchy
-from qswitch.sweep import default_plan, run_sweep
+from qswitch.netsim import map_entanglement, run_hierarchy
+from qswitch.sweep import SweepPlan, default_plan, run_sweep
 from qswitch.switch import (
     MAX_QUBITS,
     UNREACHABLE_TOL,
@@ -50,7 +53,7 @@ from qswitch.switch import (
     controlled_outcomes,
     protocol_control,
 )
-from qswitch.verify import canonical_lu
+from qswitch.verify import canonical_lu, overlap
 
 I2 = np.eye(2, dtype=complex)
 
@@ -226,6 +229,15 @@ def test_normalization_constant_identity(rng):
         for sign, label in ((1, "+"), (-1, "-")):
             l_const = 4.0 * ens[label].probability
             assert abs(l_const - (2.0 + sign * 2.0 * cross.real)) <= 1e-10
+    # the same identity from the per-qubit overlaps alone, at every width the engine runs:
+    # p(+/-) = (1 +/- Re prod_q c_q) / 2, with c_q = overlap(pair_q, phi_q)
+    for protocol, n in [("bell", 2)] + [("ghz", n) for n in range(2, MAX_QUBITS + 1)]:
+        for make in (random_spec, _near_commuting_spec, _commuting_spec):
+            spec = make(rng, protocol, n)
+            product = np.prod([overlap(p, phi) for p, phi in zip(spec.pairs, spec.inputs)])
+            ens = run(spec)
+            for sign, label in ((1, "+"), (-1, "-")):
+                assert abs(ens[label].probability - (1.0 + sign * product.real) / 2.0) <= 1e-12
 
 
 def test_exchange_symmetry(rng):
@@ -292,8 +304,10 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="finite and normalized"):
         SwitchSpec("bell", [p] * 2, [math.sqrt(1.0 + 1.5e-10) * eta, eta])
     assert SwitchSpec("bell", [p] * 2, [math.sqrt(1.0 + 0.5e-10) * eta, eta]).n == 2
+    # a spec of any width is valid; the engine refuses to build its states past the cap
+    wide = SwitchSpec("w", [p] * (MAX_QUBITS + 1), [eta] * (MAX_QUBITS + 1))
     with pytest.raises(ValueError, match="cap"):
-        SwitchSpec("w", [p] * (MAX_QUBITS + 1), [eta] * (MAX_QUBITS + 1))
+        run(wide)
 
 
 def test_spec_json_round_trip():
@@ -416,6 +430,13 @@ def _commuting_spec(rng, protocol, n):
     return SwitchSpec(protocol, [UnitaryPair(pauli("z"), ry(0.0))] * n, inputs)
 
 
+def _near_commuting_spec(rng, protocol, n):
+    # |overlap| >= cos(0.3) on every qubit, so the product of the overlaps stays
+    # large at n = 12, where Haar pairs drive it to 0
+    pairs = [UnitaryPair(pauli("z"), ry(t)) for t in rng.uniform(0.0, 0.3, n)]
+    return SwitchSpec(protocol, pairs, [random_pure_state(rng, 1) for _ in range(n)])
+
+
 def _dense_reference(spec):
     # explicit n-qubit order operators on the product input, then an H^(x)m readout
     n = spec.n
@@ -447,6 +468,34 @@ def test_engine_matches_dense_reference(rng, protocol, n):
             results = [(o.probability, o.state) for o in ens]
             assert_matches_reference(results, dense_readout(joint, m))
             assert np.max(np.abs(joint_state(spec) - joint)) <= 1e-12
+
+
+@pytest.mark.parametrize("call", ["run-ghz", "run-w", "run_sweep", "map_entanglement"])
+def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypatch):
+    # were the cap lost, map_entanglement would go on to a 2^n x 2^n readout (1 GiB):
+    # fail before it instead
+    monkeypatch.setattr(qswitch.netsim, "controlled_outcomes", None)
+    n = MAX_QUBITS + 1
+    pair, eta = default_pair(), superposed_input(0.5)
+    control = np.zeros(2**n, dtype=complex)
+    control[[0, -1]] = 1.0 / math.sqrt(2.0)
+    calls = {
+        "run-ghz": lambda: run(SwitchSpec("ghz", [pair] * n, [eta] * n)),
+        "run-w": lambda: run(SwitchSpec("w", [pair] * n, [eta] * n)),
+        "run_sweep": lambda: run_sweep(SweepPlan("ghz", n, [0.0, 0.5], [0.0, 1.0])),
+        "map_entanglement": lambda: map_entanglement(control, [pair] * n, [eta] * n),
+    }
+    # below one 2^n state; map_entanglement's norm check first reads the caller's
+    # 2^n control as Python scalars, about 0.3 MiB
+    bound = 2**20 if call == "map_entanglement" else 16 * 2**n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^state has {n} qubits, cap is {MAX_QUBITS}$"):
+            calls[call]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
