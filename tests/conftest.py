@@ -1,9 +1,16 @@
+import cmath
 import csv
+import hashlib
+import io
 import json
 import math
+import os
+import random
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +24,7 @@ from qswitch import (
     ry,
     superposed_input,
 )
+from qswitch.cli import main
 from qswitch.gates import ATOL
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
@@ -445,3 +453,103 @@ def reference_export(table, fmt, path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# -- the golden manifest of CLI output bytes --
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _haar_2x2(rng):
+    """A Haar-random 2x2 unitary e^(i theta) [[a, -b*], [b, a*]] in Python arithmetic,
+    so that the drawn literals do not depend on the numpy or LAPACK build."""
+    x = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    r = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3])
+    a, b = complex(x[0], x[1]) / r, complex(x[2], x[3]) / r
+    phase = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return [[phase * a, -phase * b.conjugate()], [phase * b, phase * a.conjugate()]]
+
+
+def _mul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def _dagger(a):
+    return [[a[j][i].conjugate() for j in range(2)] for i in range(2)]
+
+
+def _apply(a, v):
+    return [a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1]]
+
+
+def _seeded_qubit(rng, family):
+    """(u, u_tilde, phi) with overlap 0 (orthogonal), 1 (aligned) or in between (generic)."""
+    if family == "orthogonal":  # the paper's (Z, ry(pi/2), |+>) in a random frame
+        v = _haar_2x2(rng)
+        c = math.cos(math.pi / 4)
+        conj = [_mul(_mul(v, m), _dagger(v)) for m in ([[1, 0], [0, -1]], [[c, -c], [c, c]])]
+        return conj[0], conj[1], _apply(v, [c, c])
+    while True:
+        phi = _haar_2x2(rng)[0]
+        u = _haar_2x2(rng)
+        if family == "aligned":  # commuting gates: both orders coincide
+            return u, _mul(u, u), phi
+        u_tilde = _haar_2x2(rng)
+        fwd, bwd = _apply(_mul(u, u_tilde), phi), _apply(_mul(u_tilde, u), phi)
+        if 0.05 <= abs(bwd[0].conjugate() * fwd[0] + bwd[1].conjugate() * fwd[1]) <= 0.95:
+            return u, u_tilde, phi
+
+
+def seeded_verify_doc(protocol, n, family, seed):
+    """A spec document of matrix literals drawn from ``random.Random(seed)``: every
+    qubit orthogonal, every qubit generic, or generic but for one aligned qubit."""
+    rng = random.Random(seed)
+    qubits = [_seeded_qubit(rng, "orthogonal" if family == "orthogonal" else "generic")
+              for _ in range(n)]
+    if family == "aligned":
+        qubits[rng.randrange(n)] = _seeded_qubit(rng, "aligned")
+
+    def literal(z):
+        return f"{z.real:.17g}{z.imag:+.17g}i"
+
+    def matrix(m):
+        return "matrix([" + ", ".join(f"[{literal(a)}, {literal(b)}]" for a, b in m) + "])"
+
+    return {"version": 1, "protocol": protocol, "n": n,
+            "pairs": [{"u": matrix(u), "u_tilde": matrix(ut)} for u, ut, _ in qubits],
+            "input": {"amplitudes": [[literal(a) for a in phi] for _, _, phi in qubits]}}
+
+
+def _golden_digest(case, tmp):
+    """sha256 of one case's exit code, stdout, stderr and sweep file, ``tmp`` masked."""
+    spec = seeded_verify_doc(**case["seeded"]) if "seeded" in case else case.get("spec")
+    paths = {"spec": tmp / "spec.json", "topology": tmp / "topology.json",
+             "out": tmp / "out", "missing": tmp / "missing.json"}
+    for key, doc in (("spec", spec), ("topology", case.get("topology"))):
+        if doc is not None:
+            paths[key].write_text(json.dumps(doc))
+    argv = [arg.format(**paths) for arg in case["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    sweep_file = None
+    if paths["out"].exists():
+        with open(paths["out"], newline="") as fh:
+            sweep_file = fh.read()
+        paths["out"].unlink()
+    masked = [text.getvalue().replace(str(tmp), "<tmp>") for text in (out, err)]
+    return hashlib.sha256(json.dumps([code, *masked, sweep_file]).encode()).hexdigest()
+
+
+def golden_digests(cases, tmp):
+    """{case id: digest} of every case, run in process through ``qswitch.cli.main``
+    with files under the directory ``tmp``."""
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage and help to the terminal width
+    try:
+        return {case["id"]: _golden_digest(case, Path(tmp)) for case in cases}
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
