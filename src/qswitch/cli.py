@@ -2,7 +2,8 @@
 
 This module only parses arguments, reads files and formats output; spec and
 topology documents are parsed and validated by ``documents``, and all
-numerics live in the library modules.
+numerics live in the library modules. A command line that starts with a verb
+is parsed once, by that verb's own parser.
 
 The ``run`` outcome ensemble, the ``verify`` report and the ``netsim --report
 branches`` list are written straight to text by ``emit``, as are the sweep
@@ -110,7 +111,8 @@ def _cmd_netsim(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verbs: dict | None = None) -> argparse.ArgumentParser:
+    """The ``qswitch`` parser; each verb's own parser also goes into ``verbs``, if given."""
     parser = argparse.ArgumentParser(
         prog="qswitch",
         description="Deterministic entanglement generation from superposed causal orders.",
@@ -141,18 +143,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--topology", required=True, help="path to a topology JSON document")
     p_net.add_argument("--report", choices=["branches", "summary"], default="summary")
     p_net.set_defaults(handler=_cmd_netsim)
+    if verbs is not None:
+        verbs.update(run=p_run, verify=p_verify, sweep=p_sweep, netsim=p_net)
     return parser
 
 
 # Built once per process: parse_args keeps no state between calls, and
-# building the parser costs more than a whole small verify.
-_PARSER = build_parser()
+# building the parser costs more than a whole small verify. A request is parsed
+# once, by its verb's parser; _PARSER parses only what that parser cannot take.
+_VERBS: dict = {}
+_PARSER = build_parser(_VERBS)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The verb's own parse if it takes the whole line with no '--' (which argparse has handled
+    differently across releases); else ``_PARSER``'s, with argparse's own usage and errors."""
+    if argv and argv[0] in _VERBS and "--" not in argv:
+        args, extras = _VERBS[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command line: 0 on success, 1 on bad input (any ``ValueError``), 2 on I/O."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

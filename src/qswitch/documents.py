@@ -8,6 +8,7 @@ one, like ``(at '/pairs/0/u')``.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -101,8 +102,10 @@ def _amplitudes_to_state(entries) -> np.ndarray:
             amps.append(complex(_expect(e, float, "amplitude")))
         if not cmath.isfinite(amps[-1]):
             raise ValueError(f"amplitude {e!r} is not finite")
-    v = np.array(amps)
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+    v, (a, b) = np.array(amps), amps
+    # from 1e153 in a part, the norm's four squares can overflow; it is then rejected below
+    big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)) >= 1e153
+    with np.errstate(over="ignore") if big else contextlib.nullcontext():
         nrm = np.linalg.norm(v)
     if not UNREACHABLE_TOL <= nrm < math.inf:
         raise ValueError("amplitude vector must have a nonzero, finite norm")

@@ -176,13 +176,14 @@ def write_verify(report, classes, out) -> None:
     """Write the ``verify`` document of a ``ConditionReport`` with its floats at
     full precision: the report's fields, ``separable`` (its ``any_aligned``) and,
     unless ``classes`` is None, ``outcome_classes``, the nonempty map from each
-    reachable outcome label to its class."""
+    reachable outcome label to its class. Labels and classes are the library's own
+    ASCII names, which JSON writes as they are, in quotes."""
     overlaps = ",\n    ".join(
         f"[\n      {_float_text(z.real)},\n      {_float_text(z.imag)}\n    ]"
         for z in report.per_qubit_overlap)
     members = "" if classes is None else (
         '\n  "outcome_classes": {\n    '
-        + ",\n    ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(classes.items()))
+        + ",\n    ".join(f'"{k}": "{v}"' for k, v in sorted(classes.items()))
         + "\n  },")
     out.write(_VERIFY(_bool(report.all_orthogonal), _bool(report.any_aligned), members,
                       overlaps, _bool(report.any_aligned), _float_text(report.tol)))

@@ -22,6 +22,7 @@ left-to-right products as a Kronecker fold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,6 +69,8 @@ class Topology:
             raise ValueError("each entangler must serve at least 2 clients")
         if self.control not in CONTROLS:
             raise ValueError(f"unknown control preparation {self.control!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         superposed_input(self.alpha)  # raises unless 0 <= alpha <= 1
         if self.total_clients > MAX_QUBITS:  # for the document pointer, and to keep m <= 6
             raise ValueError(f"topology has {self.total_clients} clients, cap is {MAX_QUBITS}")

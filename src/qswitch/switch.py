@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -190,6 +191,12 @@ def _end_vectors(pairs: Sequence[UnitaryPair], inputs: Sequence[np.ndarray]) -> 
                          np.array(inputs, dtype=complex))
 
 
+def _check_width(n: int) -> None:
+    """Refuse a register of n > ``MAX_QUBITS`` qubits, before anything of its size is built."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"state has {n} qubits, cap is {MAX_QUBITS}")
+
+
 def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The product state that each row of ``reverse`` selects: qubit q takes its
     backward-order image from ``ends`` where the row is set at q, its forward
@@ -198,8 +205,7 @@ def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
     ``ends`` may carry leading batch axes, which the stack keeps: (..., rows, 2^n).
     Every path builds its states here, and n > ``MAX_QUBITS`` is refused first."""
     n = ends.shape[-3]
-    if n > MAX_QUBITS:
-        raise ValueError(f"state has {n} qubits, cap is {MAX_QUBITS}")
+    _check_width(n)
     factors = ends[..., np.arange(n), np.asarray(reverse, dtype=np.intp), :]
     stack = factors[..., 0, :]  # qubit 0 alone: (..., rows, 2)
     for q in range(1, n):
@@ -208,7 +214,31 @@ def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return stack
 
 
-_SIGNS = np.array([1.0, -1.0])
+def _plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
+    """The read-only readout plan of a control and its reverse table: the outcome labels,
+    the H^(x)m signs times the live control amplitudes (2^m, live), and the live rows."""
+    control = np.asarray(control, dtype=complex)
+    m = num_qubits(len(control))
+    live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
+    rows = np.asarray(reverse, dtype=np.intp)[live]
+    _check_width(rows.shape[-1])  # before the weights, which grow with 2^m
+    # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**m)[:, None] & live[None, :]) & 1)
+    weights = signs * (control[live] * 2.0 ** (-m / 2.0))
+    weights.setflags(write=False)
+    rows.setflags(write=False)
+    return tuple("".join(bits) for bits in product("+-", repeat=m)), weights, rows
+
+
+def _readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``branch_readout`` on the ``_plan`` of its control."""
+    _, weights, rows = plan
+    raw = weights @ _branch_stack(rows, np.asarray(ends, dtype=complex))
+    probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
+    reachable = probabilities >= UNREACHABLE_TOL
+    raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
+    raw[~reachable] = 0.0
+    return np.maximum(probabilities, 0.0), reachable, raw
 
 
 def branch_readout(
@@ -225,23 +255,7 @@ def branch_readout(
     0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and the
     normalised states (..., 2^m, 2^n), zero where unreachable.
     """
-    control = np.asarray(control, dtype=complex)
-    m = num_qubits(len(control))
-    live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
-    stack = _branch_stack(np.asarray(reverse)[live], np.asarray(ends, dtype=complex))
-    # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
-    signs = _SIGNS[np.bitwise_count(np.arange(2**m)[:, None] & live[None, :]) & 1]
-    raw = (signs * (control[live] * 2.0 ** (-m / 2.0))) @ stack
-    probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
-    reachable = probabilities >= UNREACHABLE_TOL
-    raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
-    raw[~reachable] = 0.0
-    return np.maximum(probabilities, 0.0), reachable, raw
-
-
-def control_labels(m: int) -> list[str]:
-    """Outcome labels of an m-qubit control readout, in ``branch_readout`` order."""
-    return ["".join(bits) for bits in product("+-", repeat=m)]
+    return _readout(_plan(control, reverse), ends)
 
 
 def controlled_outcomes(
@@ -254,8 +268,13 @@ def controlled_outcomes(
     each reachable state is phase-fixed, and outcomes are labelled like
     ``+-`` with the control qubits read most significant first.
     """
-    p, reachable, states = branch_readout(control, reverse, ends)
-    rows = zip(control_labels(num_qubits(len(control))), p.tolist(), reachable.tolist(),
+    return _outcomes(_plan(control, reverse), ends)
+
+
+def _outcomes(plan: tuple, ends: np.ndarray) -> OutcomeEnsemble:
+    """``controlled_outcomes`` on the ``_plan`` of its control."""
+    p, reachable, states = _readout(plan, ends)
+    rows = zip(plan[0], p.tolist(), reachable.tolist(),
                canonical_phase(states))  # unreachable rows are zero and come back unchanged
     return OutcomeEnsemble(tuple(Outcome(label, pk, state if live else None)
                                  for label, pk, live, state in rows))
@@ -275,6 +294,14 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return control, np.eye(2**d, n, dtype=bool)
 
 
+@lru_cache(maxsize=None)  # at most one entry per protocol and width up to the cap
+def _protocol_plan(protocol: str, n: int) -> tuple:
+    """The ``_plan`` of a protocol on n qubits, built once per (protocol, n);
+    a width over the cap is refused first, and so never cached."""
+    _check_width(n)
+    return _plan(*protocol_control(protocol, n))
+
+
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    return controlled_outcomes(*protocol_control(spec.protocol, spec.n), spec.ends)
+    return _outcomes(_protocol_plan(spec.protocol, spec.n), spec.ends)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -506,6 +507,27 @@ def test_rejection_prints_no_numpy_warning(tmp_path, doc, pointer):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and lines[0].endswith(f"(at '{pointer}')")
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("x", [1e153, 9.4e153, 9.5e153, 1e154, 1.3e154, 1.4e154, 1e155, 1e200,
+                               1e308, "1e308+1e308i"])
+def test_amplitude_magnitude_boundary_is_warning_free(tmp_path, capsys, x):
+    # the sum of squares of the input norm overflows from about 9.5e153: larger inputs
+    # are rejected, and no input on either side of the edge raises a RuntimeWarning
+    # (the golden manifest pins each output's bytes)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_bell_doc(input={"amplitudes": [[x, x], [1, 0]]})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--spec", str(path)])
+    captured = capsys.readouterr()
+    if x in (1e153, 9.4e153):
+        assert (rc, captured.err) == (EXIT_OK, "")
+        assert json.loads(captured.out)["all_orthogonal"] is True
+    else:
+        assert (rc, captured.out) == (EXIT_VALIDATION, "")
+        assert captured.err == ("error: amplitude vector must have a nonzero, finite norm "
+                                "(at '/input/amplitudes/0')\n")
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])

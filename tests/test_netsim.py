@@ -170,6 +170,12 @@ def test_topology_validation():
     for alpha in (2.0, math.nan, "x"):  # refused at construction, not first by run_hierarchy
         with pytest.raises(ValueError):
             Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, alpha=alpha)
+    # superposed_input takes a stack of alphas, but a topology has one
+    for alpha in (np.array([0.3, 0.5]), np.array(0.5), [0.5], 0.5 + 0j, True):
+        with pytest.raises(ValueError, match="^alpha must be a real number, got "):
+            Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, alpha=alpha)
+    assert len(run_hierarchy(Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair,
+                                      alpha=np.float64(0.5)))) == 4
 
 
 @pytest.mark.parametrize("clients", [2.0, 3.0, True, "2", None])

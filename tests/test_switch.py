@@ -48,6 +48,7 @@ from qswitch.switch import (
     UNREACHABLE_TOL,
     _end_vectors,
     _order_images,
+    _protocol_plan,
     branch_readout,
     canonical_phase,
     controlled_outcomes,
@@ -470,7 +471,8 @@ def test_engine_matches_dense_reference(rng, protocol, n):
             assert np.max(np.abs(joint_state(spec) - joint)) <= 1e-12
 
 
-@pytest.mark.parametrize("call", ["run-ghz", "run-w", "run_sweep", "map_entanglement"])
+@pytest.mark.parametrize("call", ["run-ghz", "run-w", "run-w4096", "run_sweep",
+                                  "map_entanglement"])
 def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypatch):
     # were the cap lost, map_entanglement would go on to a 2^n x 2^n readout (1 GiB):
     # fail before it instead
@@ -479,23 +481,29 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     pair, eta = default_pair(), superposed_input(0.5)
     control = np.zeros(2**n, dtype=complex)
     control[[0, -1]] = 1.0 / math.sqrt(2.0)
+    # built before the trace; its W protocol table alone would be 16 MiB
+    wide = SwitchSpec("w", [pair] * 4096, [eta] * 4096) if call == "run-w4096" else None
     calls = {
         "run-ghz": lambda: run(SwitchSpec("ghz", [pair] * n, [eta] * n)),
         "run-w": lambda: run(SwitchSpec("w", [pair] * n, [eta] * n)),
+        "run-w4096": lambda: run(wide),
         "run_sweep": lambda: run_sweep(SweepPlan("ghz", n, [0.0, 0.5], [0.0, 1.0])),
         "map_entanglement": lambda: map_entanglement(control, [pair] * n, [eta] * n),
     }
     # below one 2^n state; map_entanglement's norm check first reads the caller's
     # 2^n control as Python scalars, about 0.3 MiB
-    bound = 2**20 if call == "map_entanglement" else 16 * 2**n
+    bound = 2**20 if call in ("map_entanglement", "run-w4096") else 16 * 2**n
+    cached = _protocol_plan.cache_info().currsize
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^state has {n} qubits, cap is {MAX_QUBITS}$"):
+        width = 4096 if call == "run-w4096" else n
+        with pytest.raises(ValueError, match=f"^state has {width} qubits, cap is {MAX_QUBITS}$"):
             calls[call]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound
+    assert _protocol_plan.cache_info().currsize == cached  # no refused width is cached
 
 
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
