@@ -506,6 +506,22 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     assert _protocol_plan.cache_info().currsize == cached  # no refused width is cached
 
 
+@pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 5)])
+def test_protocol_readout_tables_are_built_once_and_read_only(monkeypatch, protocol, n):
+    spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.3)] * n)
+    first = run(spec)
+    labels, weights, rows = _protocol_plan(protocol, n)
+    assert not weights.flags.writeable and not rows.flags.writeable
+    # run and run_sweep read the tables built above: a second build would fail
+    monkeypatch.setattr(qswitch.switch, "protocol_control", None)
+    again = run(spec)
+    table = run_sweep(SweepPlan(protocol, n, [math.pi / 4], [0.3]))
+    assert [o.label for o in first] == [o.label for o in again] == table.labels == list(labels)
+    for a, b in zip(first, again):
+        assert a.probability == b.probability
+        assert (a.state is None and b.state is None) or np.array_equal(a.state, b.state)
+
+
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
 def test_paper_construction_at_qubit_cap(protocol):
     n = MAX_QUBITS
