@@ -102,9 +102,10 @@ def _amplitudes_to_state(entries) -> np.ndarray:
             amps.append(complex(_expect(e, float, "amplitude")))
         if not cmath.isfinite(amps[-1]):
             raise ValueError(f"amplitude {e!r} is not finite")
-    v, (a, b) = np.array(amps), amps
-    # from 1e153 in a part, the norm's four squares can overflow; it is then rejected below
+    v = np.array(amps)
+    a, b = amps  # below 1e153 in every part the norm's four squares cannot overflow
     big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)) >= 1e153
+    # an overflowing norm is rejected just below
     with np.errstate(over="ignore") if big else contextlib.nullcontext():
         nrm = np.linalg.norm(v)
     if not UNREACHABLE_TOL <= nrm < math.inf:
