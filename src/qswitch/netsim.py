@@ -4,10 +4,11 @@ hierarchical coordinator/edge-entangler architecture.
 Both operations run on the switch engine (``switch.controlled_outcomes``): a
 control register whose basis states select, per client qubit, one of the two
 order images of its input; every control qubit is then measured in the
-coherent basis. Each call builds the order images once (``switch._end_vectors``)
-and checks the orthogonality condition on them once (``verify.condition_report``);
-no protocol spec is involved, so any 1 <= n <= 12 clients run (the engine's
-cap). Topology documents are parsed by ``documents.parse_topology``.
+coherent basis. Each call builds, once, its plan (``switch.readout_plan``,
+which checks the control), then the order images (``switch._end_vectors``)
+and their orthogonality check (``verify.condition_report``); with no protocol
+spec, any 1 <= n <= 12 clients run (the engine's cap). Topology documents are
+parsed by ``documents.parse_topology``.
 
 Each branch is reported with its probability, client state
 and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
@@ -29,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .gates import UnitaryPair
-from .switch import (MAX_QUBITS, NORM_TOL, _as_qubit_state, _branch_stack, _end_vectors,
-                     controlled_outcomes, num_qubits, superposed_input)
+from .switch import (MAX_QUBITS, _as_qubit_state, _branch_stack, _end_vectors,
+                     controlled_outcomes, readout_plan, superposed_input)
 from .verify import condition_report
 
 CONTROLS = ("ghz", "plus_product")
@@ -84,21 +85,20 @@ def _reverse_table(cluster_of_qubit: list[int], m: int) -> np.ndarray:
     """reverse[b][q]: control basis state b reverses qubit q when the control
     bit of q's cluster, read most significant first, is set."""
     shifts = m - 1 - np.asarray(cluster_of_qubit)
-    return (np.arange(2**m)[:, None] >> shifts[None, :]) & 1
+    # built as (q, b) and transposed: the shift broadcast along b takes no extra buffer,
+    # so a table that the engine then refuses as too wide costs only itself
+    return ((np.arange(2**m) >> shifts[:, None]) & 1).T
 
 
-def _branch_results(
-    control: np.ndarray, cluster_of_qubit: list[int], ends: np.ndarray, in_frame: bool
-) -> list[BranchResult]:
+def _branch_results(plan: tuple, ends: np.ndarray, in_frame: bool) -> list[BranchResult]:
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
-    n = len(cluster_of_qubit)
+    n = len(ends)
     fwd, bwd = _branch_stack([[0] * n, [1] * n], frame)  # all-forward F, all-backward B
-    reverse = _reverse_table(cluster_of_qubit, num_qubits(len(control)))
     return [
         BranchResult(o.label, o.probability, o.state,
                      float((abs(np.vdot(fwd, o.state)) + abs(np.vdot(bwd, o.state))) ** 2 / 2.0)
                      if o.reachable else None)
-        for o in controlled_outcomes(control, reverse, ends)
+        for o in controlled_outcomes(plan, ends)
     ]
 
 
@@ -114,12 +114,9 @@ def map_entanglement(
     n = len(pairs)
     if control.shape != (2**n,):
         raise ValueError(f"control must be an {n}-qubit state")
-    # false for NaN and inf too; the same scalar sum as _as_qubit_state, since the
-    # order of summation can decide a norm at the NORM_TOL edge
-    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= NORM_TOL:
-        raise ValueError("control must be finite and normalized")
+    plan = readout_plan(control, _reverse_table(list(range(n)), n))  # checks the control
     ends = _end_vectors(pairs, [_as_qubit_state(v) for v in inputs])
-    return _branch_results(control, list(range(n)), ends, condition_report(ends).all_orthogonal)
+    return _branch_results(plan, ends, condition_report(ends).all_orthogonal)
 
 
 def run_hierarchy(topo: Topology) -> list[BranchResult]:
@@ -146,5 +143,6 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         control = _branch_stack([[0] * m], np.broadcast_to(plus, (m, 2, 2)))[0]  # |+>^(x)m
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
-    return _branch_results(control, cluster_of_qubit, ends, report.all_orthogonal)
+    return _branch_results(readout_plan(control, _reverse_table(cluster_of_qubit, m)), ends,
+                           report.all_orthogonal)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import emit, gates
 from .metrics import pure_concurrence, pure_gme_concurrence
-from .switch import _order_images, _protocol_plan, _readout, check_protocol, superposed_input
+from .switch import _order_images, branch_readout, check_protocol, protocol_plan, superposed_input
 
 MAX_SWEEP_POINTS = 2**16  # largest (lambda, alpha) grid: 256 x 256
 
@@ -90,12 +90,12 @@ def run_sweep(plan: SweepPlan) -> SweepTable:
     u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))[:, None]  # (lam, 1, 2, 2)
     ends = _order_images(gates.PAULI_Z, u_tilde, superposed_input(plan.alpha_grid))
     ends = np.broadcast_to(ends[:, :, None], ends.shape[:2] + (plan.n,) + ends.shape[2:])
-    readout_plan = _protocol_plan(plan.protocol, plan.n)
-    probabilities, reachable, states = _readout(readout_plan, ends)
+    readout = protocol_plan(plan.protocol, plan.n)
+    probabilities, reachable, states = branch_readout(readout, ends)
     metric = pure_concurrence if plan.protocol == "bell" else pure_gme_concurrence
     values = np.zeros(probabilities.shape)
     values[reachable] = metric(states[reachable])
-    return SweepTable(plan.lambda_grid, plan.alpha_grid, list(readout_plan[0]), probabilities,
+    return SweepTable(plan.lambda_grid, plan.alpha_grid, list(readout[0]), probabilities,
                       values, reachable)
 
 

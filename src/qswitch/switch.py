@@ -1,9 +1,11 @@
 """The coherently-controlled-order engine.
 
-``branch_readout`` lets each control basis state select, per qubit, one of
-the two order images of its input (``_order_images``), measures the control
-register in the coherent {|+>, |->} basis and postselects, over any number of
-stacked instances at once; ``controlled_outcomes`` is its single-instance
+A control enters only through ``readout_plan``, which checks it; the
+protocols' plans are cached by ``protocol_plan``. ``branch_readout(plan, ends)``
+lets each control basis state select, per qubit, one of the two order images
+of its input (``_order_images``), measures the control register in the
+coherent {|+>, |->} basis and postselects, over any number of stacked
+instances at once; ``controlled_outcomes(plan, ends)`` is its single-instance
 form, returning the outcome ensemble. The protocols only choose the control:
 
 * two-order protocols (Bell, GHZ-like): one control qubit selects between
@@ -214,14 +216,26 @@ def _branch_stack(reverse: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
-    """The read-only readout plan of a control and its reverse table: the outcome labels,
-    the H^(x)m signs times the live control amplitudes (2^m, live), and the live rows."""
+def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
+    """A control's read-only readout plan, the engine's one input besides the order
+    images: the outcome labels, the H^(x)m signs times the live control amplitudes
+    (2^m, live), and the live rows of ``reverse``, whose entry [b][q], 0 or 1, says
+    whether control basis state b applies the backward order of qubit q's pair. A
+    control is checked here, where it enters: 2^m finite amplitudes, normalised."""
     control = np.asarray(control, dtype=complex)
     m = num_qubits(len(control))
+    reverse = np.asarray(reverse)
+    if reverse.ndim != 2 or len(reverse) != 2**m:
+        raise ValueError(f"reverse table must have {2**m} rows, got shape {reverse.shape}")
+    _check_width(reverse.shape[1])  # before anything that reads or builds 2^m entries
+    if not ((reverse == 0) | (reverse == 1)).all():
+        raise ValueError("reverse table entries must be 0 or 1")
+    # false for NaN and inf too; summed per amplitude, then in index order, since the
+    # order of summation can decide a norm at the NORM_TOL edge
+    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= NORM_TOL:
+        raise ValueError("control must be finite and normalized")
     live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
-    rows = np.asarray(reverse, dtype=np.intp)[live]
-    _check_width(rows.shape[-1])  # before the weights, which grow with 2^m
+    rows = reverse[live].astype(np.intp)
     # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)
     signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**m)[:, None] & live[None, :]) & 1)
     weights = signs * (control[live] * 2.0 ** (-m / 2.0))
@@ -230,10 +244,21 @@ def _plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     return tuple("".join(bits) for bits in product("+-", repeat=m)), weights, rows
 
 
-def _readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``branch_readout`` on the ``_plan`` of its control."""
+def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Postselected outcomes of a controlled order.
+
+    ``plan`` is a ``readout_plan`` on n qubits, and ``ends[..., q, o]`` is qubit q's
+    input after order o (0 forward, 1 backward), with any leading batch axes. Every
+    control qubit is measured in the {|+>, |->} basis, outcomes ordered with the
+    control qubits read most significant first. Returns the probabilities (..., 2^m),
+    clamped at 0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and
+    the normalised states (..., 2^m, 2^n), zero where unreachable.
+    """
     _, weights, rows = plan
-    raw = weights @ _branch_stack(rows, np.asarray(ends, dtype=complex))
+    ends = np.asarray(ends, dtype=complex)
+    if ends.shape[-3:] != (rows.shape[1], 2, 2):
+        raise ValueError(f"order images must be (..., {rows.shape[1]}, 2, 2), got {ends.shape}")
+    raw = weights @ _branch_stack(rows, ends)
     probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
     reachable = probabilities >= UNREACHABLE_TOL
     raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
@@ -241,39 +266,15 @@ def _readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return np.maximum(probabilities, 0.0), reachable, raw
 
 
-def branch_readout(
-    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Postselected outcomes of a controlled order.
-
-    ``control`` holds the 2^m control amplitudes, ``reverse[b][q]`` says
-    whether control basis state b applies the backward order of qubit q's
-    pair, and ``ends[..., q, o]`` is qubit q's input after order o (0 forward,
-    1 backward), with any leading batch axes. Every control qubit is measured
-    in the {|+>, |->} basis, outcomes ordered with the control qubits read
-    most significant first. Returns the probabilities (..., 2^m), clamped at
-    0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and the
-    normalised states (..., 2^m, 2^n), zero where unreachable.
-    """
-    return _readout(_plan(control, reverse), ends)
-
-
-def controlled_outcomes(
-    control: np.ndarray, reverse: np.ndarray, ends: np.ndarray
-) -> OutcomeEnsemble:
+def controlled_outcomes(plan: tuple, ends: np.ndarray) -> OutcomeEnsemble:
     """Measure every control qubit of a controlled-order superposition.
 
-    The single-instance form of ``branch_readout``, for any control and the
-    order images ``ends`` (n, 2, 2) of any 1 <= n <= 12 qubits (``_end_vectors``):
-    each reachable state is phase-fixed, and outcomes are labelled like
-    ``+-`` with the control qubits read most significant first.
+    The single-instance form of ``branch_readout``, for the order images ``ends``
+    (n, 2, 2) of any 1 <= n <= 12 qubits (``_end_vectors``): each reachable state is
+    phase-fixed, and outcomes are labelled like ``+-`` with the control qubits read
+    most significant first.
     """
-    return _outcomes(_plan(control, reverse), ends)
-
-
-def _outcomes(plan: tuple, ends: np.ndarray) -> OutcomeEnsemble:
-    """``controlled_outcomes`` on the ``_plan`` of its control."""
-    p, reachable, states = _readout(plan, ends)
+    p, reachable, states = branch_readout(plan, ends)
     rows = zip(plan[0], p.tolist(), reachable.tolist(),
                canonical_phase(states))  # unreachable rows are zero and come back unchanged
     return OutcomeEnsemble(tuple(Outcome(label, pk, state if live else None)
@@ -295,13 +296,13 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)  # at most one entry per protocol and width up to the cap
-def _protocol_plan(protocol: str, n: int) -> tuple:
-    """The ``_plan`` of a protocol on n qubits, built once per (protocol, n);
+def protocol_plan(protocol: str, n: int) -> tuple:
+    """The ``readout_plan`` of a protocol on n qubits, built once per (protocol, n);
     a width over the cap is refused first, and so never cached."""
     _check_width(n)
-    return _plan(*protocol_control(protocol, n))
+    return readout_plan(*protocol_control(protocol, n))
 
 
 def run(spec: SwitchSpec) -> OutcomeEnsemble:
     """Run the protocol described by ``spec`` and return its outcome ensemble."""
-    return _outcomes(_protocol_plan(spec.protocol, spec.n), spec.ends)
+    return controlled_outcomes(protocol_plan(spec.protocol, spec.n), spec.ends)

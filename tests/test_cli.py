@@ -347,7 +347,8 @@ def test_public_surface():
         "check_separability", "overlap", "three_tangle",
     ]
     removed = {"qswitch": ["purity", "joint_state", "switch_operator"],
-               "qswitch.switch": ["joint_state", "switch_operator"],
+               "qswitch.switch": ["joint_state", "switch_operator",
+                                  "_plan", "_readout", "_outcomes", "_protocol_plan"],
                "qswitch.verify": ["apply_local_unitaries"],
                "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"],
                "qswitch.cli": ["ValidationError"]}

@@ -31,7 +31,7 @@ from qswitch import (
 )
 from qswitch.documents import parse_topology
 from qswitch.netsim import Topology, _reverse_table, map_entanglement, run_hierarchy
-from qswitch.switch import _end_vectors, controlled_outcomes
+from qswitch.switch import _end_vectors, controlled_outcomes, readout_plan
 from qswitch.verify import condition_report
 
 RY_QUARTER = f"ry({math.pi / 2})"
@@ -92,7 +92,9 @@ def test_map_entanglement_identity_pairs():
     (ghz_state(2), 2, np.array([math.nan, 0.0]), "normalized"),
     (np.ones(4), 2, None, "control must be finite and normalized"),
     (np.full(4, math.nan), 2, None, "control must be finite and normalized"),
-], ids=["length-mismatch", "shape-4", "norm-2", "nan", "control-norm-4", "control-nan"])
+    (np.ones(4), 2, np.array([2.0, 0.0]), "control must be finite and normalized"),
+], ids=["length-mismatch", "shape-4", "norm-2", "nan", "control-norm-4", "control-nan",
+        "control-before-input"])
 def test_map_entanglement_rejects(control, n, bad_input, match):
     inputs = [superposed_input(0.5)] * n
     if bad_input is not None:
@@ -332,7 +334,8 @@ def test_hierarchy_equals_kron_built_references_bitwise(m, k, control):
     ends = _end_vectors([topo.pair_template] * n, [superposed_input(0.5)] * n)
     amps = (ghz_state(m) if control == "ghz"
             else kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)] * m))
-    expected = controlled_outcomes(amps, _reverse_table([q // k for q in range(n)], m), ends)
+    plan = readout_plan(amps, _reverse_table([q // k for q in range(n)], m))
+    expected = controlled_outcomes(plan, ends)
     fwd, bwd = kron_all(ends[:, 0]), kron_all(ends[:, 1])
     branches = run_hierarchy(topo)
     assert len(branches) == 2**m
@@ -356,7 +359,7 @@ def test_map_entanglement_equals_kron_built_references_bitwise(rng, in_frame):
     fwd, bwd = kron_all(frame[:, 0]), kron_all(frame[:, 1])
     control = random_pure_state(rng, n)
     branches = map_entanglement(control, pairs, inputs)
-    expected = controlled_outcomes(control, _reverse_table(list(range(n)), n), ends)
+    expected = controlled_outcomes(readout_plan(control, _reverse_table(list(range(n)), n)), ends)
     for b, o in zip(branches, expected):
         assert b.probability == o.probability and np.array_equal(b.client_state, o.state)
         assert b.ghz_fidelity == _fidelity(fwd, bwd, b.client_state)

@@ -223,13 +223,13 @@ def test_batched_sweep_matches_per_point_reference(protocol, n):
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("w", 3), ("ghz", 4)])
 def test_stacked_order_images_match_per_point_end_vectors(monkeypatch, protocol, n):
-    seen, readout = [], sweep._readout
+    seen, readout = [], sweep.branch_readout
 
     def spy(plan, ends):
         seen.append(ends)
         return readout(plan, ends)
 
-    monkeypatch.setattr(sweep, "_readout", spy)
+    monkeypatch.setattr(sweep, "branch_readout", spy)
     plan = default_plan(protocol, n, lambda_steps=9, alpha_steps=7)
     run_sweep(plan)
     (ends,) = seen

@@ -48,11 +48,12 @@ from qswitch.switch import (
     UNREACHABLE_TOL,
     _end_vectors,
     _order_images,
-    _protocol_plan,
     branch_readout,
     canonical_phase,
     controlled_outcomes,
     protocol_control,
+    protocol_plan,
+    readout_plan,
 )
 from qswitch.verify import canonical_lu, overlap
 
@@ -84,7 +85,8 @@ def test_switch_operator_unitary(rng):
 
 def test_single_qubit_anticommuting_orders():
     pairs = [UnitaryPair(pauli("z"), pauli("x"))]
-    ens = controlled_outcomes(*protocol_control("ghz", 1), _end_vectors(pairs, [basis_state(1, 0)]))
+    ens = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)),
+                              _end_vectors(pairs, [basis_state(1, 0)]))
     plus, minus = ens["+"], ens["-"]
     assert plus.probability <= 1e-12 and not plus.reachable
     assert abs(minus.probability - 1.0) <= 1e-10
@@ -94,7 +96,7 @@ def test_single_qubit_anticommuting_orders():
 def test_single_qubit_reproduces_two_term_superposition(rng):
     p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
     phi = random_pure_state(rng, 1)
-    ens = controlled_outcomes(*protocol_control("ghz", 1), _end_vectors([p], [phi]))
+    ens = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)), _end_vectors([p], [phi]))
     for sign, label in ((1, "+"), (-1, "-")):
         raw = (forward_order(p) + sign * backward_order(p)) @ phi
         if ens[label].reachable:
@@ -122,16 +124,39 @@ def test_branch_readout_postselects(rng, protocol, n):
     for pairs in ([UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)],
                   [commuting] * n):
         inputs = [random_pure_state(rng, 1) for _ in range(n)]
-        control, reverse = protocol_control(protocol, n)
-        p, reachable, states = branch_readout(control, reverse, _end_vectors(pairs, inputs))
+        plan = readout_plan(*protocol_control(protocol, n))
+        p, reachable, states = branch_readout(plan, _end_vectors(pairs, inputs))
         assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-10
         assert np.array_equal(reachable, p >= UNREACHABLE_TOL)
         assert not np.any(states[~reachable])
         assert np.allclose(np.linalg.norm(states[reachable], axis=-1), 1.0, atol=1e-12)
-        ens = controlled_outcomes(control, reverse, _end_vectors(pairs, inputs))
+        ens = controlled_outcomes(plan, _end_vectors(pairs, inputs))
         assert [o.probability for o in ens] == p.tolist()
         assert [o.reachable for o in ens] == reachable.tolist()
     assert not reachable.all()
+
+
+_EVEN = [1.0 / math.sqrt(2.0)] * 2
+
+
+@pytest.mark.parametrize("control, reverse, width, match", [
+    ([5.0, 0.0], [[0], [1]], 1, "^control must be finite and normalized$"),
+    ([math.nan, 1.0], [[0], [1]], 1, "^control must be finite and normalized$"),
+    ([math.inf, 0.0], [[0], [1]], 1, "^control must be finite and normalized$"),
+    (_EVEN, [[0], [-1]], 1, "^reverse table entries must be 0 or 1$"),
+    (_EVEN, [[0], [2]], 1, "^reverse table entries must be 0 or 1$"),
+    (_EVEN, [[0]], 1, r"^reverse table must have 2 rows, got shape \(1, 1\)$"),
+    (_EVEN, [[0], [1], [1]], 1, r"^reverse table must have 2 rows, got shape \(3, 1\)$"),
+    (_EVEN, [[0, 0], [1, 1]], 3, r"^order images must be \(\.\.\., 2, 2, 2\), got \(3, 2, 2\)$"),
+    (_EVEN, [[0], [1]], 2, r"^order images must be \(\.\.\., 1, 2, 2\), got \(2, 2, 2\)$"),
+], ids=["control-norm-25", "control-nan", "control-inf", "reverse-minus-one", "reverse-two",
+        "reverse-rows-1", "reverse-rows-3", "ends-3-on-a-2-qubit-plan",
+        "ends-2-on-a-1-qubit-plan"])
+def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
+    # a control is checked where its plan is built, the order images where they are read out
+    ends = _end_vectors([default_pair()] * width, [superposed_input(0.5)] * width)
+    with pytest.raises(ValueError, match=match):
+        branch_readout(readout_plan(control, reverse), ends)
 
 
 def _bits(a):
@@ -490,10 +515,10 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
         "run_sweep": lambda: run_sweep(SweepPlan("ghz", n, [0.0, 0.5], [0.0, 1.0])),
         "map_entanglement": lambda: map_entanglement(control, [pair] * n, [eta] * n),
     }
-    # below one 2^n state; map_entanglement's norm check first reads the caller's
-    # 2^n control as Python scalars, about 0.3 MiB
+    # below one 2^n state; map_entanglement first builds the 2^n-row reverse table of
+    # its plan, about 0.8 MiB
     bound = 2**20 if call in ("map_entanglement", "run-w4096") else 16 * 2**n
-    cached = _protocol_plan.cache_info().currsize
+    cached = protocol_plan.cache_info().currsize
     tracemalloc.start()
     try:
         width = 4096 if call == "run-w4096" else n
@@ -503,14 +528,14 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < bound
-    assert _protocol_plan.cache_info().currsize == cached  # no refused width is cached
+    assert protocol_plan.cache_info().currsize == cached  # no refused width is cached
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 5)])
 def test_protocol_readout_tables_are_built_once_and_read_only(monkeypatch, protocol, n):
     spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.3)] * n)
     first = run(spec)
-    labels, weights, rows = _protocol_plan(protocol, n)
+    labels, weights, rows = protocol_plan(protocol, n)
     assert not weights.flags.writeable and not rows.flags.writeable
     # run and run_sweep read the tables built above: a second build would fail
     monkeypatch.setattr(qswitch.switch, "protocol_control", None)
