@@ -73,17 +73,18 @@ def _member(doc: dict, pointer: str, kind: type, default=None):
 
 def _parse_pair(doc, pointer: str) -> UnitaryPair:
     """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
-    with _at(pointer):
-        _expect(doc, dict, "gate pair")
+    if not isinstance(doc, dict):
+        with _at(pointer):
+            _expect(doc, dict, "gate pair")
     _only_keys(doc, pointer, ("u", "u_tilde"))
     mats = []
-    for key in ("u", "u_tilde"):
-        with _at(f"{pointer}/{key}"):
-            mats.append(parse_gate(_expect(doc.get(key), str, "gate name")))
     try:
+        for key in ("u", "u_tilde"):
+            mats.append(parse_gate(_expect(doc.get(key), str, "gate name")))
         return UnitaryPair(*mats)
-    except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
-        key = "u" if not is_unitary(mats[0]) else "u_tilde"
+    except ValueError as exc:
+        if len(mats) == 2:  # parsed gates are 2x2, so one of them is not unitary
+            key = "u" if not is_unitary(mats[0]) else "u_tilde"
         raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
 
 
@@ -105,9 +106,11 @@ def _amplitudes_to_state(entries) -> np.ndarray:
     v = np.array(amps)
     a, b = amps  # below 1e153 in every part the norm's four squares cannot overflow
     big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)) >= 1e153
-    # an overflowing norm is rejected just below
+    re, im = v.real, v.imag
+    # np.linalg.norm's own arithmetic without its wrapper: BLAS dots, which four scalar
+    # squares do not match bit for bit; an overflowing norm is rejected just below
     with np.errstate(over="ignore") if big else contextlib.nullcontext():
-        nrm = np.linalg.norm(v)
+        nrm = math.sqrt(re.dot(re) + im.dot(im))
     if not UNREACHABLE_TOL <= nrm < math.inf:
         raise ValueError("amplitude vector must have a nonzero, finite norm")
     return v / nrm
@@ -118,16 +121,17 @@ def parse_spec(doc) -> SwitchSpec:
     with _at(""):
         _expect(doc, dict, "spec document")
     _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
-    with _at("/version"):
-        version = doc.get("version", 1)
-        if version != 1 or isinstance(version, bool):
+    # each _at block below is entered only to raise, which spares its setup on every request
+    version = doc.get("version", 1)
+    if version != 1 or isinstance(version, bool):
+        with _at("/version"):
             raise ValueError(f"unsupported spec version {version!r}")
-    with _at("/control"):
-        if doc.get("control", "even") != "even":
+    if doc.get("control", "even") != "even":
+        with _at("/control"):
             raise ValueError(f"control must be 'even', got {doc['control']!r}")
     protocol = doc.get("protocol")
-    with _at("/protocol"):
-        if protocol not in PROTOCOLS:
+    if protocol not in PROTOCOLS:
+        with _at("/protocol"):
             raise ValueError(f"unknown protocol {protocol!r}")
     pair_docs = _member(doc, "/pairs", list)
     n = _member(doc, "/n", int, len(pair_docs))
@@ -141,8 +145,8 @@ def parse_spec(doc) -> SwitchSpec:
         pairs *= n
     inp = _member(doc, "/input", dict, {"alpha": 0.5})
     _only_keys(inp, "/input", ("alpha", "amplitudes"))
-    with _at("/input"):
-        if len(inp) > 1:
+    if len(inp) > 1:
+        with _at("/input"):
             raise ValueError("input takes exactly one of 'alpha' and 'amplitudes'")
     if "alpha" in inp:
         with _at("/input/alpha"):
@@ -150,13 +154,15 @@ def parse_spec(doc) -> SwitchSpec:
             inputs = [superposed_input(alpha)] * len(pairs)
     else:
         amplitudes = _member(inp, "/input/amplitudes", list)
-        with _at("/input/amplitudes"):
-            if len(amplitudes) != len(pairs):
+        if len(amplitudes) != len(pairs):
+            with _at("/input/amplitudes"):
                 raise ValueError(f"{len(amplitudes)} input states for {len(pairs)} qubits")
         inputs = []
-        for i, entries in enumerate(amplitudes):
-            with _at(f"/input/amplitudes/{i}"):
+        try:
+            for entries in amplitudes:
                 inputs.append(_amplitudes_to_state(entries))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{exc} (at '/input/amplitudes/{len(inputs)}')") from None
     with _at("/n" if "n" in doc else "/pairs"):
         return SwitchSpec(protocol=protocol, pairs=pairs, inputs=inputs)
 

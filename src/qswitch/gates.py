@@ -55,9 +55,12 @@ def is_unitary(m: np.ndarray) -> bool:
     test is a ``<=`` comparison, which a NaN fails.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        return False
-    a, b, c, d = m.ravel().tolist()
+    return m.shape == (2, 2) and _unitary_rows(m.tolist())
+
+
+def _unitary_rows(rows: list) -> bool:
+    """``is_unitary``'s rule on ``m.tolist()``, the rows [[a, b], [c, d]] of a 2x2 matrix."""
+    (a, b), (c, d) = rows
     bound = 1.0 + ATOL
     if not (abs(a) <= bound and abs(b) <= bound and abs(c) <= bound and abs(d) <= bound):
         return False
@@ -87,7 +90,7 @@ class UnitaryPair:
             m.setflags(write=False)
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-            if not is_unitary(m):
+            if not _unitary_rows(m.tolist()):
                 raise ValueError(f"{name} is not unitary within tolerance")
             object.__setattr__(self, name, m)
 
@@ -148,6 +151,13 @@ def parse_gate(name: str) -> np.ndarray:
     may stand in it.
     """
     name = name.strip()
+    m = _MATRIX_RE.fullmatch(name)
+    if m:
+        a, b, c, d = map(_parse_complex, m.groups())
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)
+                and cmath.isfinite(d)):
+            raise ValueError(f"matrix entries must be finite in {name!r}")
+        return np.array(((a, b), (c, d)))
     if name in ("pauli_x", "pauli_y", "pauli_z"):
         return pauli(name[-1])
     if name == "identity":
@@ -161,12 +171,6 @@ def parse_gate(name: str) -> np.ndarray:
         if not math.isfinite(angle):
             raise ValueError(f"ry angle must be finite in {name!r}")
         return ry(angle)
-    m = _MATRIX_RE.fullmatch(name)
-    if m:
-        entries = list(map(_parse_complex, m.groups()))
-        if not all(map(cmath.isfinite, entries)):
-            raise ValueError(f"matrix entries must be finite in {name!r}")
-        return np.array(entries, dtype=complex).reshape(2, 2)
     m = _MATRIX_CALL_RE.fullmatch(name)
     if m:
         raise _matrix_literal_error(name, m.group(1))

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .gates import UnitaryPair
-from .switch import (MAX_QUBITS, _as_qubit_state, _branch_stack, _end_vectors,
+from .switch import (MAX_QUBITS, _as_qubit_states, _branch_stack, _end_vectors,
                      controlled_outcomes, readout_plan, superposed_input)
 from .verify import condition_report
 
@@ -115,7 +115,7 @@ def map_entanglement(
     if control.shape != (2**n,):
         raise ValueError(f"control must be an {n}-qubit state")
     plan = readout_plan(control, _reverse_table(list(range(n)), n))  # checks the control
-    ends = _end_vectors(pairs, [_as_qubit_state(v) for v in inputs])
+    ends = _end_vectors(pairs, _as_qubit_states(inputs))
     return _branch_results(plan, ends, condition_report(ends).all_orthogonal)
 
 

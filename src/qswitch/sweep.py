@@ -88,7 +88,8 @@ def run_sweep(plan: SweepPlan) -> SweepTable:
     """Evaluate the plan into a ``SweepTable``: the whole grid goes through the engine and
     the metric as one batch of shape (lambda, alpha), so a row depends only on its own point."""
     u_tilde = gates.ry(2.0 * np.asarray(plan.lambda_grid))[:, None]  # (lam, 1, 2, 2)
-    ends = _order_images(gates.PAULI_Z, u_tilde, superposed_input(plan.alpha_grid))
+    ends = _order_images(np.stack(np.broadcast_arrays(gates.PAULI_Z, u_tilde), -3),
+                         superposed_input(plan.alpha_grid))
     ends = np.broadcast_to(ends[:, :, None], ends.shape[:2] + (plan.n,) + ends.shape[2:])
     readout = protocol_plan(plan.protocol, plan.n)
     probabilities, reachable, states = branch_readout(readout, ends)

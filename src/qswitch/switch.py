@@ -70,17 +70,22 @@ def canonical_phase(states: np.ndarray) -> np.ndarray:
     return fixed.reshape(states.shape)
 
 
-def _as_qubit_state(v) -> np.ndarray:
-    """A read-only copy of ``v``, checked to be a finite, normalised qubit state."""
-    v = np.array(v, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
-    a, b = v.tolist()
-    norm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    if not abs(norm2 - 1.0) <= NORM_TOL:  # also false for NaN
-        raise ValueError("input states must be finite and normalized")
-    v.setflags(write=False)
-    return v
+def _as_qubit_states(inputs) -> np.ndarray:
+    """A read-only copy (k, 2) of the k states ``inputs``, each checked in turn to be a
+    finite, normalised qubit state."""
+    states = []
+    for v in inputs:
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (2,):
+            raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
+        a, b = v.tolist()
+        norm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # also false for NaN
+            raise ValueError("input states must be finite and normalized")
+        states.append(v)
+    states = np.array(states, dtype=complex)
+    states.setflags(write=False)
+    return states
 
 
 def superposed_input(alpha) -> np.ndarray:
@@ -159,11 +164,11 @@ class SwitchSpec:
     def __post_init__(self):
         pairs = tuple(self.pairs)
         check_protocol(self.protocol, len(pairs))
-        inputs = tuple(_as_qubit_state(v) for v in self.inputs)
+        inputs = _as_qubit_states(self.inputs)
         ends = _end_vectors(pairs, inputs)  # also checks that the lengths agree
         ends.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "inputs", tuple(inputs))
         object.__setattr__(self, "ends", ends)
 
     @property
@@ -171,16 +176,11 @@ class SwitchSpec:
         return len(self.pairs)
 
 
-def _order_images(u: np.ndarray, u_tilde: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _order_images(pair: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The forward- (u @ u_tilde) and backward-order (u_tilde @ u) images of ``phi``:
-    (..., order, 2), with u, u_tilde (..., 2, 2) and phi (..., 2) broadcast."""
-    fwd = u @ u_tilde
-    # the two products are copied into place, as np.stack would copy them,
-    # without its per-call overhead, which counts on a few qubits
-    orders = np.empty(fwd.shape[:-2] + (2,) + fwd.shape[-2:], dtype=fwd.dtype)
-    orders[..., 0, :, :] = fwd
-    orders[..., 1, :, :] = u_tilde @ u
-    return (orders @ phi[..., None, :, None])[..., 0]
+    (..., order, 2), with ``pair`` the stack [u, u_tilde] (..., 2, 2, 2) and phi (..., 2)
+    broadcast. Both orders are one matmul, [u, u_tilde] @ [u_tilde, u]."""
+    return (pair @ pair[..., ::-1, :, :] @ phi[..., None, :, None])[..., 0]
 
 
 def _end_vectors(pairs: Sequence[UnitaryPair], inputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -189,8 +189,8 @@ def _end_vectors(pairs: Sequence[UnitaryPair], inputs: Sequence[np.ndarray]) -> 
         raise ValueError("at least one qubit is required")
     if len(inputs) != len(pairs):
         raise ValueError("pairs and inputs must have the same length")
-    return _order_images(np.array([p.u for p in pairs]), np.array([p.u_tilde for p in pairs]),
-                         np.array(inputs, dtype=complex))
+    return _order_images(np.array([(p.u, p.u_tilde) for p in pairs]),
+                         np.asarray(inputs, dtype=complex))
 
 
 def _check_width(n: int) -> None:
@@ -223,6 +223,8 @@ def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     whether control basis state b applies the backward order of qubit q's pair. A
     control is checked here, where it enters: 2^m finite amplitudes, normalised."""
     control = np.asarray(control, dtype=complex)
+    if control.ndim != 1:
+        raise ValueError(f"control must be a 1-D state vector, got shape {control.shape}")
     m = num_qubits(len(control))
     reverse = np.asarray(reverse)
     if reverse.ndim != 2 or len(reverse) != 2**m:

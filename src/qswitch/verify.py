@@ -13,7 +13,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .metrics import _cut_purities_scalar
-from .switch import NORM_TOL, SwitchSpec, _as_qubit_state, _end_vectors
+from .switch import NORM_TOL, SwitchSpec, _as_qubit_states, _end_vectors
 
 CONDITION_TOL = 1e-9
 CLASS_TOL = 1e-6  # purity and tangle threshold of certify_class
@@ -37,7 +37,7 @@ def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:
 
     ``phi`` must be a finite, normalised single-qubit state, as in ``SwitchSpec``.
     """
-    return _overlaps(_end_vectors([pair], [_as_qubit_state(phi)]))[0]
+    return _overlaps(_end_vectors([pair], _as_qubit_states([phi])))[0]
 
 
 def condition_report(ends: np.ndarray, tol: float = CONDITION_TOL) -> ConditionReport:

@@ -20,12 +20,13 @@ from qswitch import (
     UnitaryPair,
     backward_order,
     forward_order,
+    parse_gate,
     pauli,
     ry,
     superposed_input,
 )
 from qswitch.cli import main
-from qswitch.gates import ATOL
+from qswitch.gates import ATOL, _parse_complex
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
 from qswitch.sweep import SweepTable
@@ -518,6 +519,38 @@ def seeded_verify_doc(protocol, n, family, seed):
     return {"version": 1, "protocol": protocol, "n": n,
             "pairs": [{"u": matrix(u), "u_tilde": matrix(ut)} for u, ut, _ in qubits],
             "input": {"amplitudes": [[literal(a) for a in phi] for _, _, phi in qubits]}}
+
+
+def golden_spec_documents():
+    """The spec document of every ``run`` and ``verify`` case of the golden corpus: the
+    seeded verify documents, the paper specs and the amplitude documents at the
+    overflow edge."""
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    return [seeded_verify_doc(**case["seeded"]) if "seeded" in case else case["spec"]
+            for case in cases if case["id"].startswith(("run/", "verify/"))]
+
+
+def reference_parse_spec(doc):
+    """The ``SwitchSpec`` of a well-formed spec document, built step by step through the
+    public constructors: ``parse_gate`` and ``UnitaryPair`` for each pair, ``v /
+    np.linalg.norm(v)`` for each amplitude vector, then ``SwitchSpec``. A norm that is
+    zero or overflows raises ValueError."""
+    pairs = [UnitaryPair(parse_gate(p["u"]), parse_gate(p["u_tilde"])) for p in doc["pairs"]]
+    n = doc.get("n", len(pairs))
+    pairs = pairs * n if len(pairs) == 1 else pairs
+    inp = doc.get("input", {"alpha": 0.5})
+    if "alpha" in inp:
+        return SwitchSpec(doc["protocol"], pairs, [superposed_input(float(inp["alpha"]))] * n)
+    inputs = []
+    for entries in inp["amplitudes"]:
+        v = np.array([_parse_complex(e) if isinstance(e, str) else complex(*e)
+                      if isinstance(e, list) else complex(e) for e in entries])
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not UNREACHABLE_TOL <= nrm < math.inf:
+            raise ValueError("amplitude vector must have a nonzero, finite norm")
+        inputs.append(v / nrm)
+    return SwitchSpec(doc["protocol"], pairs, inputs)
 
 
 def _golden_digest(case, tmp):

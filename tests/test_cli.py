@@ -20,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qswitch
+from conftest import seeded_verify_doc
 from qswitch.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from qswitch.documents import parse_spec
+from qswitch.switch import run
+from qswitch.verify import certify_class
 
 RY_QUARTER = f"ry({math.pi / 2})"
 
@@ -232,6 +236,23 @@ def test_verify_builds_the_order_images_once_and_checks_once(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
+def test_verify_classes_equal_certify_class_over_the_run(tmp_path, capsys, protocol):
+    # verify classifies the readout's states without the run's phase fix, which no class
+    # depends on. The seeds are not those of the golden manifest. In the last document
+    # every pair commutes, so that only the first outcome is reachable.
+    docs = [seeded_verify_doc(protocol, 3, family, seed)
+            for family in ("orthogonal", "generic", "aligned") for seed in range(100, 105)]
+    docs.append({"protocol": protocol, "n": 3, "pairs": [{"u": "pauli_z", "u_tilde": "identity"}]})
+    path = tmp_path / "spec.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--spec", str(path)]) == EXIT_OK
+        classes = json.loads(capsys.readouterr().out)["outcome_classes"]
+        assert classes == {o.label: certify_class(o.state)
+                           for o in run(parse_spec(doc)).reachable()}
+
+
+@pytest.mark.parametrize("protocol", ["ghz", "w"])
 def test_verify_rejects_bad_tol_on_three_qubits(tmp_path, capsys, protocol):
     assert main(["verify", "--spec", _spec_file(tmp_path, protocol, 3), "--tol", "0.5"]) \
         == EXIT_VALIDATION
@@ -383,6 +404,16 @@ def _topology_doc(**fields):
     return doc
 
 
+_NOT_UNITARY = "matrix([[2+0i,0+0i],[0+0i,1+0i]])"
+
+
+def _ghz3_doc(pair_2=None, input_2=(1, 0)):
+    """A 3-qubit ghz document with its own third pair and third input state."""
+    pair = {"u": "pauli_z", "u_tilde": RY_QUARTER}
+    return _bell_doc(protocol="ghz", n=3, pairs=[pair, pair, pair_2 or pair],
+                     input={"amplitudes": [[1, 0], [0, 1], list(input_2)]})
+
+
 @pytest.mark.parametrize("doc,pointer", [
     (_bell_doc(n="3"), "'/n'"),
     (_bell_doc(n=True), "'/n'"),
@@ -404,10 +435,19 @@ def _topology_doc(**fields):
     (_bell_doc(protocol="ghz", n=3, pairs=[{"u": "pauli_z", "u_tilde": RY_QUARTER}] * 3,
                input={"amplitudes": [[1, 0], [0, 1]]}),
      "2 input states for 3 qubits (at '/input/amplitudes')"),
+    (_ghz3_doc(pair_2={"u": "pauli_z", "u_tilde": "hadamard"}),
+     "error: unknown gate name 'hadamard' (at '/pairs/2/u_tilde')\n"),
+    (_ghz3_doc(pair_2={"u": "pauli_z", "u_tilde": _NOT_UNITARY}),
+     "error: u_tilde is not unitary within tolerance (at '/pairs/2/u_tilde')\n"),
+    (_ghz3_doc(pair_2={"u": _NOT_UNITARY, "u_tilde": "pauli_z"}),
+     "error: u is not unitary within tolerance (at '/pairs/2/u')\n"),
+    (_ghz3_doc(input_2=[0, 0]),
+     "error: amplitude vector must have a nonzero, finite norm (at '/input/amplitudes/2')\n"),
 ], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string",
         "control-biased", "amplitudes-number", "amplitudes-flat", "gate-unknown",
         "gate-not-unitary", "bell-three-pairs", "bell-n-three", "pairs-missing",
-        "amplitudes-zero", "amplitudes-too-few"])
+        "amplitudes-zero", "amplitudes-too-few", "ghz3-gate-unknown-at-2",
+        "ghz3-u-tilde-not-unitary-at-2", "ghz3-u-not-unitary-at-2", "ghz3-amplitudes-zero-at-2"])
 def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))

@@ -17,6 +17,7 @@ from conftest import (
     dense_is_unitary,
     dense_readout,
     density,
+    golden_spec_documents,
     haar_unitary,
     joint_state,
     kron_all,
@@ -25,6 +26,7 @@ from conftest import (
     random_pure_state,
     random_spec,
     reference_canonical_phase,
+    reference_parse_spec,
     switch_operator,
 )
 from qswitch import (
@@ -38,7 +40,7 @@ from qswitch import (
     ry,
     superposed_input,
 )
-from qswitch.documents import parse_spec, parse_topology
+from qswitch.documents import _amplitudes_to_state, parse_spec, parse_topology
 from qswitch.gates import local_tensor
 from qswitch.metrics import gme_concurrence
 from qswitch.netsim import map_entanglement, run_hierarchy
@@ -113,7 +115,7 @@ def test_order_images_equal_order_products_bitwise(rng):
         for (fwd, bwd), p, phi in zip(ends, pairs, inputs):
             assert np.array_equal(fwd, forward_order(p) @ phi)
             assert np.array_equal(bwd, backward_order(p) @ phi)
-            assert np.array_equal(_order_images(p.u, p.u_tilde, phi), [fwd, bwd])
+            assert np.array_equal(_order_images(np.array([p.u, p.u_tilde]), phi), [fwd, bwd])
 
 
 @pytest.mark.parametrize("protocol,n", [("ghz", 1), ("bell", 2), ("ghz", 3), ("w", 4), ("w", 8)])
@@ -149,9 +151,12 @@ _EVEN = [1.0 / math.sqrt(2.0)] * 2
     (_EVEN, [[0], [1], [1]], 1, r"^reverse table must have 2 rows, got shape \(3, 1\)$"),
     (_EVEN, [[0, 0], [1, 1]], 3, r"^order images must be \(\.\.\., 2, 2, 2\), got \(3, 2, 2\)$"),
     (_EVEN, [[0], [1]], 2, r"^order images must be \(\.\.\., 1, 2, 2\), got \(2, 2, 2\)$"),
+    ([_EVEN, _EVEN], [[0], [1]], 1,
+     r"^control must be a 1-D state vector, got shape \(2, 2\)$"),
+    (1.0, [[0], [1]], 1, r"^control must be a 1-D state vector, got shape \(\)$"),
 ], ids=["control-norm-25", "control-nan", "control-inf", "reverse-minus-one", "reverse-two",
         "reverse-rows-1", "reverse-rows-3", "ends-3-on-a-2-qubit-plan",
-        "ends-2-on-a-1-qubit-plan"])
+        "ends-2-on-a-1-qubit-plan", "control-2x2", "control-scalar"])
 def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
     # a control is checked where its plan is built, the order images where they are read out
     ends = _end_vectors([default_pair()] * width, [superposed_input(0.5)] * width)
@@ -359,6 +364,53 @@ def test_spec_json_explicit_amplitudes():
     spec = parse_spec(doc)
     assert np.allclose(spec.inputs[0], [0.6, 0.8])
     assert np.allclose(spec.inputs[1], [1.0, 0.0])
+
+
+def test_parse_spec_arrays_equal_the_step_by_step_reference_bitwise():
+    # the spec documents of the golden corpus: the seeded verify documents, the paper
+    # specs and the amplitude documents at the overflow edge
+    parsed = rejected = 0
+    for doc in golden_spec_documents():
+        try:
+            ref = reference_parse_spec(doc)
+        except ValueError:
+            with pytest.raises(ValueError, match="^amplitude vector must have a nonzero, finite"):
+                parse_spec(doc)
+            rejected += 1
+            continue
+        spec = parse_spec(doc)
+        assert (spec.protocol, spec.n) == (ref.protocol, ref.n)
+        for got, want in zip(spec.pairs, ref.pairs, strict=True):
+            assert np.array_equal(_bits(got.u), _bits(want.u))
+            assert np.array_equal(_bits(got.u_tilde), _bits(want.u_tilde))
+        for got, want in zip(spec.inputs, ref.inputs, strict=True):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(spec.ends), _bits(ref.ends))
+        parsed += 1
+    assert (parsed, rejected) == (214, 8)
+
+
+def test_amplitude_norm_equals_numpy_norm_bitwise():
+    # the parsed input is v / ||v||, with the norm's arithmetic that of np.linalg.norm;
+    # a quarter of the vectors lie about the 1e153 edge, where the norm starts to overflow
+    rng = np.random.default_rng(153)
+    scale = np.where(rng.random(20_000) < 0.25, rng.uniform(152.9, 154.2, 20_000),
+                     rng.uniform(-3.0, 150.0, 20_000))
+    parts = rng.normal(size=(20_000, 4)) * 10.0 ** scale[:, None]
+    big = refused = 0
+    for re0, im0, re1, im1 in parts.tolist():
+        v = np.array([complex(re0, im0), complex(re1, im1)])
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        entries = [[re0, im0], [re1, im1]]
+        big += max(map(abs, (re0, im0, re1, im1))) >= 1e153
+        if nrm < math.inf:
+            assert np.array_equal(_bits(_amplitudes_to_state(entries)), _bits(v / nrm))
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="nonzero, finite norm"):
+                _amplitudes_to_state(entries)
+    assert big > 3000 and 1000 < refused < big
 
 
 def _ensemble_bits(ens):
