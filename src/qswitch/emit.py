@@ -6,12 +6,12 @@ rounded to 12 significant digits. The states of a document hold up to 2^12
 amplitudes each, drawn from few distinct values, so all the states of a
 document share one table of their distinct parts, each formatted once. The
 probabilities, fidelities and sweep columns are formatted once per distinct
-value of each array. A sweep file is written from the columns of a sweep
-table, with no per-row object. The ``qswitch verify`` report prints its
-overlaps and ``tol`` at full precision. The bytes are those of
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline (and of
-``csv.writer``) on the same values; the tests keep that construction as the
-reference.
+value of each array. A sweep file is one join of its columns' texts, each
+joined to the text after it and interleaved by slice assignment, with no
+per-row object or call. The ``qswitch verify`` report prints its overlaps and
+``tol`` at full precision. The bytes are those of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values;
+the tests keep that construction as the reference.
 """
 from __future__ import annotations
 
@@ -43,10 +43,6 @@ def _texts(values, text) -> list[str]:
     distinct = list(dict.fromkeys(keys))
     floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
     return list(map(dict(zip(distinct, map(text, floats))).__getitem__, keys))
-
-
-def _csv_text(x: float) -> str:
-    return format(x, ".12g")
 
 
 def _bool(flag: bool) -> str:
@@ -132,39 +128,50 @@ def write_branches(branches, out) -> None:
     _write_document(out, "branches", objects())
 
 
-def _sweep_columns(table, text, label, none: str) -> tuple:
-    """The six columns of a sweep table as text, in row order: each number as ``text``
-    of it, each outcome as ``label`` of it, and ``none`` for an unreachable row's metric."""
-    lambdas, alphas, outcomes = table.probability.shape
-    reachable = table.reachable.reshape(-1)
-    metric = _texts(table.metric, text)
+def _sweep_parts(table, head: str, after: dict, text, label, none: str) -> list[str]:
+    """``head``, then each field of a sweep table in row order with ``after[column]``, the text
+    after it; ``text``, ``label`` and ``none`` write a number, an outcome and a missing metric."""
+    shape, reachable = table.probability.shape, table.reachable.reshape(-1)
+
+    def numbers(values, key, text=text):
+        return _texts(values, lambda x: text(x) + after[key])
+
+    def along(texts, axis):  # one text per index of one axis, repeated over the rows
+        return np.broadcast_to(np.array(texts, dtype=object)[axis], shape).ravel().tolist()
+
+    columns = {"lambda": along(numbers(table.lambda_grid, "lambda"), np.s_[:, None, None]),
+               "alpha": along(numbers(table.alpha_grid, "alpha"), np.s_[:, None]),
+               "outcome": along([label(s) + after["outcome"] for s in table.labels], np.s_[:]),
+               "probability": numbers(table.probability, "probability"),
+               "metric": numbers(table.metric, "metric"),
+               "reachable": numbers(table.reachable, "reachable", _bool)}
     for i in np.flatnonzero(~reachable).tolist():
-        metric[i] = none
-    return ([t for t in _texts(table.lambda_grid, text) for _ in range(alphas * outcomes)],
-            [t for t in _texts(table.alpha_grid, text) for _ in range(outcomes)] * lambdas,
-            list(map(label, table.labels)) * (lambdas * alphas),
-            _texts(table.probability, text), metric, map(_bool, reachable.tolist()))
+        columns["metric"][i] = none + after["metric"]
+    parts = [head] * (1 + len(after) * reachable.size)
+    for c, key in enumerate(after):
+        parts[1 + c::len(after)] = columns[key]
+    return parts
 
 
-# csv.writer (excel dialect) would quote none of these fields: the template writes its bytes
-_CSV_ROW = "{},{},{},{},{},{}\r\n".format
+# csv.writer (excel dialect) would quote none of these fields: the separators are its bytes
+_CSV_AFTER = {"lambda": ",", "alpha": ",", "outcome": ",", "probability": ",", "metric": ",",
+              "reachable": "\r\n"}
+# a JSON row's keys are sorted; a field is followed by the next key, or by the next row's opening
+_KEYS, _ROW = sorted(_CSV_AFTER), '\n  {\n    "alpha": '
+_JSON_AFTER = dict(zip(_KEYS, [f',\n    "{k}": ' for k in _KEYS[1:]] + ["\n  }," + _ROW]))
 
 
 def write_sweep_csv(table, fh) -> None:
     """Write a sweep table as CSV: a header row, then one row per outcome."""
-    fh.write("lambda,alpha,outcome,probability,metric,reachable\r\n"
-             + "".join(map(_CSV_ROW, *_sweep_columns(table, _csv_text, str, ""))))
-
-
-# one row of a JSON sweep file from its six columns, keys sorted
-_SWEEP_ROW = ('  {{\n    "alpha": {1},\n    "lambda": {0},\n    "metric": {4},\n    "outcome": {2},'
-              '\n    "probability": {3},\n    "reachable": {5}\n  }}').format
+    fh.write("".join(_sweep_parts(table, ",".join(_CSV_AFTER) + "\r\n", _CSV_AFTER,
+                                  "{:.12g}".format, str, "")))
 
 
 def write_sweep_json(table, fh) -> None:
     """Write a sweep table as a JSON list of row objects and a newline."""
-    rows = ",\n".join(map(_SWEEP_ROW, *_sweep_columns(table, _json_text, json.dumps, "null")))
-    fh.write("[\n" + rows + "\n]\n" if rows else "[]\n")
+    parts = _sweep_parts(table, "[" + _ROW, _JSON_AFTER, _json_text, json.dumps, "null")
+    parts[-1] = parts[-1].removesuffix("," + _ROW) + "\n]\n" if len(parts) > 1 else "[]\n"
+    fh.write("".join(parts))
 
 
 # the verify document, keys sorted; the third field is the outcome_classes member or ""

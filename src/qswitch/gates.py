@@ -1,9 +1,9 @@
-"""Single-qubit gate constructors, the 2x2 unitarity check and local tensor
-assemblies.
+"""Single-qubit gate constructors, the gate-name parser and the 2x2 unitarity check.
 
 The two-gate bundle applied to each qubit is a :class:`UnitaryPair`; the two
 composition orders of a pair are exposed as ``forward_order`` (second gate
-first) and ``backward_order`` (first gate first).
+first) and ``backward_order`` (first gate first). ``local_tensor`` builds the
+dense n-qubit tensors of a pair list for the tests' audits; no engine path calls it.
 """
 from __future__ import annotations
 

@@ -99,14 +99,13 @@ def _purity(r00: float, r11: float, r01: complex) -> float:
     return r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag)
 
 
-def _cut_purities_scalar(a: list[complex]) -> list[float]:
-    """``_cut_purities`` of one 3-qubit state given as its eight amplitudes, in
-    Python scalars: qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_j|^2
-    and r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)), in
-    increasing i, and purity r00^2 + r11^2 + 2|r01|^2. The sums are written
-    out, left to right."""
+def _cut_purities_scalar(a: list[complex], weights: list[float]) -> list[float]:
+    """``_cut_purities`` of one 3-qubit state given as its eight amplitudes a_i and
+    weights |a_i|^2, in Python scalars: qubit q's marginal has r00 = sum |a_i|^2,
+    r11 = sum |a_j|^2 and r01 = sum a_i conj(a_j) over the pairs (i, j = i | 2^(2-q)),
+    in increasing i, and purity r00^2 + r11^2 + 2|r01|^2, each sum written out left to right."""
     a0, a1, a2, a3, a4, a5, a6, a7 = a
-    w0, w1, w2, w3, w4, w5, w6, w7 = [z.real * z.real + z.imag * z.imag for z in a]
+    w0, w1, w2, w3, w4, w5, w6, w7 = weights
     return [
         _purity(w0 + w1 + w2 + w3, w4 + w5 + w6 + w7,  # qubit 0: pairs (i, i | 4)
                 a0 * a4.conjugate() + a1 * a5.conjugate() + a2 * a6.conjugate()

@@ -123,15 +123,16 @@ def certify_class(state: np.ndarray) -> str:
     is then at least CLASS_TOL, so the GME concurrence, at least sqrt(2 CLASS_TOL),
     is above CLASS_TOL and decides nothing. All of it, and the norm rule
     |sum |a_i|^2 - 1| <= 1e-10 of ``three_tangle``, is read in one scalar pass
-    over the eight amplitudes.
+    over the eight amplitudes and their squared magnitudes, each computed once.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
     a = state.tolist()
-    if not abs(sum(z.real * z.real + z.imag * z.imag for z in a) - 1.0) <= NORM_TOL:
+    weights = [z.real * z.real + z.imag * z.imag for z in a]
+    if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise ValueError("state must be normalized")  # NaN and inf fail too
-    pure_cuts = sum(p > 1.0 - CLASS_TOL for p in _cut_purities_scalar(a))
+    pure_cuts = sum(p > 1.0 - CLASS_TOL for p in _cut_purities_scalar(a, weights))
     if pure_cuts == 3:
         return "separable"
     if pure_cuts >= 1:

@@ -20,7 +20,7 @@ from qswitch import verify as verify_mod
 from qswitch.cli import EXIT_OK, main
 from qswitch.documents import parse_spec, parse_topology
 from qswitch.netsim import BranchResult
-from qswitch.sweep import default_plan, export, run_sweep
+from qswitch.sweep import SweepTable, default_plan, export, run_sweep
 from qswitch.switch import UNREACHABLE_TOL
 
 PAIR = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2!r})"}
@@ -287,6 +287,37 @@ def test_sweep_export_matches_csv_writer_and_json_dump(tmp_path, protocol, n, fm
         export(table, fmt, str(tmp_path / "new"))
         reference_export(table, fmt, str(tmp_path / "old"))
         assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
+
+
+# signed zero, the smallest subnormal, a tiny normal and numbers that print in exponent form
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e-05, 0.0, 2.5e-07, 1.0 / 3.0, 1e16, -1e-05, 1.0]
+
+
+def _edge_table(lambdas, alphas, labels, reachable):
+    """A hand-built sweep table whose columns cycle through ``EDGE_VALUES``."""
+    shape = (len(lambdas), len(alphas), len(labels))
+    size = math.prod(shape)
+    values = np.resize(np.array(EDGE_VALUES), size).reshape(shape)
+    metric = np.resize(np.array(EDGE_VALUES[::-1]), size).reshape(shape)
+    return SweepTable(tuple(lambdas), tuple(alphas), list(labels), values, metric,
+                      np.resize(np.array(reachable), size).reshape(shape))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", [
+    # edge values in every number column, reachable and unreachable rows interleaved
+    _edge_table([-0.0, 5e-324, 1e-05], [1e-300, 0.5], ["+", "-", "+-"], [True, False, True]),
+    _edge_table([0.0, 1e-05], [-0.0, 1e-300, 1.0], ["+", "-"], [False]),  # every row unreachable
+    _edge_table([0.1, 0.2, 0.3], [1e-05, 0.5], ["+"], [True, False]),  # a single outcome label
+    _edge_table([5e-324], [1e-05], ["+", "-"], [True]),  # a 1x1 grid
+    _edge_table([-0.0], [1e-300], ["w0"], [False]),  # one row, unreachable
+    _edge_table([1e-05], [-0.0], ["w0"], [True]),  # one row, reachable
+], ids=["edge-values", "all-unreachable", "one-label", "grid-1x1", "one-row-unreachable",
+        "one-row-reachable"])
+def test_sweep_export_matches_reference_on_hand_built_tables(tmp_path, fmt, table):
+    export(table, fmt, str(tmp_path / "new"))
+    reference_export(table, fmt, str(tmp_path / "old"))
+    assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
 
 
 @pytest.mark.parametrize("protocol,fmt", [("w3", "csv"), ("ghz4", "json")])

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import dense_is_unitary, haar_unitary, kron_all, reference_is_unitary
 from qswitch.gates import (
@@ -36,6 +35,8 @@ def test_ry_zero_is_identity():
 
 
 def test_ry_matches_matrix_exponential():
+    import scipy.linalg  # imported here, its only user: it costs every collection ~250 ms
+
     # independent oracle: expm(-i sigma_y lambda) over a lambda grid
     for lam in np.linspace(0, math.pi, 7):
         assert np.allclose(ry(2 * lam), scipy.linalg.expm(-1j * PAULI_Y * lam), atol=1e-12)

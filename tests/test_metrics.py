@@ -166,11 +166,17 @@ def test_gme_rejects_non_finite_state(bad):
             gme_concurrence(state)
 
 
+def _weights(a):
+    """The |a_i|^2 that ``certify_class`` hands to ``_cut_purities_scalar``."""
+    return [z.real * z.real + z.imag * z.imag for z in a]
+
+
 def test_scalar_cut_purities_match_batched_and_dense(rng):
     states = [random_pure_state(rng, 3) for _ in range(200)] + [GHZ3, W3, basis_state(3, 5)]
     batched = _cut_purities(np.array(states))
     for state, expected in zip(states, batched):
-        scalar = _cut_purities_scalar(state.tolist())
+        a = state.tolist()
+        scalar = _cut_purities_scalar(a, _weights(a))
         assert np.max(np.abs(np.array(scalar) - expected)) <= 4e-16
         dense = [purity(reduced_density(state, [q])) for q in range(3)]
         assert np.allclose(scalar, dense, rtol=0.0, atol=1e-12)
@@ -184,7 +190,7 @@ def test_scalar_cut_purities_equal_the_pair_loop_bitwise(rng):
                [1e154 + 1e154j] + [0j] * 7, [complex(math.nan, 0)] + [1 + 0j] * 7,
                [complex(math.inf, -math.inf)] + [0j] * 7]
     for a in states:
-        got, expected = _cut_purities_scalar(a), reference_cut_purities_scalar(a)
+        got, expected = _cut_purities_scalar(a, _weights(a)), reference_cut_purities_scalar(a)
         assert np.array(got).tobytes() == np.array(expected).tobytes(), a
 
 
