@@ -4,9 +4,10 @@ The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
 --report branches`` and the sweep CSV and JSON files print every float
 rounded to 12 significant digits. The states of a document hold up to 2^12
 amplitudes each, drawn from few distinct values, so all the states of a
-document share one table of their distinct parts, each formatted once. The
-probabilities, fidelities and sweep columns are formatted once per distinct
-value of each array. A sweep file is one join of its columns' texts, each
+document share one table of their distinct parts, each formatted once and
+joined to each text that can follow it; a state is one take from it and one
+join, written on its own. The probabilities, fidelities and sweep columns
+are formatted once per distinct value of each array. A sweep file is one join of its columns' texts, each
 joined to the text after it and interleaved by slice assignment, with no
 per-row object or call. The ``qswitch verify`` report prints its overlaps and
 ``tol`` at full precision. The bytes are those of ``json.dumps(doc, indent=2,
@@ -49,20 +50,13 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _object(fields: dict) -> str:
-    """An item of a document's top-level list from its fields' JSON texts, keys sorted."""
-    body = ",\n      ".join(f'"{k}": {v}' for k, v in sorted(fields.items()))
-    return "    {\n      " + body + "\n    }"
+# after a real part, after an imaginary part that is not a state's last, and after a state's
+# last part, which also closes the state: a state list is the value of a key of a list item
+_AFTER = (",\n          ", "\n        ],\n        [\n          ", "\n        ]\n      ]")
 
 
-# the text after a real part, and after an imaginary part that is not the last,
-# in a state list that is the value of a key of a top-level list item
-_AFTER_RE = ",\n          "
-_AFTER_IM = "\n        ],\n        [\n          "
-
-
-def _states(states):
-    """Yield each state's ``[[re, im], ...]`` list, from one table of the distinct parts of all."""
+def _state_texts(states):
+    """Yield each state's ``[[re, im], ...]`` text after its ``[[``, from one table of all parts."""
     if not states:
         return
     # keyed by bit pattern, so -0.0 stays apart from 0.0 and each NaN payload keeps its
@@ -73,59 +67,54 @@ def _states(states):
     distinct.sort()
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     texts = list(map(_json_text, distinct.view(np.float64).tolist()))
-    after_re = np.array([t + _AFTER_RE for t in texts], dtype=object)
-    after_im = np.array([t + _AFTER_IM for t in texts], dtype=object)
+    table = np.array([t + after for after in _AFTER for t in texts], dtype=object)  # 3 blocks
     for state in states:
-        index = np.searchsorted(distinct, np.ascontiguousarray(state, dtype=complex).view(np.int64))
-        pieces = np.empty(len(index), dtype=object)
-        pieces[0::2] = after_re[index[0::2]]
-        pieces[1::2] = after_im[index[1::2]]
-        pieces[-1] = texts[index[-1]] + "\n        ]"
-        yield "[\n        [\n          " + "".join(pieces.tolist()) + "\n      ]"
+        index = distinct.searchsorted(np.ascontiguousarray(state, dtype=complex).view(np.int64))
+        index[1::2] += len(texts)  # imaginary parts: the second block
+        index[-1] += len(texts)  # the state's last part: the third
+        yield "".join(table.take(index).tolist())
 
 
-def _write_document(out, key: str, objects) -> None:
-    """Write ``{key: [objects...]}`` and a newline, one object at a time."""
-    out.write('{\n  "' + key + '": [')
-    sep = "\n"
-    for obj in objects:
-        out.write(sep + obj)
-        sep = ",\n"
-    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+def _write_document(out, key: str, items, states) -> None:
+    """Write ``{key: [items...]}`` and a newline. Each item maps its keys to their JSON
+    texts, written in sorted key order; a key mapped to None holds a state, whose text after
+    its opening is the next of ``states``: it goes to ``out`` on its own, never copied."""
+    text, opening, close = '{\n  "' + key + '": [', "\n    {\n      ", "]\n}\n"
+    for fields in items:
+        sep = opening
+        for k, v in sorted(fields.items()):
+            text += sep + '"' + k + '": '
+            if v is None:
+                out.write(text + "[\n        [\n          ")
+                out.write(next(states))
+                text = ""
+            else:
+                text += v
+            sep = ",\n      "
+        text, opening, close = text + "\n    }", ",\n    {\n      ", "\n  ]\n}\n"
+    out.write(text + close)
 
 
 def write_ensemble(ensemble, out) -> None:
     """Write the ``run`` document ``{"outcomes": [...]}`` of an outcome ensemble."""
     outcomes = list(ensemble)
     probabilities = _texts([o.probability for o in outcomes], _json_text)
-    states = _states([o.state for o in outcomes if o.reachable])
-
-    def objects():
-        for o, p in zip(outcomes, probabilities):
-            doc = {"label": json.dumps(o.label), "probability": p, "reachable": _bool(o.reachable)}
-            if o.reachable:
-                doc["state"] = next(states)
-            yield _object(doc)
-
-    _write_document(out, "outcomes", objects())
+    _write_document(out, "outcomes", (
+        {"label": json.dumps(o.label), "probability": p, "reachable": _bool(o.reachable),
+         **({"state": None} if o.reachable else {})} for o, p in zip(outcomes, probabilities)),
+        _state_texts([o.state for o in outcomes if o.reachable]))
 
 
 def write_branches(branches, out) -> None:
     """Write the ``netsim --report branches`` document ``{"branches": [...]}``."""
     probabilities = _texts([b.probability for b in branches], _json_text)
     fidelities = _texts([b.ghz_fidelity if b.reachable else 0.0 for b in branches], _json_text)
-    states = _states([b.client_state for b in branches if b.reachable])
-
-    def objects():
-        for b, p, f in zip(branches, probabilities, fidelities):
-            doc = {"control_outcome": json.dumps(b.control_outcome), "probability": p,
-                   "reachable": _bool(b.reachable)}
-            if b.reachable:
-                doc["ghz_fidelity"] = f
-                doc["client_state"] = next(states)
-            yield _object(doc)
-
-    _write_document(out, "branches", objects())
+    _write_document(out, "branches", (
+        {"control_outcome": json.dumps(b.control_outcome), "probability": p,
+         "reachable": _bool(b.reachable), **({"client_state": None, "ghz_fidelity": f}
+                                             if b.reachable else {})}
+        for b, p, f in zip(branches, probabilities, fidelities)),
+        _state_texts([b.client_state for b in branches if b.reachable]))
 
 
 def _sweep_parts(table, head: str, after: dict, text, label, none: str) -> list[str]:

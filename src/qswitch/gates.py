@@ -41,7 +41,9 @@ def ry(angle) -> np.ndarray:
     """
     half = np.asarray(angle, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
-    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+    out = np.empty(half.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
 
 
 def is_unitary(m: np.ndarray) -> bool:

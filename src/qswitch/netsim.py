@@ -1,14 +1,15 @@
 """Network-level simulations: control-driven entanglement mapping and the
 hierarchical coordinator/edge-entangler architecture.
 
-Both operations run on the switch engine (``switch.controlled_outcomes``): a
-control register whose basis states select, per client qubit, one of the two
-order images of its input; every control qubit is then measured in the
-coherent basis. Each call builds, once, its plan (``switch.readout_plan``,
-which checks the control), then the order images (``switch._end_vectors``)
-and their orthogonality check (``verify.condition_report``); with no protocol
-spec, any 1 <= n <= 12 clients run (the engine's cap). Topology documents are
-parsed by ``documents.parse_topology``.
+Both operations run on the switch engine (``switch.branch_readout``, then
+``switch.canonical_phase`` on its states): a control register whose basis
+states select, per client qubit, one of the two order images of its input;
+every control qubit is then measured in the coherent basis. Each call builds,
+once, its plan (``switch.readout_plan``, which checks the control), then the
+order images (``switch._end_vectors``) and their orthogonality check
+(``verify.condition_report``); with no protocol spec, any 1 <= n <= 12 clients
+run (the engine's cap). Topology documents are parsed by
+``documents.parse_topology``.
 
 Each branch is reported with its probability, client state
 and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
@@ -31,7 +32,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .switch import (MAX_QUBITS, _as_qubit_states, _branch_stack, _end_vectors,
-                     controlled_outcomes, readout_plan, superposed_input)
+                     branch_readout, canonical_phase, readout_plan, superposed_input)
 from .verify import condition_report
 
 CONTROLS = ("ghz", "plus_product")
@@ -94,12 +95,11 @@ def _branch_results(plan: tuple, ends: np.ndarray, in_frame: bool) -> list[Branc
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
     n = len(ends)
     fwd, bwd = _branch_stack([[0] * n, [1] * n], frame)  # all-forward F, all-backward B
-    return [
-        BranchResult(o.label, o.probability, o.state,
-                     float((abs(np.vdot(fwd, o.state)) + abs(np.vdot(bwd, o.state))) ** 2 / 2.0)
-                     if o.reachable else None)
-        for o in controlled_outcomes(plan, ends)
-    ]
+    p, reachable, states = branch_readout(plan, ends)
+    rows = zip(plan[0], p.tolist(), reachable.tolist(),
+               canonical_phase(states))  # unreachable rows are zero and come back unchanged
+    return [BranchResult(k, pk, s, float((abs(np.vdot(fwd, s)) + abs(np.vdot(bwd, s))) ** 2 / 2.0))
+            if live else BranchResult(k, pk, None, None) for k, pk, live, s in rows]
 
 
 def map_entanglement(

@@ -66,7 +66,8 @@ def canonical_phase(states: np.ndarray) -> np.ndarray:
     found, lead = above.ravel()[first], rows.ravel()[first]
     scale = np.where(found, np.hypot(lead.real, lead.imag), 1.0)
     fixed = rows * (lead.conj() / scale)[:, None]
-    np.copyto(fixed, rows, where=~found[:, None])
+    if not found.all():
+        np.copyto(fixed, rows, where=~found[:, None])
     return fixed.reshape(states.shape)
 
 
@@ -96,7 +97,9 @@ def superposed_input(alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
         raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    return np.stack([np.sqrt(alpha), np.sqrt(1.0 - alpha)], -1).astype(complex)
+    out = np.empty(alpha.shape + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = np.sqrt(alpha), np.sqrt(1.0 - alpha)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +267,8 @@ def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
     reachable = probabilities >= UNREACHABLE_TOL
     raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
-    raw[~reachable] = 0.0
+    if not reachable.all():
+        raw[~reachable] = 0.0
     return np.maximum(probabilities, 0.0), reachable, raw
 
 

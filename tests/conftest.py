@@ -222,6 +222,31 @@ def reference_is_unitary(m):
     return all(abs(g) <= ATOL for g in gram)
 
 
+def reference_ry(angle):
+    """``gates.ry`` as nested ``np.stack`` calls cast to complex, its earlier construction."""
+    half = np.asarray(angle, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+
+
+def reference_superposed_input(alpha):
+    """``superposed_input`` as ``np.stack`` cast to complex, its earlier construction."""
+    alpha = np.asarray(alpha, dtype=float)
+    return np.stack([np.sqrt(alpha), np.sqrt(1.0 - alpha)], -1).astype(complex)
+
+
+# two NaNs of different sign and payload: a table keyed by float value would merge them
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFEDC],
+                        dtype=np.int64).view(np.float64).tolist()
+
+
+def same_bits(a, b):
+    """Equal shapes and dtypes, and equal bit patterns entry by entry (NaN payloads and signed
+    zeros included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def reference_cut_purities_scalar(a):
     """The single-qubit purities of a 3-qubit state's eight amplitudes, each sum
     accumulated in a loop from zero over the pairs (i, i | 2^(2-q))."""

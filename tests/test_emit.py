@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NAN_PAYLOADS,
     empty_table,
     haar_unitary,
     random_pure_state,
@@ -274,6 +275,44 @@ def test_states_of_mixed_lengths_and_shared_parts_match_json_dumps(rng):
 def test_branch_documents_without_states_match_json_dumps():
     assert _branches_text([]) == reference_branches_text([])
     branches = [BranchResult(f"+{i}", p, None, None) for i, p in enumerate([0.0, -0.0, 5e-324])]
+    assert_same_text(_branches_text(branches), reference_branches_text(branches))
+
+
+# the parts of the random documents: signed zeros, the smallest subnormal, a tiny normal,
+# 2^-0.5 and two NaN payloads, so that states share parts in every position
+PART_POOL = np.array([-0.0, 0.0, 5e-324, 1e-300, 2.0 ** -0.5] + NAN_PAYLOADS)
+
+
+def test_random_documents_match_json_dumps():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        outcomes = []
+        for i in range(int(rng.integers(0, 7))):  # reachable and unreachable rows mixed
+            probability = float(rng.choice(PART_POOL[:5]))
+            if rng.random() < 0.3:
+                outcomes.append(Outcome(f"o{i}", probability, None))
+            else:
+                size = int(rng.integers(1, 17))
+                state = np.empty(size, dtype=complex)
+                state.real, state.imag = rng.choice(PART_POOL, size), rng.choice(PART_POOL, size)
+                outcomes.append(Outcome(f"o{i}", probability, state))
+        assert_same_text(_ensemble_text(outcomes), reference_ensemble_text(outcomes))
+        branches = [BranchResult(o.label, o.probability, o.state,
+                                 float(rng.choice(PART_POOL[:5])) if o.reachable else None)
+                    for o in outcomes]
+        assert_same_text(_branches_text(branches), reference_branches_text(branches))
+
+
+def test_one_part_in_every_block_of_the_table():
+    # 0.125 is a real part, an imaginary part that is not the last, and a state's last part
+    x = 0.125
+    outcomes = [Outcome("+", 0.5, np.array([complex(x, x), complex(0.5, x)])),
+                Outcome("-", 0.5, np.array([complex(x, -0.0)])), Outcome("0", 0.0, None)]
+    text = _ensemble_text(outcomes)
+    assert text.count("0.125") == 4
+    assert_same_text(text, reference_ensemble_text(outcomes))
+    branches = [BranchResult(o.label, o.probability, o.state, x if o.reachable else None)
+                for o in outcomes]
     assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
 

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import dense_is_unitary, haar_unitary, kron_all, reference_is_unitary
+from conftest import (NAN_PAYLOADS, dense_is_unitary, haar_unitary, kron_all, reference_is_unitary,
+                      reference_ry, same_bits)
 from qswitch.gates import (
     ATOL,
     PAULI_Y,
@@ -47,6 +48,21 @@ def test_ry_matches_matrix_exponential():
 def test_ry_inverse(rng):
     for lam in rng.uniform(0, 2 * math.pi, size=10):
         assert np.allclose(ry(2 * lam) @ ry(-2 * lam), I2)
+
+
+# signed zeros, the smallest subnormal, a huge value, infinities and two NaN payloads
+EDGE_ANGLES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf]
+                       + NAN_PAYLOADS)
+
+
+def test_ry_equals_the_stacked_construction_bitwise():
+    angles = np.concatenate([EDGE_ANGLES, np.random.default_rng(7).normal(scale=10.0, size=1000)])
+    with np.errstate(invalid="ignore"):  # cos and sin of an infinity are NaN
+        for angle in angles.tolist():
+            assert same_bits(ry(angle), reference_ry(angle))
+        assert same_bits(ry(angles), reference_ry(angles))
+        assert same_bits(ry(angles.reshape(-1, 2)), reference_ry(angles.reshape(-1, 2)))
+        assert np.isnan(ry(EDGE_ANGLES[-4:])).all()
 
 
 def test_unitary_pair_validates():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import qswitch.netsim
 
 from conftest import (
+    NAN_PAYLOADS,
     aligned_spec,
     apply_local_unitaries,
     assert_matches_reference,
@@ -27,6 +29,8 @@ from conftest import (
     random_spec,
     reference_canonical_phase,
     reference_parse_spec,
+    reference_superposed_input,
+    same_bits,
     switch_operator,
 )
 from qswitch import (
@@ -189,6 +193,22 @@ def test_canonical_phase_of_a_stack_equals_the_per_state_fix_bitwise():
     assert np.array_equal(_bits(batched.reshape(stack.shape)), _bits(fixed))
     state = random_pure_state(rng, 3) * phases[0]
     assert np.array_equal(_bits(canonical_phase(state)), _bits(reference_canonical_phase(state)))
+
+
+def test_superposed_input_equals_the_stacked_construction_bitwise():
+    alphas = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0],
+                             np.random.default_rng(8).uniform(size=1000)])
+    for alpha in alphas.tolist():
+        assert same_bits(superposed_input(alpha), reference_superposed_input(alpha))
+    assert same_bits(superposed_input(alphas), reference_superposed_input(alphas))
+    assert same_bits(superposed_input(alphas.reshape(-1, 1, 19)),
+                     reference_superposed_input(alphas.reshape(-1, 1, 19)))
+    # the refusal names the value as before, for out-of-range, infinite and NaN alphas
+    for bad in (-5e-324, 1.0 + 2.0**-52, 1e300, -math.inf, math.inf, *NAN_PAYLOADS,
+                [0.5, math.nan]):
+        message = f"alpha must lie in [0,1], got {np.asarray(bad, dtype=float)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            superposed_input(bad)
 
 
 def test_bell_maximal_at_quarter_turn():
@@ -553,7 +573,7 @@ def test_engine_matches_dense_reference(rng, protocol, n):
 def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypatch):
     # were the cap lost, map_entanglement would go on to a 2^n x 2^n readout (1 GiB):
     # fail before it instead
-    monkeypatch.setattr(qswitch.netsim, "controlled_outcomes", None)
+    monkeypatch.setattr(qswitch.netsim, "branch_readout", None)
     n = MAX_QUBITS + 1
     pair, eta = default_pair(), superposed_input(0.5)
     control = np.zeros(2**n, dtype=complex)
