@@ -1,18 +1,17 @@
 """Text output of the result documents: the fixed document shapes written straight to text.
 
 The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
---report branches`` and the sweep CSV and JSON files print every float
-rounded to 12 significant digits. The states of a document hold up to 2^12
-amplitudes each, drawn from few distinct values, so all the states of a
-document share one table of their distinct parts, each formatted once and
-joined to each text that can follow it; a state is one take from it and one
-join, written on its own. The probabilities, fidelities and sweep columns
-are formatted once per distinct value of each array. A sweep file is one join of its columns' texts, each
-joined to the text after it and interleaved by slice assignment, with no
-per-row object or call. The ``qswitch verify`` report prints its overlaps and
-``tol`` at full precision. The bytes are those of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values;
-the tests keep that construction as the reference.
+--report branches`` and the sweep CSV and JSON files print every float rounded to
+12 significant digits. Each column of a document, and all the parts of all its
+states, are tabled by one sort of their bit patterns: each distinct value is
+formatted once, and a column is one search of its table and one take. A state's
+parts are joined to each text that can follow them; a state is one take and one
+join, written on its own. A sweep file is one join of its columns' texts, each
+joined to the text after it and interleaved by slice assignment, with no per-row
+object or call. The ``qswitch verify`` report prints its overlaps and ``tol`` at
+full precision. The bytes are those of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values; the
+tests keep that construction as the reference.
 """
 from __future__ import annotations
 
@@ -37,13 +36,20 @@ def _json_text(x: float) -> str:
     return _float_text(round12(x))
 
 
+def _distinct(keys):
+    """The distinct values of the int64 array ``keys``, ascending; sorts ``keys`` in place."""
+    # keys are bit patterns, so -0.0 and 0.0, and each NaN payload, keep entries of their
+    # own; the first sort in a process pages in about 0.3 MB of resident memory
+    keys.sort()
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
 def _texts(values, text) -> list[str]:
-    """``text(x)`` of each value, called once per distinct value."""
-    # keyed by bit pattern: keyed by float, -0.0 would merge into 0.0
-    keys = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64).tolist()
-    distinct = list(dict.fromkeys(keys))
-    floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-    return list(map(dict(zip(distinct, map(text, floats))).__getitem__, keys))
+    """``text(x)`` of each value, called once per distinct value: one sort and one search."""
+    keys = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+    distinct = _distinct(keys.copy())
+    table = np.array(list(map(text, distinct.view(np.float64).tolist())), dtype=object)
+    return table.take(distinct.searchsorted(keys)).tolist()
 
 
 def _bool(flag: bool) -> str:
@@ -57,15 +63,9 @@ _AFTER = (",\n          ", "\n        ],\n        [\n          ", "\n        ]\n
 
 def _state_texts(states):
     """Yield each state's ``[[re, im], ...]`` text after its ``[[``, from one table of all parts."""
-    if not states:
-        return
-    # keyed by bit pattern, so -0.0 stays apart from 0.0 and each NaN payload keeps its
-    # own entry. One sort and a search per state make no Python object per part, and
-    # hold one state's pieces at a time; not numpy's unique, whose first call in a process
-    # adds ~0.5 MB of resident memory
-    distinct = np.concatenate(states, dtype=complex).view(np.int64)
-    distinct.sort()
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    # one sort and a search per state make no Python object per part, and hold one
+    # state's pieces at a time; the body runs at the first state a document writes
+    distinct = _distinct(np.concatenate(states, dtype=complex).view(np.int64))
     texts = list(map(_json_text, distinct.view(np.float64).tolist()))
     table = np.array([t + after for after in _AFTER for t in texts], dtype=object)  # 3 blocks
     for state in states:

@@ -359,6 +359,50 @@ def test_sweep_export_matches_reference_on_hand_built_tables(tmp_path, fmt, tabl
     assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
 
 
+def test_default_sweep_json_formats_each_distinct_value_of_a_column_once(tmp_path, monkeypatch):
+    calls = _count_json_text(monkeypatch)
+    table = run_sweep(default_plan("ghz", 4))
+    export(table, "json", str(tmp_path / "ghz4.json"))
+    columns = (table.lambda_grid, table.alpha_grid, table.probability, table.metric)
+    assert 0 < len(calls) <= sum(map(_distinct_patterns, columns))
+
+
+# -0.0 beside 0.0, both NaN payloads and the smallest subnormal: a table keyed by float value
+# would print one zero for both
+COLUMN_VALUES = np.array([-0.0, 0.0, 5e-324, 0.0, -0.0, 1.0 / 3.0] + NAN_PAYLOADS)
+
+
+def _column_table(lambdas, alphas, labels, reachable):
+    """A hand-built sweep table whose number columns cycle through ``COLUMN_VALUES``."""
+    shape = (len(lambdas), len(alphas), len(labels))
+    size = math.prod(shape)
+    return SweepTable(tuple(lambdas), tuple(alphas), list(labels),
+                      np.resize(COLUMN_VALUES, size).reshape(shape),
+                      np.resize(COLUMN_VALUES[::-1], size).reshape(shape),
+                      np.resize(np.array(reachable), size).reshape(shape))
+
+
+@pytest.mark.parametrize("column", [
+    COLUMN_VALUES, COLUMN_VALUES[::-1], np.array([0.0, -0.0, -0.0, 0.0]),
+    np.array([True, False, False, True]), np.array([]),
+], ids=["signed-zeros-and-nans", "reversed", "zeros", "bool", "empty"])
+def test_column_texts_match_per_value_texts(column):
+    for text in (emit._json_text, "{:.12g}".format, emit._bool):
+        assert emit._texts(column, text) == [text(x) for x in column.astype(float).tolist()]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", [
+    _column_table([-0.0, 0.0, 5e-324], [0.0, -0.0], ["+", "-"], [True, False, True]),
+    _column_table([0.0, -0.0], list(NAN_PAYLOADS), ["+", "-", "0"], [False]),  # all unreachable
+    _column_table([0.0, -0.0], [], ["+"], [True]),  # an empty alpha column: no rows
+], ids=["signed-zeros-and-nans", "all-unreachable", "empty-column"])
+def test_sweep_columns_of_signed_zeros_and_nans_match_reference(tmp_path, fmt, table):
+    export(table, fmt, str(tmp_path / "new"))
+    reference_export(table, fmt, str(tmp_path / "old"))
+    assert_same_text((tmp_path / "new").read_bytes(), (tmp_path / "old").read_bytes())
+
+
 @pytest.mark.parametrize("protocol,fmt", [("w3", "csv"), ("ghz4", "json")])
 def test_cli_sweep_builds_no_row_records(tmp_path, capsys, protocol, fmt):
     out = tmp_path / f"new.{fmt}"

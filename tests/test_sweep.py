@@ -180,6 +180,40 @@ def test_grid_shape_invariance(tmp_path):
     assert len(rows) == 9 * 5 * 4
 
 
+def _row_texts(path, fmt):
+    """The text of each row of a sweep file, without the header or the list's brackets."""
+    text = path.read_bytes().decode()  # not read_text, which would turn CSV's "\r\n" into "\n"
+    if fmt == "csv":
+        return text.splitlines(keepends=True)[1:]
+    assert text.startswith("[\n") and text.endswith("\n]\n")
+    return (text[2:-3] + ",\n").split("},\n")[:-1]
+
+
+@pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4)])
+def test_a_point_gives_the_same_bytes_in_any_plan(tmp_path, protocol, n):
+    """The README's determinism promise on the CLI's 33 x 33 grid: a point's rows are the same
+    bytes in the full grid, in its one-lambda plan and in a plan of that point alone."""
+    plan, path = default_plan(protocol, n), tmp_path / "rows"
+    table = run_sweep(plan)
+    lines = [run_sweep(SweepPlan(protocol, n, [lam], plan.alpha_grid)) for lam in plan.lambda_grid]
+    points = range(0, 33 * 33, 34)  # 33 points: every alpha once, across the lambdas
+    alone = [run_sweep(SweepPlan(protocol, n, [plan.lambda_grid[point // 33]],
+                                 [plan.alpha_grid[point % 33]])) for point in points]
+    labels = len(table.labels)
+    for fmt in ("csv", "json"):
+        export(table, fmt, str(path))
+        full = _row_texts(path, fmt)
+        assert len(full) == len(table) == 33 * 33 * labels
+        rows = []
+        for line in lines:
+            export(line, fmt, str(path))
+            rows += _row_texts(path, fmt)
+        assert rows == full
+        for point, one in zip(points, alone):
+            export(one, fmt, str(path))
+            assert _row_texts(path, fmt) == full[point * labels:(point + 1) * labels]
+
+
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export(empty_table(), "yaml", str(tmp_path / "x"))
