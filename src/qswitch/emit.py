@@ -3,15 +3,19 @@
 The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
 --report branches`` and the sweep CSV and JSON files print every float rounded to
 12 significant digits. Each column of a document, and all the parts of all its
-states, are tabled by one sort of their bit patterns: each distinct value is
-formatted once, and a column is one search of its table and one take. A state's
-parts are joined to each text that can follow them; a state is one take and one
-join, written on its own. A sweep file is one join of its columns' texts, each
-joined to the text after it and interleaved by slice assignment, with no per-row
-object or call. The ``qswitch verify`` report prints its overlaps and ``tol`` at
-full precision. The bytes are those of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline (and of ``csv.writer``) on the same values; the
-tests keep that construction as the reference.
+states, are tabled by one sort of their bit patterns: the distinct values are
+formatted by one call of a batch formatter, and a column is one search of its
+table and one take. A batch formatter writes all its values, each followed by one
+separator, in one ``"%.12g"`` format for CSV, and in one ``"%.12g"`` rounding
+format and one ``"%r"`` format for JSON, a non-finite value spelled on its own as
+``json.dumps`` spells it. A state's parts are joined to each text that can follow
+them; a state is one take and one join, written on its own. A sweep file is one
+join of its columns' texts, each joined to the text after it and interleaved by
+slice assignment, with no per-row object or call. The ``qswitch verify`` report
+prints its overlaps and ``tol`` at full precision. The bytes are those of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline (and of
+``csv.writer``) on the same values; the tests keep that construction as the
+reference.
 """
 from __future__ import annotations
 
@@ -31,11 +35,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _json_text(x: float) -> str:
-    """The JSON text of ``x`` rounded to 12 significant digits."""
-    return _float_text(round12(x))
-
-
 def _distinct(keys):
     """The distinct values of the int64 array ``keys``, ascending; sorts ``keys`` in place."""
     # keys are bit patterns, so -0.0 and 0.0, and each NaN payload, keep entries of their
@@ -44,16 +43,43 @@ def _distinct(keys):
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
-def _texts(values, text) -> list[str]:
-    """``text(x)`` of each value, called once per distinct value: one sort and one search."""
-    keys = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
-    distinct = _distinct(keys.copy())
-    table = np.array(list(map(text, distinct.view(np.float64).tolist())), dtype=object)
-    return table.take(distinct.searchsorted(keys)).tolist()
+def _formatted(spec: str, values: list, after: str) -> list[str]:
+    """``spec % x + after`` of each of ``values``: one %-format call for all of them."""
+    line = spec + after.replace("%", "%%") + "\0"  # NUL is in no number and no separator
+    return (line * len(values) % tuple(values)).split("\0")[:-1]
+
+
+def _csv_texts(values: np.ndarray, after: str = "") -> list[str]:
+    """``"{:.12g}".format(x) + after`` of each float in ``values``."""
+    return _formatted("%.12g", values.tolist(), after)
+
+
+def _json_texts(values: np.ndarray, after: str = "") -> list[str]:
+    """``json.dumps(round12(x)) + after`` of each float in ``values``: one rounding format
+    and one repr format, the JSON text of a finite float."""
+    rounded = list(map(float, _formatted("%.12g", values.tolist(), "")))
+    texts = _formatted("%r", rounded, after)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():  # json spells these its own way
+        texts[i] = json.dumps(rounded[i]) + after
+    return texts
 
 
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _bool_texts(values: np.ndarray, after: str = "") -> list[str]:
+    """The JSON text of each truth value in ``values``, then ``after``."""
+    return [_bool(x) + after for x in values.tolist()]
+
+
+def _texts(values, texts) -> list[str]:
+    """The text of each value, from one call of ``texts`` on the distinct values, a float
+    array in the order of their bit patterns: one sort, one format call and one search."""
+    keys = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+    distinct = _distinct(keys.copy())
+    table = np.array(texts(distinct.view(np.float64)), dtype=object)
+    return table.take(distinct.searchsorted(keys)).tolist()
 
 
 # after a real part, after an imaginary part that is not a state's last, and after a state's
@@ -66,7 +92,7 @@ def _state_texts(states):
     # one sort and a search per state make no Python object per part, and hold one
     # state's pieces at a time; the body runs at the first state a document writes
     distinct = _distinct(np.concatenate(states, dtype=complex).view(np.int64))
-    texts = list(map(_json_text, distinct.view(np.float64).tolist()))
+    texts = _json_texts(distinct.view(np.float64))
     table = np.array([t + after for after in _AFTER for t in texts], dtype=object)  # 3 blocks
     for state in states:
         index = distinct.searchsorted(np.ascontiguousarray(state, dtype=complex).view(np.int64))
@@ -98,7 +124,7 @@ def _write_document(out, key: str, items, states) -> None:
 def write_ensemble(ensemble, out) -> None:
     """Write the ``run`` document ``{"outcomes": [...]}`` of an outcome ensemble."""
     outcomes = list(ensemble)
-    probabilities = _texts([o.probability for o in outcomes], _json_text)
+    probabilities = _texts([o.probability for o in outcomes], _json_texts)
     _write_document(out, "outcomes", (
         {"label": json.dumps(o.label), "probability": p, "reachable": _bool(o.reachable),
          **({"state": None} if o.reachable else {})} for o, p in zip(outcomes, probabilities)),
@@ -107,8 +133,8 @@ def write_ensemble(ensemble, out) -> None:
 
 def write_branches(branches, out) -> None:
     """Write the ``netsim --report branches`` document ``{"branches": [...]}``."""
-    probabilities = _texts([b.probability for b in branches], _json_text)
-    fidelities = _texts([b.ghz_fidelity if b.reachable else 0.0 for b in branches], _json_text)
+    probabilities = _texts([b.probability for b in branches], _json_texts)
+    fidelities = _texts([b.ghz_fidelity if b.reachable else 0.0 for b in branches], _json_texts)
     _write_document(out, "branches", (
         {"control_outcome": json.dumps(b.control_outcome), "probability": p,
          "reachable": _bool(b.reachable), **({"client_state": None, "ghz_fidelity": f}
@@ -117,13 +143,14 @@ def write_branches(branches, out) -> None:
         _state_texts([b.client_state for b in branches if b.reachable]))
 
 
-def _sweep_parts(table, head: str, after: dict, text, label, none: str) -> list[str]:
+def _sweep_parts(table, head: str, after: dict, texts, label, none: str) -> list[str]:
     """``head``, then each field of a sweep table in row order with ``after[column]``, the text
-    after it; ``text``, ``label`` and ``none`` write a number, an outcome and a missing metric."""
+    after it; ``texts(values, after)`` writes an array of numbers, each followed by ``after``,
+    and ``label`` and ``none`` write an outcome and a missing metric."""
     shape, reachable = table.probability.shape, table.reachable.reshape(-1)
 
-    def numbers(values, key, text=text):
-        return _texts(values, lambda x: text(x) + after[key])
+    def numbers(values, key, texts=texts):
+        return _texts(values, lambda distinct: texts(distinct, after[key]))
 
     def along(texts, axis):  # one text per index of one axis, repeated over the rows
         return np.broadcast_to(np.array(texts, dtype=object)[axis], shape).ravel().tolist()
@@ -133,7 +160,7 @@ def _sweep_parts(table, head: str, after: dict, text, label, none: str) -> list[
                "outcome": along([label(s) + after["outcome"] for s in table.labels], np.s_[:]),
                "probability": numbers(table.probability, "probability"),
                "metric": numbers(table.metric, "metric"),
-               "reachable": numbers(table.reachable, "reachable", _bool)}
+               "reachable": numbers(table.reachable, "reachable", _bool_texts)}
     for i in np.flatnonzero(~reachable).tolist():
         columns["metric"][i] = none + after["metric"]
     parts = [head] * (1 + len(after) * reachable.size)
@@ -153,12 +180,12 @@ _JSON_AFTER = dict(zip(_KEYS, [f',\n    "{k}": ' for k in _KEYS[1:]] + ["\n  },"
 def write_sweep_csv(table, fh) -> None:
     """Write a sweep table as CSV: a header row, then one row per outcome."""
     fh.write("".join(_sweep_parts(table, ",".join(_CSV_AFTER) + "\r\n", _CSV_AFTER,
-                                  "{:.12g}".format, str, "")))
+                                  _csv_texts, str, "")))
 
 
 def write_sweep_json(table, fh) -> None:
     """Write a sweep table as a JSON list of row objects and a newline."""
-    parts = _sweep_parts(table, "[" + _ROW, _JSON_AFTER, _json_text, json.dumps, "null")
+    parts = _sweep_parts(table, "[" + _ROW, _JSON_AFTER, _json_texts, json.dumps, "null")
     parts[-1] = parts[-1].removesuffix("," + _ROW) + "\n]\n" if len(parts) > 1 else "[]\n"
     fh.write("".join(parts))
 

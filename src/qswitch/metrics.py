@@ -84,12 +84,16 @@ def pure_concurrence(states: np.ndarray) -> np.ndarray:
 def _cut_purities(states: np.ndarray) -> np.ndarray:
     """Tr(rho_q^2) of every single-qubit marginal of pure states: (..., 2^n) -> (..., n)."""
     n = num_qubits(states.shape[-1])
+    weights = states.real**2 + states.imag**2  # |a_i|^2, squared once for every qubit
     out = []
     for q in range(n):
-        halves = states.reshape(states.shape[:-1] + (2**q, 2, 2 ** (n - q - 1)))
+        shape = states.shape[:-1] + (2**q, 2, 2 ** (n - q - 1))
+        halves, w = states.reshape(shape), weights.reshape(shape)
         a, b = halves[..., 0, :], halves[..., 1, :]
-        r00 = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
-        r11 = (b.real**2 + b.imag**2).sum(axis=(-2, -1))
+        # each half is summed from a packed copy laid out as a freshly computed half would
+        # be, so every reduction keeps the order it has over |a|^2 of that half alone
+        r00 = w[..., 0, :].copy(order="K").sum(axis=(-2, -1))
+        r11 = w[..., 1, :].copy(order="K").sum(axis=(-2, -1))
         r01 = (a * b.conj()).sum(axis=(-2, -1))
         out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
     return np.stack(out, axis=-1)

@@ -13,11 +13,11 @@ form, returning the outcome ensemble. The protocols only choose the control:
 * the W-like protocol: n cyclic terms, each reversing the order on exactly
   one qubit, steered by a control register of d = ceil(log2 n) qubits.
 
-The readout is one matrix product per ensemble: the signs of H^(x)m, read as
-the parity of popcount(k & b) for outcome k and live control state b, times
-the live control amplitudes, applied to the stack of branch states. The
-single-instance form then fixes the global phase of every reachable state in
-one ``canonical_phase`` call on the stack.
+The readout is one matrix product per batch: the signs of H^(x)m, read as the
+parity of popcount(k & b) for outcome k and live control state b, times the
+live control amplitudes, applied to the branch states of all instances side by
+side. The single-instance form then fixes the global phase of every reachable
+state in one ``canonical_phase`` call on the stack.
 
 State vectors are 1-D complex arrays of length 2^n. Qubit 0 is the leftmost
 tensor factor throughout, so basis index ``b0 b1 ... b_{n-1}`` reads left to
@@ -258,12 +258,22 @@ def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     control qubits read most significant first. Returns the probabilities (..., 2^m),
     clamped at 0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and
     the normalised states (..., 2^m, 2^n), zero where unreachable.
+
+    A batch is read out in one product, (2^m, live) @ (live, instances x 2^n). With
+    n >= 2 qubits and m >= 1 control qubits, as in every protocol, each instance reads
+    out bit for bit as it does alone; a one-qubit register or a one-outcome plan can
+    take another BLAS kernel alone than in a batch.
     """
     _, weights, rows = plan
     ends = np.asarray(ends, dtype=complex)
     if ends.shape[-3:] != (rows.shape[1], 2, 2):
         raise ValueError(f"order images must be (..., {rows.shape[1]}, 2, 2), got {ends.shape}")
-    raw = weights @ _branch_stack(rows, ends)
+    # the whole batch is one product (outcomes, live) @ (live, instances x 2^n), the live
+    # axis swapped to the front and back again; with no batch axis the swap is no copy
+    stack = _branch_stack(rows, ends).swapaxes(0, -2)  # (live, ..., 2^n)
+    shape = (len(weights),) + stack.shape[1:]
+    raw = (weights @ stack.reshape(len(rows), -1)).reshape(shape).swapaxes(0, -2)
+    del stack  # the largest array here: freed before the outcome arrays are built
     probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
     reachable = probabilities >= UNREACHABLE_TOL
     raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states

@@ -29,9 +29,9 @@ from qswitch.cli import main
 from qswitch.gates import ATOL, _parse_complex
 from qswitch.metrics import _cut_purities, _gme_from_entropy
 from qswitch.netsim import _reverse_table
-from qswitch.sweep import SweepTable
+from qswitch.sweep import SweepTable, default_plan
 from qswitch.switch import (MAX_QUBITS, UNREACHABLE_TOL, _branch_stack, _end_vectors,
-                            num_qubits, protocol_control, run)
+                            _order_images, num_qubits, protocol_control, run)
 from qswitch.verify import CONDITION_TOL, certify_class, check_max_entanglement, three_tangle
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -262,6 +262,47 @@ def reference_cut_purities_scalar(a):
                 r01 += a[i] * a[i | bit].conjugate()
         out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag))
     return out
+
+
+def reference_branch_readout(plan, ends):
+    """``switch.branch_readout`` of one instance as it was before a batch became one product:
+    the live rows' weights times that instance's own branch stack."""
+    _, weights, rows = plan
+    raw = weights @ _branch_stack(rows, np.asarray(ends, dtype=complex))
+    probabilities = np.einsum("...ij,...ij->...i", raw.conj(), raw).real
+    reachable = probabilities >= UNREACHABLE_TOL
+    raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]
+    raw[~reachable] = 0.0
+    return np.maximum(probabilities, 0.0), reachable, raw
+
+
+def reference_cut_purities(states):
+    """``metrics._cut_purities`` as it was before it squared the amplitudes once: each
+    qubit's half-sums taken over |a|^2 computed afresh from that half."""
+    n = num_qubits(states.shape[-1])
+    out = []
+    for q in range(n):
+        halves = states.reshape(states.shape[:-1] + (2**q, 2, 2 ** (n - q - 1)))
+        a, b = halves[..., 0, :], halves[..., 1, :]
+        r00 = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+        r11 = (b.real**2 + b.imag**2).sum(axis=(-2, -1))
+        r01 = (a * b.conj()).sum(axis=(-2, -1))
+        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
+    return np.stack(out, axis=-1)
+
+
+# the CLI's four sweep protocols: (protocol, n)
+SWEEP_PROTOCOLS = (("bell", 2), ("ghz", 3), ("w", 3), ("ghz", 4))
+
+
+def sweep_order_images(n, steps=33):
+    """The order images that ``run_sweep`` reads out on the default steps x steps grid of
+    n qubits, built as it builds them: (lambda, alpha, n, order, 2)."""
+    plan = default_plan("ghz", n, steps, steps)
+    u_tilde = ry(2.0 * np.asarray(plan.lambda_grid))[:, None]
+    ends = _order_images(np.stack(np.broadcast_arrays(pauli("z"), u_tilde), -3),
+                         superposed_input(plan.alpha_grid))
+    return np.broadcast_to(ends[:, :, None], ends.shape[:2] + (n,) + ends.shape[2:])
 
 
 def reference_certify_class(state, tol=1e-6):

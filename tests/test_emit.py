@@ -209,15 +209,22 @@ def _distinct_patterns(values):
     return len(set(np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64).tolist()))
 
 
-def _count_json_text(monkeypatch):
+def _count_json_texts(monkeypatch):
+    """The values handed to the JSON batch formatter, one entry per value formatted."""
     calls = []
-    json_text = emit._json_text
-    monkeypatch.setattr(emit, "_json_text", lambda x: calls.append(x) or json_text(x))
+    json_texts = emit._json_texts
+    monkeypatch.setattr(emit, "_json_texts", lambda values, after="": (
+        calls.extend(values.tolist()) or json_texts(values, after)))
     return calls
 
 
+def _json_text(x):
+    """The JSON text of ``x`` rounded to 12 significant digits, one value at a time."""
+    return json.dumps(emit.round12(x))
+
+
 def test_states_of_a_document_format_each_distinct_part_once(monkeypatch):
-    calls = _count_json_text(monkeypatch)
+    calls = _count_json_texts(monkeypatch)
     ensemble = run(parse_spec(RUN_DOCS["w11"]))
     emit.write_ensemble(ensemble, io.StringIO())
     states = [o.state.view(float) for o in ensemble if o.reachable]
@@ -360,7 +367,7 @@ def test_sweep_export_matches_reference_on_hand_built_tables(tmp_path, fmt, tabl
 
 
 def test_default_sweep_json_formats_each_distinct_value_of_a_column_once(tmp_path, monkeypatch):
-    calls = _count_json_text(monkeypatch)
+    calls = _count_json_texts(monkeypatch)
     table = run_sweep(default_plan("ghz", 4))
     export(table, "json", str(tmp_path / "ghz4.json"))
     columns = (table.lambda_grid, table.alpha_grid, table.probability, table.metric)
@@ -387,8 +394,31 @@ def _column_table(lambdas, alphas, labels, reachable):
     np.array([True, False, False, True]), np.array([]),
 ], ids=["signed-zeros-and-nans", "reversed", "zeros", "bool", "empty"])
 def test_column_texts_match_per_value_texts(column):
-    for text in (emit._json_text, "{:.12g}".format, emit._bool):
-        assert emit._texts(column, text) == [text(x) for x in column.astype(float).tolist()]
+    for text, texts in ((_json_text, emit._json_texts), ("{:.12g}".format, emit._csv_texts),
+                        (emit._bool, emit._bool_texts)):
+        expected = [text(x) for x in column.astype(float).tolist()]
+        assert emit._texts(column, lambda distinct: [text(x) for x in distinct.tolist()]) == expected
+        assert emit._texts(column, texts) == expected
+
+
+# every kind of float a column can hold, values that round up a decade or sit where %g
+# switches notation, and 1000 seeded values over many decades
+FORMAT_VALUES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf], NAN_PAYLOADS,
+    [1.7976931348623157e308, 9.9999999999995, 0.99999999999995, 999999999999.5, 1e12, 1e-5,
+     1e-4, 123456789012.5, 2.0**-0.5],
+    np.random.default_rng(5).standard_normal(1000)
+    * 10.0 ** np.random.default_rng(6).integers(-30, 30, 1000)])
+
+
+@pytest.mark.parametrize("after", ["", ",", "\r\n", emit._JSON_AFTER["metric"], "%s%%"])
+def test_batch_formatters_match_per_value_formats(after):
+    values = FORMAT_VALUES.tolist()
+    assert emit._csv_texts(FORMAT_VALUES, after) == ["{:.12g}".format(x) + after for x in values]
+    assert emit._json_texts(FORMAT_VALUES, after) == [_json_text(x) + after for x in values]
+    assert emit._bool_texts(FORMAT_VALUES, after) == [emit._bool(x) + after for x in values]
+    for texts in (emit._csv_texts, emit._json_texts, emit._bool_texts):
+        assert texts(FORMAT_VALUES[:0], after) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

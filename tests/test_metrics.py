@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SWEEP_PROTOCOLS,
     basis_state,
     density,
     gme_all_bipartitions,
@@ -12,7 +13,10 @@ from conftest import (
     purity,
     random_pure_state,
     reduced_density,
+    reference_cut_purities,
     reference_cut_purities_scalar,
+    same_bits,
+    sweep_order_images,
 )
 from qswitch import SwitchSpec, concurrence, gme_concurrence, run, superposed_input
 from qswitch.metrics import (
@@ -22,6 +26,7 @@ from qswitch.metrics import (
     _cut_purities_scalar,
     _gme_from_entropy,
 )
+from qswitch.switch import branch_readout, protocol_plan
 
 PHI_PLUS = (np.array([1, 0, 0, 1], dtype=complex)) / math.sqrt(2)
 W3 = (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1)) / math.sqrt(3)
@@ -192,6 +197,30 @@ def test_scalar_cut_purities_equal_the_pair_loop_bitwise(rng):
     for a in states:
         got, expected = _cut_purities_scalar(a, _weights(a)), reference_cut_purities_scalar(a)
         assert np.array(got).tobytes() == np.array(expected).tobytes(), a
+
+
+@pytest.mark.parametrize("protocol,n", SWEEP_PROTOCOLS)
+def test_cut_purities_of_a_sweep_equal_the_per_half_form_bitwise(protocol, n):
+    _, reachable, states = branch_readout(protocol_plan(protocol, n), sweep_order_images(n))
+    states = states[reachable]  # the batch that run_sweep hands to its metric
+    assert same_bits(_cut_purities(states), reference_cut_purities(states))
+
+
+def test_cut_purities_equal_the_per_half_form_bitwise(rng):
+    for n in range(1, 7):
+        for batch in [(), (1,), (7,), (3, 5), (300,)]:
+            states = np.array([random_pure_state(rng, n) for _ in range(math.prod(batch))])
+            states = states.reshape(batch + (2**n,))
+            assert same_bits(_cut_purities(states), reference_cut_purities(states)), (n, batch)
+        zeros = np.zeros((4, 2**n), dtype=complex)
+        zeros[1] = random_pure_state(rng, n)  # all-zero rows beside a state
+        assert same_bits(_cut_purities(zeros), reference_cut_purities(zeros))
+        # non-contiguous views: every other amplitude of wider rows, and a transposed stack
+        wide = np.stack([random_pure_state(rng, n + 1) for _ in range(6)])
+        transposed = np.stack([random_pure_state(rng, n) for _ in range(9)], axis=-1).T
+        for view in (wide[:, ::2], transposed, transposed[::-2]):
+            assert not view.flags.c_contiguous
+            assert same_bits(_cut_purities(view), reference_cut_purities(view)), n
 
 
 def _entropy_of(gme):

@@ -10,6 +10,7 @@ import qswitch.netsim
 
 from conftest import (
     NAN_PAYLOADS,
+    SWEEP_PROTOCOLS,
     aligned_spec,
     apply_local_unitaries,
     assert_matches_reference,
@@ -27,10 +28,12 @@ from conftest import (
     partial_trace,
     random_pure_state,
     random_spec,
+    reference_branch_readout,
     reference_canonical_phase,
     reference_parse_spec,
     reference_superposed_input,
     same_bits,
+    sweep_order_images,
     switch_operator,
 )
 from qswitch import (
@@ -166,6 +169,53 @@ def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
     ends = _end_vectors([default_pair()] * width, [superposed_input(0.5)] * width)
     with pytest.raises(ValueError, match=match):
         branch_readout(readout_plan(control, reverse), ends)
+
+
+def _assert_batch_reads_out_as_its_instances(plan, ends):
+    """``branch_readout`` of a batch of order images equals, bit for bit, the readouts of its
+    instances, each alone and each by ``reference_branch_readout``: probabilities, reachable
+    mask and states."""
+    instances = ends.reshape((-1,) + ends.shape[-3:])
+    for alone in ([branch_readout(plan, e) for e in instances],
+                  [reference_branch_readout(plan, e) for e in instances]):
+        for batched, parts in zip(branch_readout(plan, ends), zip(*alone)):
+            assert same_bits(batched, np.stack(parts).reshape(ends.shape[:-3] + parts[0].shape))
+
+
+def _random_order_images(rng, batch, n):
+    """Order images of Haar pairs on random inputs, drawn per instance: batch + (n, 2, 2)."""
+    size = math.prod(batch) * n
+    pairs = np.array([[haar_unitary(rng), haar_unitary(rng)] for _ in range(size)])
+    inputs = np.array([random_pure_state(rng, 1) for _ in range(size)])
+    return _order_images(pairs, inputs).reshape(batch + (n, 2, 2))
+
+
+@pytest.mark.parametrize("protocol,n", [("bell", 2)] + [("ghz", n) for n in range(2, 7)]
+                         + [("w", n) for n in range(3, 7)])
+def test_a_batch_reads_out_as_its_instances_bitwise(protocol, n):
+    rng = np.random.default_rng(n)
+    _assert_batch_reads_out_as_its_instances(protocol_plan(protocol, n),
+                                             _random_order_images(rng, (3, 4), n))
+
+
+def test_a_batch_reads_out_as_its_instances_under_random_controls_bitwise():
+    # controls of 1-3 qubits with some amplitudes zero, so 1 to 8 live rows, on 2-5 qubits;
+    # a register of n >= 2 qubits, as every protocol has, is what a batch reads out
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        control = random_pure_state(rng, m) * (rng.random(2**m) > 0.3)
+        control[0] = control[0] or 1.0
+        plan = readout_plan(control / np.linalg.norm(control), rng.integers(0, 2, (2**m, n)))
+        _assert_batch_reads_out_as_its_instances(plan, _random_order_images(rng, (3, 4), n))
+
+
+@pytest.mark.parametrize("protocol,n", SWEEP_PROTOCOLS)
+def test_a_sweep_grid_reads_out_as_its_points_bitwise(protocol, n):
+    ends = sweep_order_images(n)
+    assert same_bits(branch_readout(protocol_plan(protocol, n), ends)[0],
+                     run_sweep(default_plan(protocol, n)).probability)  # the sweep's own batch
+    _assert_batch_reads_out_as_its_instances(protocol_plan(protocol, n), ends)
 
 
 def _bits(a):
