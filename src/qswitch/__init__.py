@@ -1,23 +1,13 @@
 """Deterministic multipartite entanglement generation from coherently
 controlled causal orders of local unitaries."""
 
-from .gates import UnitaryPair, backward_order, forward_order, parse_gate, pauli, ry
+from .gates import UnitaryPair, parse_gate, pauli, ry
 from .metrics import MetricReport, concurrence, gme_concurrence
 from .switch import Outcome, OutcomeEnsemble, SwitchSpec, run, superposed_input
-from .verify import (
-    ConditionReport,
-    canonical_lu,
-    certify_class,
-    check_max_entanglement,
-    check_separability,
-    overlap,
-    three_tangle,
-)
+from .verify import ConditionReport, certify_class, check_max_entanglement, overlap, three_tangle
 
 __all__ = [
     "UnitaryPair",
-    "backward_order",
-    "forward_order",
     "parse_gate",
     "pauli",
     "ry",
@@ -30,10 +20,8 @@ __all__ = [
     "run",
     "superposed_input",
     "ConditionReport",
-    "canonical_lu",
     "certify_class",
     "check_max_entanglement",
-    "check_separability",
     "overlap",
     "three_tangle",
 ]

@@ -35,7 +35,7 @@ switch spec JSON:
 topology JSON:
   {"entanglers": [{"id": "e1", "clients": 3}, ...],
    "gates": {"u": <gate>, "u_tilde": <gate>}, "alpha": <real>,
-   "control": "ghz"|"plus_product", "link_loss": {"e1": 0, ...}, "coordinator": <any>}
+   "control": "ghz"|"plus_product"}
 """
 
 

@@ -168,11 +168,11 @@ def parse_spec(doc) -> SwitchSpec:
 
 
 def parse_topology(doc) -> Topology:
-    """Parse and validate a topology document (any JSON value). ``link_loss``
-    is reserved: its values must be 0."""
+    """Parse and validate a topology document (any JSON value): ``entanglers``,
+    and optionally ``gates``, ``alpha`` and ``control``."""
     with _at(""):
         _expect(doc, dict, "topology document")
-    _only_keys(doc, "", ("entanglers", "gates", "alpha", "control", "link_loss", "coordinator"))
+    _only_keys(doc, "", ("entanglers", "gates", "alpha", "control"))
     entanglers = []
     for i, e in enumerate(_member(doc, "/entanglers", list)):
         with _at(f"/entanglers/{i}"):
@@ -189,9 +189,5 @@ def parse_topology(doc) -> Topology:
     with _at("/control"):
         if control not in CONTROLS:
             raise ValueError(f"unknown control preparation {control!r}")
-    for node, loss in _member(doc, "/link_loss", dict, {}).items():
-        with _at(f"/link_loss/{_token(node)}"):
-            if _expect(loss, float, "link loss") != 0:
-                raise ValueError("link loss is reserved for future use and must be zero")
     with _at("/entanglers"):
         return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)

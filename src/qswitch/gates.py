@@ -1,9 +1,9 @@
 """Single-qubit gate constructors, the gate-name parser and the 2x2 unitarity check.
 
-The two-gate bundle applied to each qubit is a :class:`UnitaryPair`; the two
-composition orders of a pair are exposed as ``forward_order`` (second gate
-first) and ``backward_order`` (first gate first). ``local_tensor`` builds the
-dense n-qubit tensors of a pair list for the tests' audits; no engine path calls it.
+The two-gate bundle applied to each qubit is a :class:`UnitaryPair`; the engine
+forms its two composition orders, u u_tilde (forward) and u_tilde u (backward),
+in ``switch._order_images``. ``local_tensor`` builds the dense n-qubit tensors
+of a pair list for the tests' audits; no engine path calls it.
 """
 from __future__ import annotations
 
@@ -95,16 +95,6 @@ class UnitaryPair:
             if not _unitary_rows(m.tolist()):
                 raise ValueError(f"{name} is not unitary within tolerance")
             object.__setattr__(self, name, m)
-
-
-def forward_order(pair: UnitaryPair) -> np.ndarray:
-    """u @ u_tilde: u_tilde applied first."""
-    return pair.u @ pair.u_tilde
-
-
-def backward_order(pair: UnitaryPair) -> np.ndarray:
-    """u_tilde @ u: u applied first."""
-    return pair.u_tilde @ pair.u
 
 
 def local_tensor(pairs: list[UnitaryPair]) -> tuple[np.ndarray, np.ndarray]:

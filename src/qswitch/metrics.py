@@ -94,7 +94,10 @@ def _cut_purities(states: np.ndarray) -> np.ndarray:
         # be, so every reduction keeps the order it has over |a|^2 of that half alone
         r00 = w[..., 0, :].copy(order="K").sum(axis=(-2, -1))
         r11 = w[..., 1, :].copy(order="K").sum(axis=(-2, -1))
-        r01 = (a * b.conj()).sum(axis=(-2, -1))
+        # b.conj() is bound to a name: an unnamed temporary above 256 KiB is elided, and the
+        # product then runs in place through another loop, with other last bits than alone
+        conj = b.conj()
+        r01 = (a * conj).sum(axis=(-2, -1))
         out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
     return np.stack(out, axis=-1)
 

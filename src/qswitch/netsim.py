@@ -13,11 +13,12 @@ run (the engine's cap). Topology documents are parsed by
 
 Each branch is reported with its probability, client state
 and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
-(|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame of
-``verify.canonical_lu``. That frame sends each qubit's forward-order image to
+(|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame:
+once the orthogonality condition holds, the conjugated order images of each
+qubit (``ends.conj()``) form a unitary that sends its forward-order image to
 |0> and its backward-order image to |1>, so F and B are the all-forward and
-all-backward product states; when the orthogonality condition fails there is
-no frame and they are |0...0> and |1...1>. Both are built as the two rows of
+all-backward product states; when the condition fails there is no frame and
+they are |0...0> and |1...1>. Both are built as the two rows of
 ``switch._branch_stack`` whose reverse rows are all 0 and all 1, the same
 left-to-right products as a Kronecker fold.
 """

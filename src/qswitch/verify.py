@@ -33,7 +33,8 @@ def _overlaps(ends: np.ndarray) -> tuple[complex, ...]:
 
 
 def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:
-    """<phi| backward_order(pair)^dagger forward_order(pair) |phi>.
+    """<phi| (u_tilde u)^dagger (u u_tilde) |phi>: the overlap of the pair's
+    backward-order image with its forward-order one.
 
     ``phi`` must be a finite, normalised single-qubit state, as in ``SwitchSpec``.
     """
@@ -62,27 +63,6 @@ def condition_report(ends: np.ndarray, tol: float = CONDITION_TOL) -> ConditionR
 def check_max_entanglement(spec: SwitchSpec, tol: float = CONDITION_TOL) -> ConditionReport:
     """``condition_report`` on the order images of ``spec``."""
     return condition_report(spec.ends, tol)
-
-
-def check_separability(spec: SwitchSpec, tol: float = CONDITION_TOL) -> bool:
-    """True iff some qubit's two order branches coincide up to global phase."""
-    return check_max_entanglement(spec, tol).any_aligned
-
-
-def canonical_lu(spec: SwitchSpec, tol: float = CONDITION_TOL) -> list[np.ndarray]:
-    """Single-qubit unitaries mapping each qubit's order branches to |0>, |1>.
-
-    Only defined when the orthogonality condition holds: the i-th returned
-    unitary sends forward_order(pair_i)|phi_i> to |0> and
-    backward_order(pair_i)|phi_i> to |1> exactly, so the tensor of all of
-    them reduces a "+" outcome to (|0...0> + |1...1>)/sqrt(2) and a W-type
-    outcome to a signed equal superposition of weight-one basis states.
-    """
-    if not condition_report(spec.ends, tol).all_orthogonal:
-        raise ValueError(
-            "canonical reduction undefined: per-qubit orthogonality condition not met"
-        )
-    return list(spec.ends.conj())
 
 
 def _tangle(a: list[complex]) -> float:

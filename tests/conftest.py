@@ -18,8 +18,6 @@ import pytest
 from qswitch import (
     SwitchSpec,
     UnitaryPair,
-    backward_order,
-    forward_order,
     parse_gate,
     pauli,
     ry,
@@ -160,7 +158,7 @@ def switch_operator(pair):
     """The 4x4 controlled-order unitary on (target x control), target first."""
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return np.kron(forward_order(pair), p0) + np.kron(backward_order(pair), p1)
+    return np.kron(pair.u @ pair.u_tilde, p0) + np.kron(pair.u_tilde @ pair.u, p1)
 
 
 def joint_state(spec):
@@ -377,7 +375,7 @@ def controlled_order_operator(pairs, cluster_of_qubit, m):
     dim_c = 2**m
     blocks = []
     for b, row in enumerate(_reverse_table(cluster_of_qubit, m)):
-        factors = [backward_order(p) if bit else forward_order(p) for p, bit in zip(pairs, row)]
+        factors = [(p.u_tilde @ p.u) if bit else (p.u @ p.u_tilde) for p, bit in zip(pairs, row)]
         proj = np.zeros((dim_c, dim_c), dtype=complex)
         proj[b, b] = 1.0
         blocks.append(np.kron(kron_all(factors), proj))

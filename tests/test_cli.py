@@ -361,16 +361,17 @@ def test_public_surface():
     # the package ships what the CLI and the library tour use; dense reference
     # helpers live in tests/conftest.py
     assert qswitch.__all__ == [
-        "UnitaryPair", "backward_order", "forward_order", "parse_gate", "pauli", "ry",
+        "UnitaryPair", "parse_gate", "pauli", "ry",
         "MetricReport", "concurrence", "gme_concurrence",
         "Outcome", "OutcomeEnsemble", "SwitchSpec", "run", "superposed_input",
-        "ConditionReport", "canonical_lu", "certify_class", "check_max_entanglement",
-        "check_separability", "overlap", "three_tangle",
+        "ConditionReport", "certify_class", "check_max_entanglement", "overlap", "three_tangle",
     ]
-    removed = {"qswitch": ["purity", "joint_state", "switch_operator"],
+    removed = {"qswitch": ["purity", "joint_state", "switch_operator", "forward_order",
+                           "backward_order", "canonical_lu", "check_separability"],
+               "qswitch.gates": ["forward_order", "backward_order"],
                "qswitch.switch": ["joint_state", "switch_operator",
                                   "_plan", "_readout", "_outcomes", "_protocol_plan"],
-               "qswitch.verify": ["apply_local_unitaries"],
+               "qswitch.verify": ["apply_local_unitaries", "canonical_lu", "check_separability"],
                "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"],
                "qswitch.cli": ["ValidationError"]}
     for module, names in removed.items():
@@ -465,7 +466,7 @@ def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     (_topology_doc(alpha=None), "'/alpha'"),
     (_topology_doc(entanglers=[{"id": "e1", "clients": 3}, {"id": "e2", "clients": 2.7}]),
      "'/entanglers/1/clients'"),
-    (_topology_doc(link_loss={"e1": 0.1}), "'/link_loss/e1'"),
+    (_topology_doc(link_loss={"e1": 0.1}), "'/link_loss'"),
     (_topology_doc(gates={"u_tilde": RY_QUARTER}), "'/gates/u'"),
     (_topology_doc(control="biased"), "'/control'"),
     (_topology_doc(entanglers=[{"id": "e1", "clients": 3}]), "'/entanglers'"),
@@ -495,8 +496,12 @@ def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer)
     ("netsim", _topology_doc(entanglers=[{"id": "e1", "clients": 3},
                                          {"id": "e2", "clients": 3, "client": 2}]),
      "'/entanglers/1/client'"),
+    # link_loss, even all zeros, and coordinator are not topology keys
+    ("netsim", _topology_doc(link_loss={"e1": 0, "e2": 0.0}), "'/link_loss'"),
+    ("netsim", _topology_doc(coordinator="c0"), "'/coordinator'"),
 ], ids=["spec-inputs", "input-alpha-and-amplitudes", "input-unknown", "pair-u_tild",
-        "escaped-key", "topology-contol", "gates-unknown", "entangler-unknown"])
+        "escaped-key", "topology-contol", "gates-unknown", "entangler-unknown",
+        "topology-link_loss", "topology-coordinator"])
 def test_unknown_and_conflicting_keys_rejected(tmp_path, capsys, verb, doc, pointer):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -510,8 +515,7 @@ def test_every_documented_key_accepted(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(_bell_doc(n=2, control="even")))
     topo = tmp_path / "topo.json"
-    topo.write_text(json.dumps(_topology_doc(control="ghz", link_loss={"e1": 0, "e2": 0.0},
-                                             coordinator="c0")))
+    topo.write_text(json.dumps(_topology_doc(control="ghz")))
     assert main(["run", "--spec", str(spec)]) == EXIT_OK
     assert main(["verify", "--spec", str(spec)]) == EXIT_OK
     assert main(["netsim", "--topology", str(topo)]) == EXIT_OK
@@ -624,7 +628,7 @@ _PROPERTY_BASES = {
                      input={"amplitudes": [["0.6+0i", "0+0.8i"], [1, 0], [[0.6, 0.0], [0.8, 0.0]]]}),
     "w": _bell_doc(protocol="w", pairs=[_PAIR] * 3, input={"alpha": 0.3}),
     "2x2": _topology_doc(entanglers=[{"id": "e1", "clients": 2}, {"id": "e2", "clients": 2}],
-                         control="ghz", link_loss={"e1": 0}),
+                         control="ghz"),
 }
 
 

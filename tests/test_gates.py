@@ -11,8 +11,6 @@ from qswitch.gates import (
     PAULI_Y,
     PAULI_Z,
     UnitaryPair,
-    backward_order,
-    forward_order,
     is_unitary,
     local_tensor,
     parse_gate,
@@ -74,34 +72,34 @@ def test_unitary_pair_validates():
 
 def test_orders_identity_pair():
     p = UnitaryPair(I2, I2)
-    assert np.allclose(forward_order(p), I2)
-    assert np.allclose(backward_order(p), I2)
+    assert np.allclose(p.u @ p.u_tilde, I2)
+    assert np.allclose(p.u_tilde @ p.u, I2)
 
 
 def test_orders_anticommuting_pair():
     p = UnitaryPair(pauli("z"), pauli("x"))
     zx = PAULI_Z @ pauli("x")
-    assert np.allclose(forward_order(p), zx)
-    assert np.allclose(backward_order(p), -zx)
+    assert np.allclose(p.u @ p.u_tilde, zx)
+    assert np.allclose(p.u_tilde @ p.u, -zx)
 
 
 def test_order_mismatch_is_double_rotation(rng):
     # sigma_z ry(t) sigma_z = ry(-t) collapses the order mismatch to ry(4 lam)
     for lam in rng.uniform(0, math.pi / 2, size=8):
         p = UnitaryPair(pauli("z"), ry(2 * lam))
-        got = backward_order(p).conj().T @ forward_order(p)
+        got = (p.u_tilde @ p.u).conj().T @ (p.u @ p.u_tilde)
         assert np.allclose(got, ry(4 * lam), atol=1e-12)
 
 
 def test_orders_unitary(rng):
     p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
-    assert is_unitary(forward_order(p))
-    assert is_unitary(backward_order(p))
+    assert is_unitary(p.u @ p.u_tilde)
+    assert is_unitary(p.u_tilde @ p.u)
 
 
 def test_commuting_pair_orders_coincide():
     p = UnitaryPair(pauli("z"), np.diag([1.0, 1j]))
-    assert np.max(np.abs(forward_order(p) - backward_order(p))) <= 1e-14
+    assert np.max(np.abs((p.u @ p.u_tilde) - (p.u_tilde @ p.u))) <= 1e-14
 
 
 def test_local_tensor_examples():

@@ -25,6 +25,7 @@ from qswitch.metrics import (
     _cut_purities,
     _cut_purities_scalar,
     _gme_from_entropy,
+    pure_gme_concurrence,
 )
 from qswitch.switch import branch_readout, protocol_plan
 
@@ -221,6 +222,18 @@ def test_cut_purities_equal_the_per_half_form_bitwise(rng):
         for view in (wide[:, ::2], transposed, transposed[::-2]):
             assert not view.flags.c_contiguous
             assert same_bits(_cut_purities(view), reference_cut_purities(view)), n
+
+
+@pytest.mark.parametrize("n,count", [(7, 500), (8, 300)])
+def test_cut_purities_of_a_complex_batch_equal_each_state_alone_bitwise(n, count):
+    # halves of these batches pass 256 KiB, past which numpy elides an unnamed temporary
+    # and multiplies in place through another loop
+    rng = np.random.default_rng(11)
+    states = np.array([random_pure_state(rng, n) for _ in range(count)])
+    alone = np.array([_cut_purities(state) for state in states])
+    assert same_bits(_cut_purities(states), alone)
+    assert same_bits(pure_gme_concurrence(states),
+                     np.array([pure_gme_concurrence(state) for state in states]))
 
 
 def _entropy_of(gme):

@@ -9,7 +9,6 @@ from conftest import (
     assert_matches_reference,
     basis_state,
     condition_pairs,
-    condition_spec,
     controlled_order_operator,
     default_pair,
     dense_readout,
@@ -21,15 +20,7 @@ from conftest import (
     random_pure_state,
     reduced_density,
 )
-from qswitch import (
-    UnitaryPair,
-    backward_order,
-    canonical_lu,
-    forward_order,
-    pauli,
-    ry,
-    superposed_input,
-)
+from qswitch import UnitaryPair, pauli, ry, superposed_input
 from qswitch.documents import parse_topology
 from qswitch.netsim import Topology, _reverse_table, map_entanglement, run_hierarchy
 from qswitch.switch import _end_vectors, controlled_outcomes, readout_plan
@@ -230,7 +221,7 @@ def _assert_matches_dense(branches, control, cluster_of_qubit, pairs, inputs):
     assert [b.control_outcome for b in branches] == outcome_labels(m)
     assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)
     # the canonical frame of the dense order images: forward image to |0>, backward to |1>
-    ends = np.array([[forward_order(p) @ phi, backward_order(p) @ phi]
+    ends = np.array([[(p.u @ p.u_tilde) @ phi, (p.u_tilde @ p.u) @ phi]
                      for p, phi in zip(pairs, inputs)])
     orthogonal = condition_report(ends).all_orthogonal
     frame = kron_all(ends.conj()) if orthogonal else np.eye(2 ** len(pairs))
@@ -274,8 +265,6 @@ def test_hierarchy_matches_dense_reference(rng, clusters, control):
 
 def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
     import qswitch.netsim as netsim
-    import qswitch.switch as switch
-    import qswitch.verify as verify
 
     calls = []
 
@@ -285,16 +274,11 @@ def test_each_call_builds_the_order_images_once_and_checks_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for module in (netsim, verify):  # verify's bindings count what canonical_lu does
-        monkeypatch.setattr(module, "_end_vectors", counting("ends", module._end_vectors))
-        monkeypatch.setattr(module, "condition_report",
-                            counting("check", module.condition_report))
-    # the spec that canonical_lu reads builds its order images in switch
-    monkeypatch.setattr(switch, "_end_vectors", counting("ends", switch._end_vectors))
+    monkeypatch.setattr(netsim, "_end_vectors", counting("ends", netsim._end_vectors))
+    monkeypatch.setattr(netsim, "condition_report", counting("check", netsim.condition_report))
     for call in (lambda: run_hierarchy(default_topology([2, 3])),
                  lambda: map_entanglement(ghz_state(3), [default_pair()] * 3,
-                                          [superposed_input(0.5)] * 3),
-                 lambda: canonical_lu(condition_spec(np.random.default_rng(7), "ghz", 3))):
+                                          [superposed_input(0.5)] * 3)):
         calls.clear()
         call()
         assert sorted(calls) == ["check", "ends"]
@@ -309,7 +293,7 @@ def test_map_entanglement_matches_branch_sum_at_benchmark_sizes(rng, n):
     # the dense reference is sum_b c_b |branch_b>|b> read out through an explicit
     # H^(x)n, where control qubit q (most significant first) reverses pair q
     pairs, inputs = condition_pairs(rng, n)
-    ends = [(forward_order(p) @ phi, backward_order(p) @ phi) for p, phi in zip(pairs, inputs)]
+    ends = [((p.u @ p.u_tilde) @ phi, (p.u_tilde @ p.u) @ phi) for p, phi in zip(pairs, inputs)]
     fwd, bwd = kron_all([f for f, _ in ends]), kron_all([b for _, b in ends])
     for control in (random_pure_state(rng, n), ghz_state(n)):
         joint = np.stack([c * kron_all([e[(b >> (n - 1 - q)) & 1] for q, e in enumerate(ends)])

@@ -40,8 +40,6 @@ from qswitch import (
     SwitchSpec,
     UnitaryPair,
     concurrence,
-    forward_order,
-    backward_order,
     pauli,
     run,
     ry,
@@ -64,7 +62,7 @@ from qswitch.switch import (
     protocol_plan,
     readout_plan,
 )
-from qswitch.verify import canonical_lu, overlap
+from qswitch.verify import check_max_entanglement, overlap
 
 I2 = np.eye(2, dtype=complex)
 
@@ -107,7 +105,7 @@ def test_single_qubit_reproduces_two_term_superposition(rng):
     phi = random_pure_state(rng, 1)
     ens = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)), _end_vectors([p], [phi]))
     for sign, label in ((1, "+"), (-1, "-")):
-        raw = (forward_order(p) + sign * backward_order(p)) @ phi
+        raw = ((p.u @ p.u_tilde) + sign * (p.u_tilde @ p.u)) @ phi
         if ens[label].reachable:
             assert _phase_free_close(ens[label].state, raw / np.linalg.norm(raw))
 
@@ -120,8 +118,8 @@ def test_order_images_equal_order_products_bitwise(rng):
         ends = _end_vectors(pairs, inputs)
         assert ends.shape == (n, 2, 2)
         for (fwd, bwd), p, phi in zip(ends, pairs, inputs):
-            assert np.array_equal(fwd, forward_order(p) @ phi)
-            assert np.array_equal(bwd, backward_order(p) @ phi)
+            assert np.array_equal(fwd, (p.u @ p.u_tilde) @ phi)
+            assert np.array_equal(bwd, (p.u_tilde @ p.u) @ phi)
             assert np.array_equal(_order_images(np.array([p.u, p.u_tilde]), phi), [fwd, bwd])
 
 
@@ -597,7 +595,7 @@ def _dense_reference(spec):
     phi = kron_all(spec.inputs)
     joint = 0
     for b, mask in enumerate(masks):
-        order = kron_all([backward_order(p) if r else forward_order(p)
+        order = kron_all([(p.u_tilde @ p.u) if r else (p.u @ p.u_tilde)
                           for p, r in zip(spec.pairs, mask)])
         joint = joint + np.kron(order @ phi, basis_state(m, b))
     return m, joint / math.sqrt(len(masks))
@@ -674,7 +672,8 @@ def test_paper_construction_at_qubit_cap(protocol):
     n = MAX_QUBITS
     spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.5)] * n)
     ens = run(spec)
-    lus = canonical_lu(spec)
+    assert check_max_entanglement(spec).all_orthogonal
+    lus = spec.ends.conj()  # the canonical frame
     assert abs(ens.total_probability() - 1.0) <= 1e-10
     if protocol == "ghz":
         for label, sign in (("+", 1), ("-", -1)):

@@ -25,13 +25,9 @@ from conftest import (
 from qswitch import (
     SwitchSpec,
     UnitaryPair,
-    canonical_lu,
     certify_class,
     check_max_entanglement,
-    check_separability,
     concurrence,
-    forward_order,
-    backward_order,
     gme_concurrence,
     overlap,
     pauli,
@@ -125,34 +121,36 @@ def test_condition_report_mutually_exclusive(rng):
 def test_separability_lambda_zero():
     pair = UnitaryPair(pauli("z"), ry(0.0))
     spec = SwitchSpec("bell", [pair] * 2, [superposed_input(0.5)] * 2)
-    assert check_separability(spec)
+    assert check_max_entanglement(spec).any_aligned
 
 
 def test_separability_quarter_turn_false():
     spec = SwitchSpec("ghz", [default_pair()] * 3, [superposed_input(0.5)] * 3)
-    assert not check_separability(spec)
+    assert not check_max_entanglement(spec).any_aligned
 
 
 def test_separability_implies_pure_marginal(rng):
     for _ in range(20):
         spec = aligned_spec(rng, "ghz", 3, aligned_qubit=1)
-        assert check_separability(spec)
+        assert check_max_entanglement(spec).any_aligned
         for o in run(spec).reachable():
             assert purity(reduced_density(o.state, [1])) > 1 - 1e-9
 
 
 def test_canonical_lu_maps_branches():
     spec = SwitchSpec("ghz", [default_pair()] * 3, [superposed_input(0.5)] * 3)
-    lus = canonical_lu(spec)
+    assert check_max_entanglement(spec).all_orthogonal
+    lus = spec.ends.conj()  # the canonical frame
     for lu, pair, phi in zip(lus, spec.pairs, spec.inputs):
         assert is_unitary(lu)
-        assert np.allclose(lu @ forward_order(pair) @ phi, basis_state(1, 0), atol=1e-12)
-        assert abs(abs((lu @ backward_order(pair) @ phi)[1]) - 1.0) <= 1e-12
+        assert np.allclose(lu @ (pair.u @ pair.u_tilde) @ phi, basis_state(1, 0), atol=1e-12)
+        assert abs(abs((lu @ (pair.u_tilde @ pair.u) @ phi)[1]) - 1.0) <= 1e-12
 
 
 def test_canonical_lu_reduces_ghz_outcome():
     spec = SwitchSpec("ghz", [default_pair()] * 3, [superposed_input(0.5)] * 3)
-    lus = canonical_lu(spec)
+    assert check_max_entanglement(spec).all_orthogonal
+    lus = spec.ends.conj()  # the canonical frame
     plus = run(spec)["+"].state
     reduced = apply_local_unitaries(lus, plus)
     # accumulated phase sits on the |111> branch; compare via fidelity
@@ -166,8 +164,9 @@ def test_canonical_lu_identity_when_already_canonical():
     pair = UnitaryPair(pauli("z"), ry(math.pi / 2))
     phi = superposed_input(0.5)
     spec = SwitchSpec("ghz", [pair] * 3, [phi] * 3)
-    lus = canonical_lu(spec)
-    branch = forward_order(pair) @ phi
+    assert check_max_entanglement(spec).all_orthogonal
+    lus = spec.ends.conj()  # the canonical frame
+    branch = (pair.u @ pair.u_tilde) @ phi
     assert np.allclose(lus[0] @ branch, basis_state(1, 0), atol=1e-12)
 
 
@@ -175,7 +174,7 @@ def test_overlaps_equal_per_qubit_vdot_bitwise(rng):
     for make in (random_spec, condition_spec, aligned_spec):
         for _ in range(30):
             spec = make(rng, "ghz", int(rng.integers(2, 6)))
-            expected = tuple(complex(np.vdot(backward_order(p) @ phi, forward_order(p) @ phi))
+            expected = tuple(complex(np.vdot((p.u_tilde @ p.u) @ phi, (p.u @ p.u_tilde) @ phi))
                              for p, phi in zip(spec.pairs, spec.inputs))
             assert check_max_entanglement(spec).per_qubit_overlap == expected
             assert tuple(overlap(p, phi) for p, phi in zip(spec.pairs, spec.inputs)) == expected
@@ -186,16 +185,16 @@ def test_condition_tol_must_lie_below_one_half(tol):
     # at tol >= 0.5 an overlap can be "orthogonal" and "aligned" at once
     spec = SwitchSpec("ghz", [UnitaryPair(pauli("z"), ry(math.acos(0.36)))] * 3,
                       [superposed_input(0.5)] * 3)
-    for check in (check_max_entanglement, check_separability, canonical_lu):
-        with pytest.raises(ValueError, match="tol"):
-            check(spec, tol)
+    with pytest.raises(ValueError, match="tol"):
+        check_max_entanglement(spec, tol)
     report = check_max_entanglement(spec, 0.4)
     assert report.all_orthogonal and not report.any_aligned
 
 
 def test_canonical_lu_reduces_w_outcomes():
     spec = SwitchSpec("w", [default_pair()] * 3, [superposed_input(0.5)] * 3)
-    lus = canonical_lu(spec)
+    assert check_max_entanglement(spec).all_orthogonal
+    lus = spec.ends.conj()  # the canonical frame
     full = kron_all(lus)
     ens = run(spec)
     # control qubit 0 reads the high bit of the reversed-order index, so the
@@ -205,13 +204,6 @@ def test_canonical_lu_reduces_w_outcomes():
         target = (basis_state(3, 4) + s1 * basis_state(3, 2) + s2 * basis_state(3, 1)) / math.sqrt(3)
         got = full @ ens[label].state
         assert abs(abs(np.vdot(target, got)) - 1.0) <= 1e-9
-
-
-def test_canonical_lu_refuses_when_condition_fails():
-    pair = UnitaryPair(pauli("z"), ry(0.4))
-    spec = SwitchSpec("ghz", [pair] * 3, [superposed_input(0.5)] * 3)
-    with pytest.raises(ValueError):
-        canonical_lu(spec)
 
 
 def test_three_tangle_matches_hyperdeterminant(rng):
