@@ -3,7 +3,7 @@ controlled causal orders of local unitaries."""
 
 from .gates import UnitaryPair, parse_gate, pauli, ry
 from .metrics import MetricReport, concurrence, gme_concurrence
-from .switch import Outcome, OutcomeEnsemble, SwitchSpec, run, superposed_input
+from .switch import Readout, SwitchSpec, run, superposed_input
 from .verify import ConditionReport, certify_class, check_max_entanglement, overlap, three_tangle
 
 __all__ = [
@@ -14,8 +14,7 @@ __all__ = [
     "MetricReport",
     "concurrence",
     "gme_concurrence",
-    "Outcome",
-    "OutcomeEnsemble",
+    "Readout",
     "SwitchSpec",
     "run",
     "superposed_input",

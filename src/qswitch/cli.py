@@ -5,10 +5,10 @@ topology documents are parsed and validated by ``documents``, and all
 numerics live in the library modules. A command line that starts with a verb
 is parsed once, by that verb's own parser.
 
-The ``run`` outcome ensemble, the ``verify`` report and the ``netsim --report
-branches`` list are written straight to text by ``emit``, as are the sweep
-files. The ``netsim`` summary and the ``sweep`` summary line go through
-``json.dumps``.
+The ``run`` and ``netsim`` readouts (``switch.Readout``) and the ``verify``
+report are written straight to text by ``emit``, as are the sweep files; the
+``netsim`` summary is computed from the readout's columns, and it and the
+``sweep`` summary line go through ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def _print_json(doc) -> None:
 
 def _cmd_run(args) -> int:
     spec = _load(args.spec, parse_spec)
-    emit.write_ensemble(run_switch(spec), sys.stdout)
+    emit.write_readout(run_switch(spec), sys.stdout)
     return EXIT_OK
 
 
@@ -95,19 +95,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_netsim(args) -> int:
     topo = _load(args.topology, parse_topology)
-    branches = netsim.run_hierarchy(topo)
+    r = netsim.run_hierarchy(topo)
     if args.report == "branches":
-        emit.write_branches(branches, sys.stdout)
+        emit.write_readout(r, sys.stdout, "branches", "control_outcome", "client_state")
     else:
-        reachable = [b for b in branches if b.reachable]
         _print_json(
             {
                 "clients": topo.total_clients,
                 "entanglers": len(topo.entanglers),
-                "branches": len(branches),
-                "reachable_branches": len(reachable),
-                "min_ghz_fidelity": emit.round12(min(b.ghz_fidelity for b in reachable)),
-                "total_probability": emit.round12(sum(b.probability for b in branches)),
+                "branches": len(r.labels),
+                "reachable_branches": int(r.reachable.sum()),
+                "min_ghz_fidelity": emit.round12(min(r.fidelity[r.reachable].tolist())),
+                # Python's sum, not np.sum, whose pairwise sum can move the last bit
+                "total_probability": emit.round12(sum(r.probability.tolist())),
             }
         )
     return EXIT_OK

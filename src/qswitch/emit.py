@@ -1,19 +1,19 @@
 """Text output of the result documents: the fixed document shapes written straight to text.
 
-The outcome ensemble of ``qswitch run``, the branch list of ``qswitch netsim
---report branches`` and the sweep CSV and JSON files print every float rounded to
-12 significant digits. Each column of a document, and all the parts of all its
-states, are tabled by one sort of their bit patterns: the distinct values are
-formatted by one call of a batch formatter, and a column is one search of its
-table and one take. A batch formatter writes all its values, each followed by one
-separator, in one ``"%.12g"`` format for CSV, and in one ``"%.12g"`` rounding
-format and one ``"%r"`` format for JSON, a non-finite value spelled on its own as
-``json.dumps`` spells it. A state's parts are joined to each text that can follow
-them; a state is one take and one join, written on its own. A sweep file is one
-join of its columns' texts, each joined to the text after it and interleaved by
-slice assignment, with no per-row object or call. The ``qswitch verify`` report
-prints its overlaps and ``tol`` at full precision. The bytes are those of
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline (and of
+The ``qswitch run`` and ``qswitch netsim --report branches`` documents, one
+writer's text of a ``switch.Readout`` each, and the sweep CSV and JSON files print
+every float rounded to 12 significant digits. Each column of a document, and all
+the parts of all its states, are tabled by one sort of their bit patterns: the
+distinct values are formatted by one call of a batch formatter, and a column is
+one search of its table and one take. A batch formatter writes all its values,
+each followed by one separator, in one ``"%.12g"`` format for CSV, and in one
+``"%.12g"`` rounding format and one ``"%r"`` format for JSON, a non-finite value
+spelled on its own as ``json.dumps`` spells it. A state's parts are joined to each
+text that can follow them; a state is one take and one join, written on its own. A
+sweep file is one join of its columns' texts, each joined to the text after it and
+interleaved by slice assignment, with no per-row object or call. The ``qswitch
+verify`` report prints its overlaps and ``tol`` at full precision. The bytes are
+those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline (and of
 ``csv.writer``) on the same values; the tests keep that construction as the
 reference.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -87,60 +88,49 @@ def _texts(values, texts) -> list[str]:
 _AFTER = (",\n          ", "\n        ],\n        [\n          ", "\n        ]\n      ]")
 
 
-def _state_texts(states):
-    """Yield each state's ``[[re, im], ...]`` text after its ``[[``, from one table of all parts."""
-    # one sort and a search per state make no Python object per part, and hold one
-    # state's pieces at a time; the body runs at the first state a document writes
-    distinct = _distinct(np.concatenate(states, dtype=complex).view(np.int64))
+def _state_texts(states, live):
+    """Yield the ``[[re, im], ...]`` text after its ``[[`` of each row of the stack ``states``
+    (rows, 2^n) that the mask ``live`` marks, from one table of all their parts."""
+    # the masked rows are the one copy, sorted in place; a search per state makes no Python
+    # object per part; the body runs at the first state a document writes
+    states = np.ascontiguousarray(states, dtype=complex)
+    distinct = _distinct(states[live].view(np.int64).reshape(-1))
     texts = _json_texts(distinct.view(np.float64))
     table = np.array([t + after for after in _AFTER for t in texts], dtype=object)  # 3 blocks
-    for state in states:
-        index = distinct.searchsorted(np.ascontiguousarray(state, dtype=complex).view(np.int64))
+    for state in compress(states, live):
+        index = distinct.searchsorted(state.view(np.int64))
         index[1::2] += len(texts)  # imaginary parts: the second block
         index[-1] += len(texts)  # the state's last part: the third
         yield "".join(table.take(index).tolist())
 
 
-def _write_document(out, key: str, items, states) -> None:
-    """Write ``{key: [items...]}`` and a newline. Each item maps its keys to their JSON
-    texts, written in sorted key order; a key mapped to None holds a state, whose text after
-    its opening is the next of ``states``: it goes to ``out`` on its own, never copied."""
+def write_readout(readout, out, key: str = "outcomes", label: str = "label",
+                  state: str = "state") -> None:
+    """Write the document ``{key: [rows...]}`` of a ``switch.Readout`` and a newline: ``run``'s
+    with the default keys, ``netsim --report branches``'s with ``"branches"``,
+    ``"control_outcome"`` and ``"client_state"``. A row holds its label, probability and
+    reachable flag and, where reachable, its state and any ``ghz_fidelity``, keys sorted."""
+    columns = {label: [json.dumps(k) for k in readout.labels], state: None,
+               "probability": _texts(readout.probability, _json_texts),
+               "reachable": _bool_texts(readout.reachable)}
+    if readout.fidelity is not None:
+        columns["ghz_fidelity"] = _texts(readout.fidelity, _json_texts)
+    states, keys = _state_texts(readout.states, readout.reachable), sorted(columns)
+    unreachable_keys = [k for k in keys if k not in (state, "ghz_fidelity")]
     text, opening, close = '{\n  "' + key + '": [', "\n    {\n      ", "]\n}\n"
-    for fields in items:
+    for i, live in enumerate(readout.reachable.tolist()):
         sep = opening
-        for k, v in sorted(fields.items()):
+        for k in keys if live else unreachable_keys:
             text += sep + '"' + k + '": '
-            if v is None:
+            if k == state:  # the state's text goes to out on its own, never copied
                 out.write(text + "[\n        [\n          ")
                 out.write(next(states))
                 text = ""
             else:
-                text += v
+                text += columns[k][i]
             sep = ",\n      "
         text, opening, close = text + "\n    }", ",\n    {\n      ", "\n  ]\n}\n"
     out.write(text + close)
-
-
-def write_ensemble(ensemble, out) -> None:
-    """Write the ``run`` document ``{"outcomes": [...]}`` of an outcome ensemble."""
-    outcomes = list(ensemble)
-    probabilities = _texts([o.probability for o in outcomes], _json_texts)
-    _write_document(out, "outcomes", (
-        {"label": json.dumps(o.label), "probability": p, "reachable": _bool(o.reachable),
-         **({"state": None} if o.reachable else {})} for o, p in zip(outcomes, probabilities)),
-        _state_texts([o.state for o in outcomes if o.reachable]))
-
-
-def write_branches(branches, out) -> None:
-    """Write the ``netsim --report branches`` document ``{"branches": [...]}``."""
-    probabilities = _texts([b.probability for b in branches], _json_texts)
-    fidelities = _texts([b.ghz_fidelity if b.reachable else 0.0 for b in branches], _json_texts)
-    _write_document(out, "branches", (
-        {"control_outcome": json.dumps(b.control_outcome), "probability": p,
-         "reachable": _bool(b.reachable), **({"client_state": None, "ghz_fidelity": f}
-                                             if b.reachable else {})}
-        for b, p, f in zip(branches, probabilities, fidelities)),
-        _state_texts([b.client_state for b in branches if b.reachable]))
 
 
 def _sweep_parts(table, head: str, after: dict, texts, label, none: str) -> list[str]:

@@ -11,8 +11,9 @@ order images (``switch._end_vectors``) and their orthogonality check
 run (the engine's cap). Topology documents are parsed by
 ``documents.parse_topology``.
 
-Each branch is reported with its probability, client state
-and GHZ fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
+``run_hierarchy`` returns a ``switch.Readout``, ``map_entanglement`` a ``BranchResult``
+per row of one. Its ``fidelity`` column holds each reachable branch's GHZ
+fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
 (|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame:
 once the orthogonality condition holds, the conjugated order images of each
 qubit (``ends.conj()``) form a unitary that sends its forward-order image to
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .gates import UnitaryPair
-from .switch import (MAX_QUBITS, _as_qubit_states, _branch_stack, _end_vectors,
+from .switch import (MAX_QUBITS, Readout, _as_qubit_states, _branch_stack, _end_vectors,
                      branch_readout, canonical_phase, readout_plan, superposed_input)
 from .verify import condition_report
 
@@ -92,15 +93,16 @@ def _reverse_table(cluster_of_qubit: list[int], m: int) -> np.ndarray:
     return ((np.arange(2**m) >> shifts[:, None]) & 1).T
 
 
-def _branch_results(plan: tuple, ends: np.ndarray, in_frame: bool) -> list[BranchResult]:
+def _readout(plan: tuple, ends: np.ndarray, in_frame: bool) -> Readout:
+    """The phase-fixed readout of ``plan`` on ``ends``, with each branch's GHZ fidelity."""
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
     n = len(ends)
     fwd, bwd = _branch_stack([[0] * n, [1] * n], frame)  # all-forward F, all-backward B
     p, reachable, states = branch_readout(plan, ends)
-    rows = zip(plan[0], p.tolist(), reachable.tolist(),
-               canonical_phase(states))  # unreachable rows are zero and come back unchanged
-    return [BranchResult(k, pk, s, float((abs(np.vdot(fwd, s)) + abs(np.vdot(bwd, s))) ** 2 / 2.0))
-            if live else BranchResult(k, pk, None, None) for k, pk, live, s in rows]
+    states = canonical_phase(states)  # unreachable rows are zero and come back unchanged
+    fidelity = [(abs(np.vdot(fwd, s)) + abs(np.vdot(bwd, s))) ** 2 / 2.0 if live else 0.0
+                for live, s in zip(reachable.tolist(), states)]
+    return Readout(plan[0], p, reachable, states, np.array(fidelity, dtype=float))
 
 
 def map_entanglement(
@@ -117,10 +119,13 @@ def map_entanglement(
         raise ValueError(f"control must be an {n}-qubit state")
     plan = readout_plan(control, _reverse_table(list(range(n)), n))  # checks the control
     ends = _end_vectors(pairs, _as_qubit_states(inputs))
-    return _branch_results(plan, ends, condition_report(ends).all_orthogonal)
+    r = _readout(plan, ends, condition_report(ends).all_orthogonal)
+    rows = zip(r.labels, r.probability.tolist(), r.reachable.tolist(), r.states, r.fidelity.tolist())
+    return [BranchResult(k, p, s, f) if live else BranchResult(k, p, None, None)
+            for k, p, live, s, f in rows]
 
 
-def run_hierarchy(topo: Topology) -> list[BranchResult]:
+def run_hierarchy(topo: Topology) -> Readout:
     """Coordinator-fed edge entanglers distributing one network-wide GHZ state.
 
     Each entangler's control qubit selects the order of its cluster's local
@@ -144,6 +149,6 @@ def run_hierarchy(topo: Topology) -> list[BranchResult]:
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         control = _branch_stack([[0] * m], np.broadcast_to(plus, (m, 2, 2)))[0]  # |+>^(x)m
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
-    return _branch_results(readout_plan(control, _reverse_table(cluster_of_qubit, m)), ends,
-                           report.all_orthogonal)
+    return _readout(readout_plan(control, _reverse_table(cluster_of_qubit, m)), ends,
+                    report.all_orthogonal)
 

@@ -5,8 +5,8 @@ protocols' plans are cached by ``protocol_plan``. ``branch_readout(plan, ends)``
 lets each control basis state select, per qubit, one of the two order images
 of its input (``_order_images``), measures the control register in the
 coherent {|+>, |->} basis and postselects, over any number of stacked
-instances at once; ``controlled_outcomes(plan, ends)`` is its single-instance
-form, returning the outcome ensemble. The protocols only choose the control:
+instances at once; its single-instance form ``controlled_outcomes(plan, ends)``
+returns one ``Readout``, a column per field. The protocols only choose the control:
 
 * two-order protocols (Bell, GHZ-like): one control qubit selects between
   the two orders of the n-qubit local tensors;
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,36 +103,17 @@ def superposed_input(alpha) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Outcome:
-    """One coherent-basis measurement result of the control register."""
+class Readout:
+    """A coherent-basis readout of the control register, one column per field and one
+    row per outcome: the ``labels``, like ``+-``; the ``probability`` and ``reachable``
+    arrays; the phase-fixed ``states`` (outcomes, 2^n), zero rows where unreachable;
+    and, filled by ``netsim`` only, each branch's GHZ ``fidelity``, 0.0 where unreachable."""
 
-    label: str
-    probability: float
-    state: Optional[np.ndarray]  # None when the outcome is unreachable
-
-    @property
-    def reachable(self) -> bool:
-        return self.state is not None
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeEnsemble:
-    outcomes: tuple[Outcome, ...]
-
-    def __iter__(self) -> Iterator[Outcome]:
-        return iter(self.outcomes)
-
-    def __getitem__(self, label: str) -> Outcome:
-        for o in self.outcomes:
-            if o.label == label:
-                return o
-        raise KeyError(label)
-
-    def reachable(self) -> list[Outcome]:
-        return [o for o in self.outcomes if o.reachable]
-
-    def total_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes)
+    labels: tuple[str, ...]
+    probability: np.ndarray
+    reachable: np.ndarray
+    states: np.ndarray
+    fidelity: Optional[np.ndarray] = None
 
 
 def check_protocol(protocol: str, n: int) -> None:
@@ -282,7 +263,7 @@ def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.maximum(probabilities, 0.0), reachable, raw
 
 
-def controlled_outcomes(plan: tuple, ends: np.ndarray) -> OutcomeEnsemble:
+def controlled_outcomes(plan: tuple, ends: np.ndarray) -> Readout:
     """Measure every control qubit of a controlled-order superposition.
 
     The single-instance form of ``branch_readout``, for the order images ``ends``
@@ -291,10 +272,7 @@ def controlled_outcomes(plan: tuple, ends: np.ndarray) -> OutcomeEnsemble:
     most significant first.
     """
     p, reachable, states = branch_readout(plan, ends)
-    rows = zip(plan[0], p.tolist(), reachable.tolist(),
-               canonical_phase(states))  # unreachable rows are zero and come back unchanged
-    return OutcomeEnsemble(tuple(Outcome(label, pk, state if live else None)
-                                 for label, pk, live, state in rows))
+    return Readout(plan[0], p, reachable, canonical_phase(states))  # zero rows stay zero
 
 
 def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +297,6 @@ def protocol_plan(protocol: str, n: int) -> tuple:
     return readout_plan(*protocol_control(protocol, n))
 
 
-def run(spec: SwitchSpec) -> OutcomeEnsemble:
-    """Run the protocol described by ``spec`` and return its outcome ensemble."""
+def run(spec: SwitchSpec) -> Readout:
+    """Run the protocol described by ``spec`` and return its readout."""
     return controlled_outcomes(protocol_plan(spec.protocol, spec.n), spec.ends)

@@ -354,6 +354,18 @@ def dense_readout(joint, m):
     return reference
 
 
+def reachable_states(readout):
+    """The states of the reachable rows of a ``switch.Readout``."""
+    return readout.states[readout.reachable]
+
+
+def readout_pairs(readout):
+    """The (probability, state or None) pair of each row of a ``switch.Readout``, for
+    ``assert_matches_reference``: None where the row is unreachable."""
+    return [(p, psi if live else None) for p, live, psi
+            in zip(readout.probability.tolist(), readout.reachable.tolist(), readout.states)]
+
+
 def assert_matches_reference(results, reference, tol=1e-12):
     """Compare (probability, state or None) pairs with a dense_readout reference."""
     assert len(results) == len(reference)
@@ -426,27 +438,29 @@ def _state_doc(state):
     return [[_fmt(z.real), _fmt(z.imag)] for z in state]
 
 
-def reference_ensemble_text(ensemble):
-    """stdout of ``qswitch run``: the outcome ensemble through json.dumps."""
-    outcomes = []
-    for o in ensemble:
-        doc = {"label": o.label, "probability": _fmt(o.probability), "reachable": o.reachable}
-        if o.reachable:
-            doc["state"] = _state_doc(o.state)
-        outcomes.append(doc)
-    return json.dumps({"outcomes": outcomes}, indent=2, sort_keys=True) + "\n"
+def _reference_rows(readout, label, state):
+    rows = []
+    for k, p, live, psi in zip(readout.labels, readout.probability.tolist(),
+                               readout.reachable.tolist(), readout.states):
+        doc = {label: k, "probability": _fmt(p), "reachable": live}
+        if live:
+            doc[state] = _state_doc(psi)
+        rows.append(doc)
+    return rows
 
 
-def reference_branches_text(branches):
+def reference_ensemble_text(readout):
+    """stdout of ``qswitch run``: the rows of a ``switch.Readout`` through json.dumps."""
+    return json.dumps({"outcomes": _reference_rows(readout, "label", "state")},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def reference_branches_text(readout):
     """stdout of ``qswitch netsim --report branches`` through json.dumps."""
-    docs = []
-    for b in branches:
-        doc = {"control_outcome": b.control_outcome, "probability": _fmt(b.probability),
-               "reachable": b.reachable}
-        if b.reachable:
-            doc["ghz_fidelity"] = _fmt(b.ghz_fidelity)
-            doc["client_state"] = _state_doc(b.client_state)
-        docs.append(doc)
+    docs = _reference_rows(readout, "control_outcome", "client_state")
+    for doc, f in zip(docs, readout.fidelity.tolist()):
+        if doc["reachable"]:
+            doc["ghz_fidelity"] = _fmt(f)
     return json.dumps({"branches": docs}, indent=2, sort_keys=True) + "\n"
 
 
@@ -458,7 +472,9 @@ def reference_verify_text(spec, tol=CONDITION_TOL):
            "all_orthogonal": report.all_orthogonal, "any_aligned": report.any_aligned,
            "separable": report.any_aligned, "tol": report.tol}
     if spec.n == 3:
-        doc["outcome_classes"] = {o.label: certify_class(o.state) for o in run(spec).reachable()}
+        r = run(spec)
+        doc["outcome_classes"] = {k: certify_class(psi) for k, live, psi
+                                  in zip(r.labels, r.reachable.tolist(), r.states) if live}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -17,6 +17,7 @@ from conftest import (
     purity,
     random_pure_state,
     random_spec,
+    reachable_states,
     reduced_density,
 )
 from qswitch import (
@@ -50,9 +51,9 @@ def _pair(lam: float) -> UnitaryPair:
 
 
 def _run_logged(spec: SwitchSpec):
-    ens = run(spec)
-    PROB_SUMS.append(ens.total_probability())
-    return ens
+    r = run(spec)
+    PROB_SUMS.append(sum(r.probability.tolist()))
+    return r
 
 
 def test_criterion_1_bell_ridge():
@@ -60,11 +61,11 @@ def test_criterion_1_bell_ridge():
     for alpha in ALPHAS:
         ens = _run_logged(SwitchSpec("bell", [_pair(math.pi / 4)] * 2,
                                      [superposed_input(alpha)] * 2))
-        ok &= abs(concurrence(density(ens["+"].state)) - 1.0) <= 1e-9
+        ok &= abs(concurrence(density(ens.states[ens.labels.index("+")])) - 1.0) <= 1e-9
         for lam in (0.0, math.pi / 2):
             edge = _run_logged(SwitchSpec("bell", [_pair(lam)] * 2,
                                           [superposed_input(alpha)] * 2))
-            ok &= concurrence(density(edge["+"].state)) <= 1e-9
+            ok &= concurrence(density(edge.states[edge.labels.index("+")])) <= 1e-9
     _report(1, "Bell ridge: plus branch maximal at lambda=pi/4, zero at edges", ok)
 
 
@@ -74,13 +75,13 @@ def test_criterion_2_bell_minus_plateau():
         for alpha in ALPHAS[1:-1]:
             ens = _run_logged(SwitchSpec("bell", [_pair(lam)] * 2,
                                          [superposed_input(alpha)] * 2))
-            minus = ens["-"]
-            ok &= minus.reachable
-            ok &= abs(concurrence(density(minus.state)) - 1.0) <= 1e-9
+            minus = ens.labels.index("-")
+            ok &= ens.reachable[minus]
+            ok &= abs(concurrence(density(ens.states[minus])) - 1.0) <= 1e-9
     for lam in (0.0, math.pi / 2):
         ens = _run_logged(SwitchSpec("bell", [_pair(lam)] * 2,
                                      [superposed_input(0.5)] * 2))
-        ok &= not ens["-"].reachable
+        ok &= not ens.reachable[ens.labels.index("-")]
     _report(2, "Bell minus-branch plateau on (0, pi/2), unreachable at edges", ok)
 
 
@@ -98,28 +99,28 @@ def test_criterion_4_ghz_surface():
     for alpha in ALPHAS:
         ens = _run_logged(SwitchSpec("ghz", [_pair(math.pi / 4)] * 3,
                                      [superposed_input(alpha)] * 3))
-        for o in ens.reachable():
-            ok &= abs(gme_concurrence(o.state).value - 1.0) <= 1e-9
+        for psi in reachable_states(ens):
+            ok &= abs(gme_concurrence(psi).value - 1.0) <= 1e-9
         for lam in (0.0, math.pi / 2):
             edge = _run_logged(SwitchSpec("ghz", [_pair(lam)] * 3,
                                           [superposed_input(alpha)] * 3))
-            for o in edge.reachable():
-                ok &= gme_concurrence(o.state).value <= 1e-9
+            for psi in reachable_states(edge):
+                ok &= gme_concurrence(psi).value <= 1e-9
     _report(4, "GHZ surface: unit GME at lambda=pi/4, zero at edges", ok)
 
 
 def test_criterion_5_w_surface():
     ens = _run_logged(SwitchSpec("w", [_pair(math.pi / 4)] * 3,
                                  [superposed_input(0.5)] * 3))
-    ok = len(list(ens)) == 4
-    for o in ens:
-        ok &= o.reachable
-        ok &= abs(gme_concurrence(o.state).value - W_TARGET) <= 1e-9
+    ok = len(ens.labels) == 4
+    for live, psi in zip(ens.reachable, ens.states):
+        ok &= live
+        ok &= abs(gme_concurrence(psi).value - W_TARGET) <= 1e-9
     for lam in (0.0, math.pi / 2):
         edge = _run_logged(SwitchSpec("w", [_pair(lam)] * 3,
                                       [superposed_input(0.5)] * 3))
-        for o in edge.reachable():
-            ok &= gme_concurrence(o.state).value <= 1e-9
+        for psi in reachable_states(edge):
+            ok &= gme_concurrence(psi).value <= 1e-9
     _report(5, "W surface: all four outcomes at 2*sqrt(2)/3, zero at edges", ok)
 
 
@@ -138,8 +139,8 @@ def test_criterion_6_theorem_equivalence(rng):
         for spec in specs:
             condition = check_max_entanglement(spec).all_orthogonal
             values = [
-                _outcome_metric(protocol, o.state)
-                for o in _run_logged(spec).reachable()
+                _outcome_metric(protocol, psi)
+                for psi in reachable_states(_run_logged(spec))
             ]
             maximal = all(abs(v - target) <= 1e-6 for v in values)
             if condition != maximal:
@@ -156,8 +157,8 @@ def test_criterion_7_separability_propositions(rng):
             qubit = int(rng.integers(n))
             spec = aligned_spec(rng, protocol, n, aligned_qubit=qubit)
             ok &= check_max_entanglement(spec).any_aligned
-            for o in _run_logged(spec).reachable():
-                ok &= purity(reduced_density(o.state, [qubit])) > 1.0 - 1e-9
+            for psi in reachable_states(_run_logged(spec)):
+                ok &= purity(reduced_density(psi, [qubit])) > 1.0 - 1e-9
     # necessity by contrapositive: no aligned qubit, no biseparable outcome
     violations = 0
     for protocol, n in (("bell", 2), ("ghz", 3), ("ghz", 4), ("w", 3)):
@@ -165,9 +166,9 @@ def test_criterion_7_separability_propositions(rng):
             spec = random_spec(rng, protocol, n)
             if check_max_entanglement(spec).any_aligned:
                 continue
-            for o in _run_logged(spec).reachable():
+            for psi in reachable_states(_run_logged(spec)):
                 for q in range(n):
-                    if purity(reduced_density(o.state, [q])) > 1.0 - 1e-9:
+                    if purity(reduced_density(psi, [q])) > 1.0 - 1e-9:
                         violations += 1
     _report(7, "aligned qubit iff biseparable outcome, 1000 random specs",
             ok and violations == 0)
@@ -185,9 +186,9 @@ def test_criterion_9_ghz9_hierarchy():
         "alpha": 0.5,
     })
     start = time.perf_counter()
-    branches = run_hierarchy(topo)
+    r = run_hierarchy(topo)
     elapsed = time.perf_counter() - start
-    ok = all(b.reachable and b.ghz_fidelity >= 1.0 - 1e-9 for b in branches)
+    ok = bool(r.reachable.all() and np.all(r.fidelity >= 1.0 - 1e-9))
     ok &= elapsed < 10.0
     _report(9, f"GHZ9 hierarchy: every branch faithful ({elapsed:.2f}s)", ok)
 

@@ -248,8 +248,9 @@ def test_verify_classes_equal_certify_class_over_the_run(tmp_path, capsys, proto
         path.write_text(json.dumps(doc))
         assert main(["verify", "--spec", str(path)]) == EXIT_OK
         classes = json.loads(capsys.readouterr().out)["outcome_classes"]
-        assert classes == {o.label: certify_class(o.state)
-                           for o in run(parse_spec(doc)).reachable()}
+        r = run(parse_spec(doc))
+        assert classes == {k: certify_class(psi) for k, live, psi
+                           in zip(r.labels, r.reachable.tolist(), r.states) if live}
 
 
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
@@ -363,14 +364,17 @@ def test_public_surface():
     assert qswitch.__all__ == [
         "UnitaryPair", "parse_gate", "pauli", "ry",
         "MetricReport", "concurrence", "gme_concurrence",
-        "Outcome", "OutcomeEnsemble", "SwitchSpec", "run", "superposed_input",
+        "Readout", "SwitchSpec", "run", "superposed_input",
         "ConditionReport", "certify_class", "check_max_entanglement", "overlap", "three_tangle",
     ]
     removed = {"qswitch": ["purity", "joint_state", "switch_operator", "forward_order",
-                           "backward_order", "canonical_lu", "check_separability"],
+                           "backward_order", "canonical_lu", "check_separability",
+                           "Outcome", "OutcomeEnsemble"],
                "qswitch.gates": ["forward_order", "backward_order"],
-               "qswitch.switch": ["joint_state", "switch_operator",
+               "qswitch.switch": ["joint_state", "switch_operator", "Outcome", "OutcomeEnsemble",
                                   "_plan", "_readout", "_outcomes", "_protocol_plan"],
+               "qswitch.emit": ["write_ensemble", "write_branches", "_write_document"],
+               "qswitch.netsim": ["_branch_results"],
                "qswitch.verify": ["apply_local_unitaries", "canonical_lu", "check_separability"],
                "qswitch.metrics": ["purity", "_gme_from_entropy_scalar", "_check_unit"],
                "qswitch.cli": ["ValidationError"]}

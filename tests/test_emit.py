@@ -16,11 +16,10 @@ from conftest import (
     reference_export,
     reference_verify_text,
 )
-from qswitch import Outcome, OutcomeEnsemble, emit, netsim, run
+from qswitch import Readout, emit, netsim, run
 from qswitch import verify as verify_mod
 from qswitch.cli import EXIT_OK, main
 from qswitch.documents import parse_spec, parse_topology
-from qswitch.netsim import BranchResult
 from qswitch.sweep import SweepTable, default_plan, export, run_sweep
 from qswitch.switch import UNREACHABLE_TOL
 
@@ -82,11 +81,11 @@ def test_run_stdout_matches_json_dumps(tmp_path, capsys, name):
     doc = RUN_DOCS[name]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    ensemble = run(parse_spec(doc))
+    readout = run(parse_spec(doc))
     if name == "bell-unreachable":
-        assert not all(o.reachable for o in ensemble)
+        assert not readout.reachable.all()
     out = _stdout(capsys, ["run", "--spec", str(path)])
-    assert_same_text(out, reference_ensemble_text(ensemble))
+    assert_same_text(out, reference_ensemble_text(readout))
 
 
 VERIFY_DOCS = {
@@ -150,16 +149,16 @@ def test_netsim_stdout_matches_json_dumps(tmp_path, capsys, m, k, control, repor
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))
     out = _stdout(capsys, ["netsim", "--topology", str(path), "--report", report])
-    branches = netsim.run_hierarchy(parse_topology(doc))
+    r = netsim.run_hierarchy(parse_topology(doc))
     if report == "branches":
-        assert_same_text(out, reference_branches_text(branches))
+        assert_same_text(out, reference_branches_text(r))
     else:
-        reachable = [b for b in branches if b.reachable]
+        reachable = [i for i, live in enumerate(r.reachable.tolist()) if live]
         summary = {
-            "clients": m * k, "entanglers": m, "branches": len(branches),
+            "clients": m * k, "entanglers": m, "branches": len(r.labels),
             "reachable_branches": len(reachable),
-            "min_ghz_fidelity": float(format(min(b.ghz_fidelity for b in reachable), ".12g")),
-            "total_probability": float(format(sum(b.probability for b in branches), ".12g")),
+            "min_ghz_fidelity": float(format(min(float(r.fidelity[i]) for i in reachable), ".12g")),
+            "total_probability": float(format(sum(float(p) for p in r.probability), ".12g")),
         }
         assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
@@ -179,26 +178,39 @@ def _edge_states(rng):
         yield state
 
 
-def test_edge_values_match_json_dumps(rng):
-    outcomes = [Outcome("+" * (i + 1), float(p), state)
-                for i, (p, state) in enumerate(zip(EDGE, _edge_states(rng)))]
-    outcomes += [Outcome("-", UNREACHABLE_TOL * (1 - 1e-15), None), Outcome("--", -0.0, None)]
-    out = io.StringIO()
-    emit.write_ensemble(OutcomeEnsemble(tuple(outcomes)), out)
-    assert_same_text(out.getvalue(), reference_ensemble_text(outcomes))
+def _readout(rows, fidelity=None):
+    """A ``switch.Readout`` of (label, probability, state) rows: a row with a state is
+    reachable, its state cycled to the width of the widest (a stack has one width), and a
+    row whose state is None is unreachable, a zero row in the stack; ``fidelity``, if
+    given, is the fidelity column."""
+    width = max((len(psi) for _, _, psi in rows if psi is not None), default=1)
+    states = np.zeros((len(rows), width), dtype=complex)
+    for i, (_, _, psi) in enumerate(rows):
+        if psi is not None:
+            states[i] = np.resize(psi, width)
+    return Readout(tuple(k for k, _, _ in rows), np.array([p for _, p, _ in rows], dtype=float),
+                   np.array([psi is not None for _, _, psi in rows], dtype=bool), states,
+                   None if fidelity is None else np.array(fidelity, dtype=float))
 
-    branches = [BranchResult(f"+{i}", float(p), state, float(EDGE[-1 - i]))
-                for i, (p, state) in enumerate(zip(EDGE, _edge_states(rng)))]
-    branches.append(BranchResult("--", 5e-324, None, None))
+
+def test_edge_values_match_json_dumps(rng):
+    rows = [("+" * (i + 1), float(p), state)
+            for i, (p, state) in enumerate(zip(EDGE, _edge_states(rng)))]
+    rows += [("-", UNREACHABLE_TOL * (1 - 1e-15), None), ("--", -0.0, None)]
     out = io.StringIO()
-    emit.write_branches(branches, out)
-    assert_same_text(out.getvalue(), reference_branches_text(branches))
+    emit.write_readout(_readout(rows), out)
+    assert_same_text(out.getvalue(), reference_ensemble_text(_readout(rows)))
+
+    rows = [(f"+{i}", float(p), state) for i, (p, state) in enumerate(zip(EDGE, _edge_states(rng)))]
+    rows.append(("--", 5e-324, None))
+    branches = _readout(rows, [float(EDGE[-1 - i]) for i in range(len(EDGE))] + [0.0])
+    assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
 
 def test_empty_documents_match_json_dumps(tmp_path):
     out = io.StringIO()
-    emit.write_ensemble(OutcomeEnsemble(()), out)
-    assert out.getvalue() == reference_ensemble_text([])
+    emit.write_readout(_readout([]), out)
+    assert out.getvalue() == reference_ensemble_text(_readout([]))
     for fmt in ("csv", "json"):
         export(empty_table(), fmt, str(tmp_path / "new"))
         reference_export(empty_table(), fmt, str(tmp_path / "old"))
@@ -225,36 +237,33 @@ def _json_text(x):
 
 def test_states_of_a_document_format_each_distinct_part_once(monkeypatch):
     calls = _count_json_texts(monkeypatch)
-    ensemble = run(parse_spec(RUN_DOCS["w11"]))
-    emit.write_ensemble(ensemble, io.StringIO())
-    states = [o.state.view(float) for o in ensemble if o.reachable]
+    readout = run(parse_spec(RUN_DOCS["w11"]))
+    emit.write_readout(readout, io.StringIO())
+    states = readout.states[readout.reachable].view(float)
     assert len(states) == 16
-    assert len(calls) <= (_distinct_patterns(np.concatenate(states))
-                          + _distinct_patterns([o.probability for o in ensemble]))
+    assert len(calls) <= (_distinct_patterns(states) + _distinct_patterns(readout.probability))
 
     calls.clear()
     topology = {"entanglers": [{"id": f"e{j + 1}", "clients": 2} for j in range(4)],
                 "gates": PAIR, "alpha": 0.5, "control": "plus_product"}
-    branches = netsim.run_hierarchy(parse_topology(topology))
-    emit.write_branches(branches, io.StringIO())
-    reachable = [b for b in branches if b.reachable]
-    assert len(reachable) == 16
+    r = netsim.run_hierarchy(parse_topology(topology))
+    _branches_text(r)
+    assert r.reachable.sum() == 16
     # the fidelities are a column of their own, formatted once per distinct value
-    assert len(calls) <= (_distinct_patterns(np.concatenate([b.client_state.view(float)
-                                                             for b in reachable]))
-                          + _distinct_patterns([b.probability for b in branches])
-                          + _distinct_patterns([b.ghz_fidelity for b in reachable]))
+    assert len(calls) <= (_distinct_patterns(r.states[r.reachable].view(float))
+                          + _distinct_patterns(r.probability)
+                          + _distinct_patterns(r.fidelity[r.reachable]))
 
 
-def _ensemble_text(outcomes):
+def _ensemble_text(rows):
     out = io.StringIO()
-    emit.write_ensemble(OutcomeEnsemble(tuple(outcomes)), out)
+    emit.write_readout(_readout(rows), out)
     return out.getvalue()
 
 
-def _branches_text(branches):
+def _branches_text(readout):
     out = io.StringIO()
-    emit.write_branches(branches, out)
+    emit.write_readout(readout, out, "branches", "control_outcome", "client_state")
     return out.getvalue()
 
 
@@ -262,26 +271,30 @@ def test_states_of_mixed_lengths_and_shared_parts_match_json_dumps(rng):
     def state(size):
         return rng.normal(size=size) + 1j * rng.normal(size=size)
 
-    # reachable states of 1, 2 and 8 amplitudes, with unreachable outcomes between them
-    outcomes = [Outcome("a", 0.0, None), Outcome("b", 0.25, state(1)), Outcome("c", 0.0, None),
-                Outcome("d", 0.5, state(2)), Outcome("e", 0.25, state(8)), Outcome("f", 0.0, None)]
-    assert_same_text(_ensemble_text(outcomes), reference_ensemble_text(outcomes))
-    branches = [BranchResult(o.label, o.probability, o.state, 1.0 - o.probability)
-                for o in outcomes]
-    assert_same_text(_branches_text(branches), reference_branches_text(branches))
+    # reachable states of 1, 2 and 8 amplitudes, with unreachable outcomes between them;
+    # a document's states have one width, so each state is cycled to 1, 2 and 8 in turn
+    b, d, e = state(1), state(2), state(8)
+    for size in (1, 2, 8):
+        rows = [("a", 0.0, None), ("b", 0.25, np.resize(b, size)), ("c", 0.0, None),
+                ("d", 0.5, np.resize(d, size)), ("e", 0.25, np.resize(e, size)), ("f", 0.0, None)]
+        assert_same_text(_ensemble_text(rows), reference_ensemble_text(_readout(rows)))
+        branches = _readout(rows, [1.0 - p if psi is not None else 0.0 for _, p, psi in rows])
+        assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
     # every state the same; every part a negative zero
     same = state(4)
-    outcomes = [Outcome("+" * (i + 1), 0.25, same.copy()) for i in range(4)]
-    outcomes.append(Outcome("-0", 0.0, np.full(4, complex(-0.0, -0.0))))
-    text = _ensemble_text(outcomes)
+    rows = [("+" * (i + 1), 0.25, same.copy()) for i in range(4)]
+    rows.append(("-0", 0.0, np.full(4, complex(-0.0, -0.0))))
+    text = _ensemble_text(rows)
     assert text.count("-0.0") == 8
-    assert_same_text(text, reference_ensemble_text(outcomes))
+    assert_same_text(text, reference_ensemble_text(_readout(rows)))
 
 
 def test_branch_documents_without_states_match_json_dumps():
-    assert _branches_text([]) == reference_branches_text([])
-    branches = [BranchResult(f"+{i}", p, None, None) for i, p in enumerate([0.0, -0.0, 5e-324])]
+    empty = _readout([], [])
+    assert _branches_text(empty) == reference_branches_text(empty)
+    branches = _readout([(f"+{i}", p, None) for i, p in enumerate([0.0, -0.0, 5e-324])],
+                        [0.0] * 3)
     assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
 
@@ -293,33 +306,31 @@ PART_POOL = np.array([-0.0, 0.0, 5e-324, 1e-300, 2.0 ** -0.5] + NAN_PAYLOADS)
 def test_random_documents_match_json_dumps():
     rng = np.random.default_rng(27)
     for _ in range(200):
-        outcomes = []
+        rows = []
         for i in range(int(rng.integers(0, 7))):  # reachable and unreachable rows mixed
             probability = float(rng.choice(PART_POOL[:5]))
             if rng.random() < 0.3:
-                outcomes.append(Outcome(f"o{i}", probability, None))
+                rows.append((f"o{i}", probability, None))
             else:
-                size = int(rng.integers(1, 17))
+                size = int(rng.integers(1, 17))  # _readout cycles each state to the widest
                 state = np.empty(size, dtype=complex)
                 state.real, state.imag = rng.choice(PART_POOL, size), rng.choice(PART_POOL, size)
-                outcomes.append(Outcome(f"o{i}", probability, state))
-        assert_same_text(_ensemble_text(outcomes), reference_ensemble_text(outcomes))
-        branches = [BranchResult(o.label, o.probability, o.state,
-                                 float(rng.choice(PART_POOL[:5])) if o.reachable else None)
-                    for o in outcomes]
+                rows.append((f"o{i}", probability, state))
+        assert_same_text(_ensemble_text(rows), reference_ensemble_text(_readout(rows)))
+        branches = _readout(rows, [float(rng.choice(PART_POOL[:5])) if psi is not None else 0.0
+                                   for _, _, psi in rows])
         assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
 
 def test_one_part_in_every_block_of_the_table():
     # 0.125 is a real part, an imaginary part that is not the last, and a state's last part
     x = 0.125
-    outcomes = [Outcome("+", 0.5, np.array([complex(x, x), complex(0.5, x)])),
-                Outcome("-", 0.5, np.array([complex(x, -0.0)])), Outcome("0", 0.0, None)]
-    text = _ensemble_text(outcomes)
+    rows = [("+", 0.5, np.array([complex(x, x), complex(0.5, x)])),
+            ("-", 0.5, np.array([complex(x, -0.0), complex(0.5, 0.5)])), ("0", 0.0, None)]
+    text = _ensemble_text(rows)
     assert text.count("0.125") == 4
-    assert_same_text(text, reference_ensemble_text(outcomes))
-    branches = [BranchResult(o.label, o.probability, o.state, x if o.reachable else None)
-                for o in outcomes]
+    assert_same_text(text, reference_ensemble_text(_readout(rows)))
+    branches = _readout(rows, [x if psi is not None else 0.0 for _, _, psi in rows])
     assert_same_text(_branches_text(branches), reference_branches_text(branches))
 
 

@@ -54,7 +54,8 @@ def test_concurrence_partial_entanglement_vs_oracle():
     # an intermediate rotation gives a strictly partial entanglement value
     pair = UnitaryPair(pauli("z"), ry(math.pi / 4))
     spec = SwitchSpec("bell", [pair] * 2, [superposed_input(0.5)] * 2)
-    psi = run(spec)["+"].state
+    r = run(spec)
+    psi = r.states[r.labels.index("+")]
     c = concurrence(density(psi))
     assert 0.0 < c < 1.0
     assert abs(c - pure_concurrence_oracle(psi)) <= 1e-9

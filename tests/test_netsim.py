@@ -18,11 +18,14 @@ from conftest import (
     outcome_labels,
     purity,
     random_pure_state,
+    readout_pairs,
     reduced_density,
+    same_bits,
 )
 from qswitch import UnitaryPair, pauli, ry, superposed_input
 from qswitch.documents import parse_topology
-from qswitch.netsim import Topology, _reverse_table, map_entanglement, run_hierarchy
+from qswitch import netsim
+from qswitch.netsim import BranchResult, Topology, _reverse_table, map_entanglement, run_hierarchy
 from qswitch.switch import _end_vectors, controlled_outcomes, readout_plan
 from qswitch.verify import condition_report
 
@@ -96,27 +99,27 @@ def test_map_entanglement_rejects(control, n, bad_input, match):
 
 
 def test_branch_probabilities_sum_to_one():
-    for branches in (
-        map_entanglement(ghz_state(3), [default_pair()] * 3, [superposed_input(0.5)] * 3),
-        run_hierarchy(default_topology([3, 3, 3])),
-        run_hierarchy(dataclasses.replace(default_topology([3, 3, 3]), control="plus_product")),
+    for probabilities in (
+        [b.probability for b in map_entanglement(ghz_state(3), [default_pair()] * 3,
+                                                 [superposed_input(0.5)] * 3)],
+        run_hierarchy(default_topology([3, 3, 3])).probability.tolist(),
+        run_hierarchy(dataclasses.replace(default_topology([3, 3, 3]),
+                                          control="plus_product")).probability.tolist(),
     ):
-        assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-10
+        assert abs(sum(probabilities) - 1.0) <= 1e-10
 
 
 def test_hierarchy_nine_clients():
-    branches = run_hierarchy(default_topology([3, 3, 3]))
-    assert len(branches) == 8
-    for b in branches:
-        assert b.reachable
-        assert b.client_state.shape == (2**9,)
-        assert b.ghz_fidelity >= 1 - 1e-9
+    r = run_hierarchy(default_topology([3, 3, 3]))
+    assert len(r.labels) == 8 and r.reachable.all()
+    assert r.states.shape == (8, 2**9)
+    assert np.all(r.fidelity >= 1 - 1e-9)
 
 
 @pytest.mark.parametrize("clusters", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_hierarchy_recursion_sizes(clusters):
-    for b in run_hierarchy(default_topology(list(clusters))):
-        assert b.ghz_fidelity >= 1 - 1e-9
+    r = run_hierarchy(default_topology(list(clusters)))
+    assert np.all(r.fidelity >= 1 - 1e-9)
 
 
 def test_hierarchy_product_control_not_global_ghz():
@@ -129,12 +132,9 @@ def test_hierarchy_product_control_not_global_ghz():
             "control": "plus_product",
         }
     )
-    branches = run_hierarchy(topo)
-    assert len(branches) == 8 and all(b.reachable for b in branches)
-    for b in branches:
-        if b.reachable:
-            assert b.ghz_fidelity <= 0.5 + 1e-9
-            assert b.ghz_fidelity >= 0
+    r = run_hierarchy(topo)
+    assert len(r.labels) == 8 and r.reachable.all()
+    assert np.all(r.fidelity <= 0.5 + 1e-9) and np.all(r.fidelity >= 0)
 
 
 def test_hierarchy_refuses_condition_violation():
@@ -169,7 +169,7 @@ def test_topology_validation():
         with pytest.raises(ValueError, match="^alpha must be a real number, got "):
             Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair, alpha=alpha)
     assert len(run_hierarchy(Topology(entanglers=[("e1", 2), ("e2", 2)], pair_template=pair,
-                                      alpha=np.float64(0.5)))) == 4
+                                      alpha=np.float64(0.5))).labels) == 4
 
 
 @pytest.mark.parametrize("clients", [2.0, 3.0, True, "2", None])
@@ -180,7 +180,7 @@ def test_topology_rejects_a_client_count_that_is_not_an_integer(clients):
 
 def test_topology_takes_a_numpy_integer_client_count():
     topo = Topology(entanglers=[("e1", np.int64(2)), ("e2", 2)], pair_template=default_pair())
-    assert len(run_hierarchy(topo)) == 4
+    assert len(run_hierarchy(topo).labels) == 4
 
 
 def test_topology_is_an_immutable_snapshot():
@@ -194,7 +194,7 @@ def test_topology_is_an_immutable_snapshot():
     topo = Topology(entanglers=entanglers, pair_template=default_pair())
     entanglers.append(("c", 7))
     entanglers[0] = ("a", 9)
-    assert topo.total_clients == 4 and len(run_hierarchy(topo)) == 4
+    assert topo.total_clients == 4 and len(run_hierarchy(topo).labels) == 4
 
 
 def test_no_cross_client_coupling():
@@ -213,22 +213,22 @@ def test_coupling_audit_detects_entangling_block():
     assert max_cross_client_coupling(op.reshape(16, 16), 2, 2) > 0.1
 
 
-def _assert_matches_dense(branches, control, cluster_of_qubit, pairs, inputs):
+def _assert_matches_dense(labels, results, fidelities, control, cluster_of_qubit, pairs, inputs):
     # dense audit operator on (clients x control), then an explicit H^(x)m readout
     m = len(control).bit_length() - 1
     joint = controlled_order_operator(pairs, cluster_of_qubit, m) @ np.kron(kron_all(inputs), control)
     reference = dense_readout(joint, m)
-    assert [b.control_outcome for b in branches] == outcome_labels(m)
-    assert_matches_reference([(b.probability, b.client_state) for b in branches], reference)
+    assert list(labels) == outcome_labels(m)
+    assert_matches_reference(results, reference)
     # the canonical frame of the dense order images: forward image to |0>, backward to |1>
     ends = np.array([[(p.u @ p.u_tilde) @ phi, (p.u_tilde @ p.u) @ phi]
                      for p, phi in zip(pairs, inputs)])
     orthogonal = condition_report(ends).all_orthogonal
     frame = kron_all(ends.conj()) if orthogonal else np.eye(2 ** len(pairs))
-    for b, (_, state) in zip(branches, reference):
+    for f, (_, state) in zip(fidelities, reference):
         if state is not None:
             rotated = frame @ state
-            assert abs(b.ghz_fidelity - (abs(rotated[0]) + abs(rotated[-1])) ** 2 / 2) <= 1e-12
+            assert abs(f - (abs(rotated[0]) + abs(rotated[-1])) ** 2 / 2) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])  # the n + n qubit audit operator grows as 16^n
@@ -240,7 +240,10 @@ def test_map_entanglement_matches_dense_reference(rng, n):
         for control in (random_pure_state(rng, n), ghz_state(n)):
             for pairs, inputs in ((random_pairs, random_inputs), orthogonal):
                 branches = map_entanglement(control, pairs, inputs)
-                _assert_matches_dense(branches, control, list(range(n)), pairs, inputs)
+                _assert_matches_dense([b.control_outcome for b in branches],
+                                      [(b.probability, b.client_state) for b in branches],
+                                      [b.ghz_fidelity for b in branches],
+                                      control, list(range(n)), pairs, inputs)
 
 
 @pytest.mark.parametrize("clusters", [(2, 2), (2, 3), (3, 2)])
@@ -256,9 +259,10 @@ def test_hierarchy_matches_dense_reference(rng, clusters, control):
         m = len(clusters)
         amps = (ghz_state(m) if control == "ghz"
                 else kron_all([np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)] * m))
-        n = topo.total_clients
+        n, r = topo.total_clients, run_hierarchy(topo)
         _assert_matches_dense(
-            run_hierarchy(topo), amps, [j for j, k in enumerate(clusters) for _ in range(k)],
+            r.labels, readout_pairs(r), r.fidelity.tolist(), amps,
+            [j for j, k in enumerate(clusters) for _ in range(k)],
             [pair] * n, [superposed_input(topo.alpha)] * n,
         )
 
@@ -322,12 +326,12 @@ def test_hierarchy_equals_kron_built_references_bitwise(m, k, control):
     plan = readout_plan(amps, _reverse_table([q // k for q in range(n)], m))
     expected = controlled_outcomes(plan, ends)
     fwd, bwd = kron_all(ends[:, 0]), kron_all(ends[:, 1])
-    branches = run_hierarchy(topo)
-    assert len(branches) == 2**m
-    for b, o in zip(branches, expected):
-        assert b.probability == o.probability
-        assert np.array_equal(b.client_state, o.state)
-        assert b.ghz_fidelity == _fidelity(fwd, bwd, b.client_state)
+    r = run_hierarchy(topo)
+    assert r.labels == expected.labels and len(r.labels) == 2**m
+    assert same_bits(r.probability, expected.probability)
+    assert same_bits(r.reachable, expected.reachable) and r.reachable.all()
+    assert same_bits(r.states, expected.states)
+    assert r.fidelity.tolist() == [_fidelity(fwd, bwd, psi) for psi in r.states]
 
 
 @pytest.mark.parametrize("in_frame", [True, False])
@@ -343,11 +347,42 @@ def test_map_entanglement_equals_kron_built_references_bitwise(rng, in_frame):
     frame = ends if in_frame else np.broadcast_to(np.eye(2), ends.shape)
     fwd, bwd = kron_all(frame[:, 0]), kron_all(frame[:, 1])
     control = random_pure_state(rng, n)
-    branches = map_entanglement(control, pairs, inputs)
-    expected = controlled_outcomes(readout_plan(control, _reverse_table(list(range(n)), n)), ends)
-    for b, o in zip(branches, expected):
-        assert b.probability == o.probability and np.array_equal(b.client_state, o.state)
+    for b in map_entanglement(control, pairs, inputs):
         assert b.ghz_fidelity == _fidelity(fwd, bwd, b.client_state)
+
+
+@pytest.mark.parametrize("case", ["in-frame", "no-frame", "identity"])
+def test_map_entanglement_rows_are_the_readout_columns_bitwise(rng, case):
+    # the rows are the columns of one readout, which is controlled_outcomes' with a fidelity
+    # column; identity pairs under an all-plus control leave every branch but ++++ unreachable
+    n = 4
+    pairs, inputs = condition_pairs(rng, n)
+    control = random_pure_state(rng, n)
+    if case == "no-frame":
+        pairs[1] = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
+    elif case == "identity":
+        pairs = [UnitaryPair(np.eye(2, dtype=complex), np.eye(2, dtype=complex))] * n
+        control = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    ends = _end_vectors(pairs, inputs)
+    plan = readout_plan(control, _reverse_table(list(range(n)), n))
+    r = netsim._readout(plan, ends, condition_report(ends).all_orthogonal)
+    expected = controlled_outcomes(plan, ends)
+    assert r.labels == expected.labels
+    assert same_bits(r.probability, expected.probability)
+    assert same_bits(r.reachable, expected.reachable)
+    assert same_bits(r.states, expected.states)
+    assert r.reachable.all() == (case != "identity")
+    branches = map_entanglement(control, pairs, inputs)
+    assert [type(b) for b in branches] == [BranchResult] * 2**n
+    assert [b.control_outcome for b in branches] == list(r.labels)
+    assert same_bits([b.probability for b in branches], r.probability)
+    assert [b.reachable for b in branches] == r.reachable.tolist()
+    for b, live, psi, f in zip(branches, r.reachable.tolist(), r.states, r.fidelity.tolist()):
+        if live:
+            assert same_bits(b.client_state, psi) and same_bits(b.ghz_fidelity, f)
+            assert type(b.ghz_fidelity) is float
+        else:
+            assert b.client_state is None and b.ghz_fidelity is None and f == 0.0
 
 
 def test_map_entanglement_frees_the_branch_stack_after_the_readout_product(rng):

@@ -235,14 +235,16 @@ def test_batched_sweep_matches_per_point_reference(protocol, n):
         pair = UnitaryPair(pauli("z"), ry(2.0 * lam))
         for alpha in plan.alpha_grid:
             spec = SwitchSpec(protocol, [pair] * n, [superposed_input(alpha)] * n)
-            for o in run(spec):
-                if not o.reachable:
+            r = run(spec)
+            for label, p, live, psi in zip(r.labels, r.probability.tolist(),
+                                           r.reachable.tolist(), r.states):
+                if not live:
                     value = None
                 elif protocol == "bell":
-                    value = concurrence(density(o.state))
+                    value = concurrence(density(psi))
                 else:
-                    value = gme_concurrence(o.state).value
-                reference.append((lam, alpha, o.label, o.probability, value))
+                    value = gme_concurrence(psi).value
+                reference.append((lam, alpha, label, p, value))
     table = run_sweep(plan)
     assert len(table) == len(reference)
     for r, (lam, alpha, label, p, value) in zip(sweep_rows(table), reference):

@@ -28,6 +28,7 @@ from conftest import (
     partial_trace,
     random_pure_state,
     random_spec,
+    readout_pairs,
     reference_branch_readout,
     reference_canonical_phase,
     reference_parse_spec,
@@ -48,7 +49,7 @@ from qswitch import (
 from qswitch.documents import _amplitudes_to_state, parse_spec, parse_topology
 from qswitch.gates import local_tensor
 from qswitch.metrics import gme_concurrence
-from qswitch.netsim import map_entanglement, run_hierarchy
+from qswitch.netsim import map_entanglement
 from qswitch.sweep import SweepPlan, default_plan, run_sweep
 from qswitch.switch import (
     MAX_QUBITS,
@@ -92,22 +93,23 @@ def test_switch_operator_unitary(rng):
 
 def test_single_qubit_anticommuting_orders():
     pairs = [UnitaryPair(pauli("z"), pauli("x"))]
-    ens = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)),
-                              _end_vectors(pairs, [basis_state(1, 0)]))
-    plus, minus = ens["+"], ens["-"]
-    assert plus.probability <= 1e-12 and not plus.reachable
-    assert abs(minus.probability - 1.0) <= 1e-10
-    assert _phase_free_close(minus.state, basis_state(1, 1))
+    r = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)),
+                            _end_vectors(pairs, [basis_state(1, 0)]))
+    assert r.labels == ("+", "-")
+    assert r.probability[0] <= 1e-12 and not r.reachable[0]
+    assert abs(r.probability[1] - 1.0) <= 1e-10
+    assert _phase_free_close(r.states[1], basis_state(1, 1))
 
 
 def test_single_qubit_reproduces_two_term_superposition(rng):
     p = UnitaryPair(haar_unitary(rng), haar_unitary(rng))
     phi = random_pure_state(rng, 1)
-    ens = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)), _end_vectors([p], [phi]))
+    r = controlled_outcomes(readout_plan(*protocol_control("ghz", 1)), _end_vectors([p], [phi]))
     for sign, label in ((1, "+"), (-1, "-")):
         raw = ((p.u @ p.u_tilde) + sign * (p.u_tilde @ p.u)) @ phi
-        if ens[label].reachable:
-            assert _phase_free_close(ens[label].state, raw / np.linalg.norm(raw))
+        i = r.labels.index(label)
+        if r.reachable[i]:
+            assert _phase_free_close(r.states[i], raw / np.linalg.norm(raw))
 
 
 def test_order_images_equal_order_products_bitwise(rng):
@@ -137,9 +139,9 @@ def test_branch_readout_postselects(rng, protocol, n):
         assert np.array_equal(reachable, p >= UNREACHABLE_TOL)
         assert not np.any(states[~reachable])
         assert np.allclose(np.linalg.norm(states[reachable], axis=-1), 1.0, atol=1e-12)
-        ens = controlled_outcomes(plan, _end_vectors(pairs, inputs))
-        assert [o.probability for o in ens] == p.tolist()
-        assert [o.reachable for o in ens] == reachable.tolist()
+        r = controlled_outcomes(plan, _end_vectors(pairs, inputs))
+        assert r.probability.tolist() == p.tolist()
+        assert r.reachable.tolist() == reachable.tolist()
     assert not reachable.all()
 
 
@@ -261,16 +263,16 @@ def test_superposed_input_equals_the_stacked_construction_bitwise():
 
 def test_bell_maximal_at_quarter_turn():
     spec = SwitchSpec("bell", [default_pair()] * 2, [superposed_input(0.5)] * 2)
-    minus = run(spec)["-"]
-    assert abs(concurrence(density(minus.state)) - 1.0) <= 1e-9
+    r = run(spec)
+    assert abs(concurrence(density(r.states[r.labels.index("-")])) - 1.0) <= 1e-9
 
 
 def test_bell_identity_rotation_is_separable():
     pair = UnitaryPair(pauli("z"), ry(0.0))
     spec = SwitchSpec("bell", [pair] * 2, [superposed_input(0.3)] * 2)
-    ens = run(spec)
-    assert not ens["-"].reachable
-    assert concurrence(density(ens["+"].state)) <= 1e-9
+    r = run(spec)
+    assert r.labels == ("+", "-") and not r.reachable[1]
+    assert concurrence(density(r.states[0])) <= 1e-9
 
 
 def test_w_identity_pairs_collapse_to_input():
@@ -279,43 +281,43 @@ def test_w_identity_pairs_collapse_to_input():
     # every reachable outcome returns the unchanged product input
     pair = UnitaryPair(I2, I2)
     inputs = [superposed_input(0.4)] * 3
-    ens = run(SwitchSpec("w", [pair] * 3, inputs))
-    assert abs(ens["++"].probability - 0.75) <= 1e-10
+    r = run(SwitchSpec("w", [pair] * 3, inputs))
+    assert abs(r.probability[r.labels.index("++")] - 0.75) <= 1e-10
     for label in ("+-", "-+", "--"):
-        assert abs(ens[label].probability - 1 / 12) <= 1e-10
-    for o in ens.reachable():
-        assert _phase_free_close(o.state, kron_all(inputs))
+        assert abs(r.probability[r.labels.index(label)] - 1 / 12) <= 1e-10
+    for psi in r.states[r.reachable]:
+        assert _phase_free_close(psi, kron_all(inputs))
 
 
 def test_w_default_gates_all_outcomes_w_like():
-    ens = run(SwitchSpec("w", [default_pair()] * 3, [superposed_input(0.5)] * 3))
+    r = run(SwitchSpec("w", [default_pair()] * 3, [superposed_input(0.5)] * 3))
     target = 2 * math.sqrt(2) / 3
-    for o in ens:
-        assert o.reachable
-        assert abs(gme_concurrence(o.state).value - target) <= 1e-9
+    assert r.reachable.all()
+    for psi in r.states:
+        assert abs(gme_concurrence(psi).value - target) <= 1e-9
 
 
 def test_w_identity_rotation_separable():
     pair = UnitaryPair(pauli("z"), ry(0.0))
-    ens = run(SwitchSpec("w", [pair] * 3, [superposed_input(0.5)] * 3))
-    for o in ens.reachable():
-        assert gme_concurrence(o.state).value <= 1e-9
+    r = run(SwitchSpec("w", [pair] * 3, [superposed_input(0.5)] * 3))
+    for psi in r.states[r.reachable]:
+        assert gme_concurrence(psi).value <= 1e-9
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 3), ("w", 5)])
 def test_probability_conservation(rng, protocol, n):
     for _ in range(25):
         spec = random_spec(rng, protocol, n)
-        assert abs(run(spec).total_probability() - 1.0) <= 1e-10
+        assert abs(sum(run(spec).probability.tolist()) - 1.0) <= 1e-10
 
 
 def test_commuting_order_collapse(rng):
     pair = UnitaryPair(pauli("z"), np.diag([np.exp(0.3j), np.exp(-1.1j)]))
     inputs = [random_pure_state(rng, 1) for _ in range(2)]
-    ens = run(SwitchSpec("ghz", [pair, pair], inputs))
-    assert abs(ens["+"].probability - 1.0) <= 1e-10
+    r = run(SwitchSpec("ghz", [pair, pair], inputs))
+    assert r.labels[0] == "+" and abs(r.probability[0] - 1.0) <= 1e-10
     v, vt = local_tensor([pair, pair])
-    assert _phase_free_close(ens["+"].state, v @ vt @ kron_all(inputs))
+    assert _phase_free_close(r.states[0], v @ vt @ kron_all(inputs))
 
 
 def test_normalization_constant_identity(rng):
@@ -324,9 +326,9 @@ def test_normalization_constant_identity(rng):
         phi = kron_all(spec.inputs)
         v, vt = local_tensor(spec.pairs)
         cross = np.vdot(v @ vt @ phi, vt @ v @ phi)
-        ens = run(spec)
+        r = run(spec)
         for sign, label in ((1, "+"), (-1, "-")):
-            l_const = 4.0 * ens[label].probability
+            l_const = 4.0 * r.probability[r.labels.index(label)]
             assert abs(l_const - (2.0 + sign * 2.0 * cross.real)) <= 1e-10
     # the same identity from the per-qubit overlaps alone, at every width the engine runs:
     # p(+/-) = (1 +/- Re prod_q c_q) / 2, with c_q = overlap(pair_q, phi_q)
@@ -334,9 +336,10 @@ def test_normalization_constant_identity(rng):
         for make in (random_spec, _near_commuting_spec, _commuting_spec):
             spec = make(rng, protocol, n)
             product = np.prod([overlap(p, phi) for p, phi in zip(spec.pairs, spec.inputs)])
-            ens = run(spec)
+            r = run(spec)
             for sign, label in ((1, "+"), (-1, "-")):
-                assert abs(ens[label].probability - (1.0 + sign * product.real) / 2.0) <= 1e-12
+                p = r.probability[r.labels.index(label)]
+                assert abs(p - (1.0 + sign * product.real) / 2.0) <= 1e-12
 
 
 def test_exchange_symmetry(rng):
@@ -347,8 +350,9 @@ def test_exchange_symmetry(rng):
             [UnitaryPair(p.u_tilde, p.u) for p in spec.pairs],
             spec.inputs,
         )
-        probs = {o.label: o.probability for o in run(spec)}
-        probs_swapped = {o.label: o.probability for o in run(swapped)}
+        r, r_swapped = run(spec), run(swapped)
+        probs = dict(zip(r.labels, r.probability.tolist()))
+        probs_swapped = dict(zip(r_swapped.labels, r_swapped.probability.tolist()))
         if protocol == "w":
             # sign-string roles permute, the probability multiset is preserved
             assert np.allclose(
@@ -481,9 +485,9 @@ def test_amplitude_norm_equals_numpy_norm_bitwise():
     assert big > 3000 and 1000 < refused < big
 
 
-def _ensemble_bits(ens):
-    return [(o.label, o.probability, None if o.state is None else o.state.tobytes())
-            for o in ens]
+def _ensemble_bits(r):
+    return [(k, p, live, psi.tobytes()) for k, p, live, psi
+            in zip(r.labels, r.probability.tolist(), r.reachable.tolist(), r.states)]
 
 
 def test_later_writes_to_the_callers_arrays_do_not_reach_the_spec():
@@ -530,10 +534,10 @@ def _topology():
 _ARRAY_HOLDING_TYPES = {
     "UnitaryPair": default_pair,
     "SwitchSpec": _bell_spec,
-    "Outcome": lambda: run(_bell_spec()).outcomes[0],
-    "OutcomeEnsemble": lambda: run(_bell_spec()),
+    "Readout": lambda: run(_bell_spec()),
     "Topology": _topology,
-    "BranchResult": lambda: run_hierarchy(_topology())[0],
+    "BranchResult": lambda: map_entanglement(np.array([1.0, 0.0]), [default_pair()],
+                                             [superposed_input(0.5)])[0],
     "SweepTable": lambda: run_sweep(default_plan("bell", 2, 3, 3)),
 }
 
@@ -565,9 +569,8 @@ def test_replace_revalidates_and_rebuilds_the_order_images(rng):
 
 def test_condition_spec_both_outcomes_reachable(rng):
     spec = condition_spec(rng, "bell", 2)
-    ens = run(spec)
-    for o in ens:
-        assert o.reachable and abs(o.probability - 0.5) <= 1e-9
+    r = run(spec)
+    assert r.reachable.all() and np.all(np.abs(r.probability - 0.5) <= 1e-9)
 
 
 def _commuting_spec(rng, protocol, n):
@@ -609,10 +612,9 @@ def test_engine_matches_dense_reference(rng, protocol, n):
         for _ in range(4):
             spec = make(rng, protocol, n)
             m, joint = _dense_reference(spec)
-            ens = run(spec)
-            assert [o.label for o in ens] == outcome_labels(m)
-            results = [(o.probability, o.state) for o in ens]
-            assert_matches_reference(results, dense_readout(joint, m))
+            r = run(spec)
+            assert list(r.labels) == outcome_labels(m)
+            assert_matches_reference(readout_pairs(r), dense_readout(joint, m))
             assert np.max(np.abs(joint_state(spec) - joint)) <= 1e-12
 
 
@@ -661,29 +663,29 @@ def test_protocol_readout_tables_are_built_once_and_read_only(monkeypatch, proto
     monkeypatch.setattr(qswitch.switch, "protocol_control", None)
     again = run(spec)
     table = run_sweep(SweepPlan(protocol, n, [math.pi / 4], [0.3]))
-    assert [o.label for o in first] == [o.label for o in again] == table.labels == list(labels)
-    for a, b in zip(first, again):
-        assert a.probability == b.probability
-        assert (a.state is None and b.state is None) or np.array_equal(a.state, b.state)
+    assert list(first.labels) == list(again.labels) == table.labels == list(labels)
+    assert np.array_equal(first.probability, again.probability)
+    assert np.array_equal(first.reachable, again.reachable)
+    assert np.array_equal(first.states, again.states)
 
 
 @pytest.mark.parametrize("protocol", ["ghz", "w"])
 def test_paper_construction_at_qubit_cap(protocol):
     n = MAX_QUBITS
     spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.5)] * n)
-    ens = run(spec)
+    r = run(spec)
     assert check_max_entanglement(spec).all_orthogonal
     lus = spec.ends.conj()  # the canonical frame
-    assert abs(ens.total_probability() - 1.0) <= 1e-10
+    assert abs(sum(r.probability.tolist()) - 1.0) <= 1e-10
     if protocol == "ghz":
         for label, sign in (("+", 1), ("-", -1)):
             target = (basis_state(n, 0) + sign * basis_state(n, 2**n - 1)) / math.sqrt(2)
-            frame = apply_local_unitaries(lus, ens[label].state)
-            assert abs(ens[label].probability - 0.5) <= 1e-10
+            frame = apply_local_unitaries(lus, r.states[r.labels.index(label)])
+            assert abs(r.probability[r.labels.index(label)] - 0.5) <= 1e-10
             assert abs(abs(np.vdot(target, frame)) ** 2 - 1.0) <= 1e-10
     else:
         weight_one = [2**q for q in range(n)]
-        assert ens.reachable()
-        for o in ens.reachable():
-            frame = apply_local_unitaries(lus, o.state)
+        assert r.reachable.any()
+        for psi in r.states[r.reachable]:
+            frame = apply_local_unitaries(lus, psi)
             assert abs(np.sum(np.abs(frame[weight_one]) ** 2) - 1.0) <= 1e-10

@@ -19,6 +19,7 @@ from conftest import (
     purity,
     random_pure_state,
     random_spec,
+    reachable_states,
     reduced_density,
     reference_certify_class,
 )
@@ -133,8 +134,8 @@ def test_separability_implies_pure_marginal(rng):
     for _ in range(20):
         spec = aligned_spec(rng, "ghz", 3, aligned_qubit=1)
         assert check_max_entanglement(spec).any_aligned
-        for o in run(spec).reachable():
-            assert purity(reduced_density(o.state, [1])) > 1 - 1e-9
+        for psi in reachable_states(run(spec)):
+            assert purity(reduced_density(psi, [1])) > 1 - 1e-9
 
 
 def test_canonical_lu_maps_branches():
@@ -151,7 +152,8 @@ def test_canonical_lu_reduces_ghz_outcome():
     spec = SwitchSpec("ghz", [default_pair()] * 3, [superposed_input(0.5)] * 3)
     assert check_max_entanglement(spec).all_orthogonal
     lus = spec.ends.conj()  # the canonical frame
-    plus = run(spec)["+"].state
+    r = run(spec)
+    plus = r.states[r.labels.index("+")]
     reduced = apply_local_unitaries(lus, plus)
     # accumulated phase sits on the |111> branch; compare via fidelity
     fidelity = (abs(reduced[0]) + abs(reduced[-1])) ** 2 / 2
@@ -202,7 +204,7 @@ def test_canonical_lu_reduces_w_outcomes():
     signs = {"++": (1, 1), "+-": (-1, 1), "-+": (1, -1), "--": (-1, -1)}
     for label, (s1, s2) in signs.items():
         target = (basis_state(3, 4) + s1 * basis_state(3, 2) + s2 * basis_state(3, 1)) / math.sqrt(3)
-        got = full @ ens[label].state
+        got = full @ ens.states[ens.labels.index(label)]
         assert abs(abs(np.vdot(target, got)) - 1.0) <= 1e-9
 
 
@@ -264,14 +266,14 @@ def test_certify_class_examples(rng):
 
 def test_certify_w_protocol_outputs(rng):
     spec = condition_spec(rng, "w", 3)
-    for o in run(spec).reachable():
-        assert certify_class(o.state) == "w-class"
+    for psi in reachable_states(run(spec)):
+        assert certify_class(psi) == "w-class"
 
 
 def test_certify_ghz_protocol_outputs(rng):
     spec = condition_spec(rng, "ghz", 3)
-    for o in run(spec).reachable():
-        assert certify_class(o.state) == "ghz-class"
+    for psi in reachable_states(run(spec)):
+        assert certify_class(psi) == "ghz-class"
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3)])
@@ -281,11 +283,11 @@ def test_theorem_equivalence_sampled(rng, protocol, n):
     for _ in range(25):
         spec = condition_spec(rng, protocol, n)
         assert check_max_entanglement(spec).all_orthogonal
-        for o in run(spec).reachable():
+        for psi in reachable_states(run(spec)):
             value = (
-                concurrence(density(o.state))
+                concurrence(density(psi))
                 if protocol == "bell"
-                else gme_concurrence(o.state).value
+                else gme_concurrence(psi).value
             )
             assert abs(value - 1.0) <= 1e-6
     for _ in range(25):
@@ -293,8 +295,8 @@ def test_theorem_equivalence_sampled(rng, protocol, n):
         if check_max_entanglement(spec).all_orthogonal:
             continue  # vanishing probability for random draws
         values = [
-            concurrence(density(o.state)) if protocol == "bell" else gme_concurrence(o.state).value
-            for o in run(spec).reachable()
+            concurrence(density(psi)) if protocol == "bell" else gme_concurrence(psi).value
+            for psi in reachable_states(run(spec))
         ]
         assert any(v < 1.0 - 1e-6 for v in values)
 
