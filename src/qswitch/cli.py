@@ -97,7 +97,7 @@ def _cmd_netsim(args) -> int:
     topo = _load(args.topology, parse_topology)
     r = netsim.run_hierarchy(topo)
     if args.report == "branches":
-        emit.write_readout(r, sys.stdout, "branches", "control_outcome", "client_state")
+        emit.write_readout(r, sys.stdout)
     else:
         _print_json(
             {
@@ -123,7 +123,7 @@ def build_parser(verbs: dict | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="run a protocol spec and print the outcome ensemble")
+    p_run = sub.add_parser("run", help="run a protocol spec and print its outcomes and states")
     p_run.add_argument("--spec", required=True, help="path to a switch spec JSON document")
     p_run.set_defaults(handler=_cmd_run)
 

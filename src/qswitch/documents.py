@@ -183,8 +183,7 @@ def parse_topology(doc) -> Topology:
     pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
     with _at("/alpha"):
         alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+        superposed_input(alpha)  # raises unless 0 <= alpha <= 1
     control = doc.get("control", "ghz")
     with _at("/control"):
         if control not in CONTROLS:

@@ -104,12 +104,12 @@ def _state_texts(states, live):
         yield "".join(table.take(index).tolist())
 
 
-def write_readout(readout, out, key: str = "outcomes", label: str = "label",
-                  state: str = "state") -> None:
-    """Write the document ``{key: [rows...]}`` of a ``switch.Readout`` and a newline: ``run``'s
-    with the default keys, ``netsim --report branches``'s with ``"branches"``,
-    ``"control_outcome"`` and ``"client_state"``. A row holds its label, probability and
-    reachable flag and, where reachable, its state and any ``ghz_fidelity``, keys sorted."""
+def write_readout(readout, out) -> None:
+    """Write a ``switch.Readout`` and a newline: ``run``'s ``{"outcomes": [rows...]}`` or, given
+    a ``fidelity`` column, ``netsim --report branches``'s ``{"branches": [rows...]}``. A row holds
+    its label, probability, reachable flag and, where reachable, state and fidelity, keys sorted."""
+    key, label, state = (("outcomes", "label", "state") if readout.fidelity is None
+                         else ("branches", "control_outcome", "client_state"))
     columns = {label: [json.dumps(k) for k in readout.labels], state: None,
                "probability": _texts(readout.probability, _json_texts),
                "reachable": _bool_texts(readout.reachable)}

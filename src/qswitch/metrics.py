@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .switch import NORM_TOL, num_qubits
+from .switch import _normalised_weights, num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots
@@ -141,15 +141,14 @@ def pure_gme_concurrence(states: np.ndarray) -> np.ndarray:
 
 
 def gme_concurrence(state: np.ndarray) -> MetricReport:
-    """sqrt(2 * min over the n single-qubit cuts of (1 - Tr rho_q^2)) for a pure
-    n-qubit state (Ma et al., PRA 83, 062325, 2011), with each cut's linear
-    entropy keyed by its qubit index."""
+    """sqrt(2 * min over the n single-qubit cuts of (1 - Tr rho_q^2)) for a pure n-qubit
+    state, normalised by the rule of every state check (``switch._normalised_weights``), with
+    each cut's linear entropy keyed by its qubit index (Ma et al., PRA 83, 062325, 2011)."""
     state = np.asarray(state, dtype=complex)
     size = state.shape[0] if state.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise ValueError(f"expected a 1-D state of length 2^n with n >= 1, got shape {state.shape}")
-    if not abs(np.vdot(state, state).real - 1.0) <= NORM_TOL:  # NaN and inf fail too
-        raise ValueError("state must be normalized")
+    _normalised_weights(state.tolist(), "state must be normalized")
     per_cut = {str(q): v for q, v in enumerate((1.0 - _cut_purities(state)).tolist())}
     return MetricReport(value=float(_gme_from_entropy(min(per_cut.values()))),
                         subsystem_values=per_cut)

@@ -71,6 +71,19 @@ def canonical_phase(states: np.ndarray) -> np.ndarray:
     return fixed.reshape(states.shape)
 
 
+def _normalised_weights(amplitudes: list[complex], refusal: str) -> list[float]:
+    """The squared magnitudes |a_i|^2 of ``amplitudes``, refused with ``refusal`` unless they
+    sum to 1 within ``NORM_TOL``, the one norm rule of every state check: ``math.fsum`` rounds
+    the sum exactly, in any order of the amplitudes. NaN, inf and an overflowing sum fail."""
+    weights = [z.real * z.real + z.imag * z.imag for z in amplitudes]
+    try:
+        if abs(math.fsum(weights) - 1.0) <= NORM_TOL:
+            return weights
+    except OverflowError:  # finite weights whose sum no float holds
+        pass
+    raise ValueError(refusal)
+
+
 def _as_qubit_states(inputs) -> np.ndarray:
     """A read-only copy (k, 2) of the k states ``inputs``, each checked in turn to be a
     finite, normalised qubit state."""
@@ -79,10 +92,7 @@ def _as_qubit_states(inputs) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (2,):
             raise ValueError(f"input states must be single-qubit, got shape {v.shape}")
-        a, b = v.tolist()
-        norm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-        if not abs(norm2 - 1.0) <= NORM_TOL:  # also false for NaN
-            raise ValueError("input states must be finite and normalized")
+        _normalised_weights(v.tolist(), "input states must be finite and normalized")
         states.append(v)
     states = np.array(states, dtype=complex)
     states.setflags(write=False)
@@ -204,8 +214,8 @@ def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     """A control's read-only readout plan, the engine's one input besides the order
     images: the outcome labels, the H^(x)m signs times the live control amplitudes
     (2^m, live), and the live rows of ``reverse``, whose entry [b][q], 0 or 1, says
-    whether control basis state b applies the backward order of qubit q's pair. A
-    control is checked here, where it enters: 2^m finite amplitudes, normalised."""
+    whether control basis state b applies the backward order of qubit q's pair. A control is
+    checked here, where it enters: 2^m finite amplitudes, normalised, m and n at most the cap."""
     control = np.asarray(control, dtype=complex)
     if control.ndim != 1:
         raise ValueError(f"control must be a 1-D state vector, got shape {control.shape}")
@@ -213,13 +223,10 @@ def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     reverse = np.asarray(reverse)
     if reverse.ndim != 2 or len(reverse) != 2**m:
         raise ValueError(f"reverse table must have {2**m} rows, got shape {reverse.shape}")
-    _check_width(reverse.shape[1])  # before anything that reads or builds 2^m entries
+    _check_width(max(m, reverse.shape[1]))  # before anything that reads or builds 2^m entries
     if not ((reverse == 0) | (reverse == 1)).all():
         raise ValueError("reverse table entries must be 0 or 1")
-    # false for NaN and inf too; summed per amplitude, then in index order, since the
-    # order of summation can decide a norm at the NORM_TOL edge
-    if not abs(sum(z.real * z.real + z.imag * z.imag for z in control.tolist()) - 1.0) <= NORM_TOL:
-        raise ValueError("control must be finite and normalized")
+    _normalised_weights(control.tolist(), "control must be finite and normalized")
     live = np.flatnonzero(np.abs(control) > UNREACHABLE_TOL)
     rows = reverse[live].astype(np.intp)
     # H^(x)m entry for outcome k and control state b is (-1)^popcount(k & b) / 2^(m/2)

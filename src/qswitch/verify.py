@@ -13,7 +13,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .metrics import _cut_purities_scalar
-from .switch import NORM_TOL, SwitchSpec, _as_qubit_states, _end_vectors
+from .switch import SwitchSpec, _as_qubit_states, _end_vectors, _normalised_weights
 
 CONDITION_TOL = 1e-9
 CLASS_TOL = 1e-6  # purity and tangle threshold of certify_class
@@ -88,9 +88,9 @@ def three_tangle(state: np.ndarray) -> float:
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("three_tangle expects a 3-qubit state vector")
-    if not abs(np.vdot(state, state).real - 1.0) <= NORM_TOL:
-        raise ValueError("state must be normalized")
-    return _tangle(state.tolist())
+    a = state.tolist()
+    _normalised_weights(a, "state must be normalized")
+    return _tangle(a)
 
 
 def certify_class(state: np.ndarray) -> str:
@@ -101,17 +101,15 @@ def certify_class(state: np.ndarray) -> str:
     make a separable state, one or two a biseparable one. With no pure cut, tau >
     CLASS_TOL is the GHZ class and the rest the W class: every cut's linear entropy
     is then at least CLASS_TOL, so the GME concurrence, at least sqrt(2 CLASS_TOL),
-    is above CLASS_TOL and decides nothing. All of it, and the norm rule
-    |sum |a_i|^2 - 1| <= 1e-10 of ``three_tangle``, is read in one scalar pass
-    over the eight amplitudes and their squared magnitudes, each computed once.
+    is above CLASS_TOL and decides nothing. All of it, and the norm rule of every state
+    check (``switch._normalised_weights``), is read in one scalar pass over the eight
+    amplitudes and their squared magnitudes, each computed once.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (8,):
         raise ValueError("certify_class expects a 3-qubit state vector")
     a = state.tolist()
-    weights = [z.real * z.real + z.imag * z.imag for z in a]
-    if not abs(sum(weights) - 1.0) <= NORM_TOL:
-        raise ValueError("state must be normalized")  # NaN and inf fail too
+    weights = _normalised_weights(a, "state must be normalized")
     pure_cuts = sum(p > 1.0 - CLASS_TOL for p in _cut_purities_scalar(a, weights))
     if pure_cuts == 3:
         return "separable"

@@ -51,4 +51,12 @@ cat "$tmp/loss.err"
 if [ "$rc" != 1 ] || ! grep -qF "(at '/link_loss')" "$tmp/loss.err" || [ -s "$tmp/loss.out" ]; then
   echo "netsim on a topology with link_loss exited $rc; it must exit 1 with the pointer and no stdout"; exit 1
 fi
+# alpha outside [0, 1] is refused where the input family is built, with the topology's pointer
+echo '{"entanglers": [{"id": "e1", "clients": 2}, {"id": "e2", "clients": 2}], "alpha": 1.5}' > "$tmp/alpha.json"
+rc=0
+qswitch netsim --topology "$tmp/alpha.json" > "$tmp/alpha.out" 2> "$tmp/alpha.err" || rc=$?
+cat "$tmp/alpha.err"
+if [ "$rc" != 1 ] || ! grep -qF "(at '/alpha')" "$tmp/alpha.err" || [ -s "$tmp/alpha.out" ]; then
+  echo "netsim on a topology with alpha 1.5 exited $rc; it must exit 1 with the pointer and no stdout"; exit 1
+fi
 echo "console smoke: ok"

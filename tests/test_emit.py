@@ -263,7 +263,7 @@ def _ensemble_text(rows):
 
 def _branches_text(readout):
     out = io.StringIO()
-    emit.write_readout(readout, out, "branches", "control_outcome", "client_state")
+    emit.write_readout(readout, out)
     return out.getvalue()
 
 

@@ -152,6 +152,7 @@ _EVEN = [1.0 / math.sqrt(2.0)] * 2
     ([5.0, 0.0], [[0], [1]], 1, "^control must be finite and normalized$"),
     ([math.nan, 1.0], [[0], [1]], 1, "^control must be finite and normalized$"),
     ([math.inf, 0.0], [[0], [1]], 1, "^control must be finite and normalized$"),
+    ([1.3e154, 1.3e154], [[0], [1]], 1, "^control must be finite and normalized$"),
     (_EVEN, [[0], [-1]], 1, "^reverse table entries must be 0 or 1$"),
     (_EVEN, [[0], [2]], 1, "^reverse table entries must be 0 or 1$"),
     (_EVEN, [[0]], 1, r"^reverse table must have 2 rows, got shape \(1, 1\)$"),
@@ -161,7 +162,8 @@ _EVEN = [1.0 / math.sqrt(2.0)] * 2
     ([_EVEN, _EVEN], [[0], [1]], 1,
      r"^control must be a 1-D state vector, got shape \(2, 2\)$"),
     (1.0, [[0], [1]], 1, r"^control must be a 1-D state vector, got shape \(\)$"),
-], ids=["control-norm-25", "control-nan", "control-inf", "reverse-minus-one", "reverse-two",
+], ids=["control-norm-25", "control-nan", "control-inf", "control-sum-past-the-largest-float",
+        "reverse-minus-one", "reverse-two",
         "reverse-rows-1", "reverse-rows-3", "ends-3-on-a-2-qubit-plan",
         "ends-2-on-a-1-qubit-plan", "control-2x2", "control-scalar"])
 def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
@@ -169,6 +171,66 @@ def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
     ends = _end_vectors([default_pair()] * width, [superposed_input(0.5)] * width)
     with pytest.raises(ValueError, match=match):
         branch_readout(readout_plan(control, reverse), ends)
+
+
+def _edge_qubit(seed, sign, k):
+    """A random qubit vector scaled to squared norm 1 + sign * 1e-10, at the NORM_TOL edge,
+    its first real part then stepped k ulps."""
+    v = random_pure_state(np.random.default_rng(seed), 1) * math.sqrt(1.0 + sign * 1e-10)
+    re = float(v[0].real)
+    for _ in range(abs(k)):
+        re = math.nextafter(re, math.copysign(math.inf, k))
+    v[0] = complex(re, v[0].imag)
+    return v
+
+
+def _accepts(check):
+    try:
+        check()
+    except ValueError:
+        return False
+    return True
+
+
+# refused as a spec input and accepted as a control by the checks' earlier sums: a left
+# fold of the four squares, and the two amplitudes' weights summed in index order
+_SPLIT_QUBIT = np.array([0.06063164778946763 - 0.9734879141412526j,
+                         -0.07230527991762108 - 0.20836753754671516j])
+
+
+# seeds 8, 13, 20 and 53 each give vectors that the earlier sums split
+_EDGE_QUBITS = {"refused-as-input": _SPLIT_QUBIT} | {
+    f"seed{seed}{sign:+d}e-10{k:+d}ulp": _edge_qubit(seed, sign, k)
+    for seed in (8, 13, 20, 53) for sign in (1, -1) for k in range(-3, 4)}
+
+
+@pytest.mark.parametrize("vector", _EDGE_QUBITS.values(), ids=_EDGE_QUBITS)
+def test_input_and_control_checks_give_one_verdict_at_the_norm_edge(vector):
+    # one exactly rounded rule: the verdict depends on neither the check nor the order
+    pair = default_pair()
+    verdicts = set()
+    for v in (vector, vector[::-1].copy()):
+        verdicts |= {_accepts(lambda: SwitchSpec("bell", [pair] * 2, [v, v])),
+                     _accepts(lambda: overlap(pair, v)),
+                     _accepts(lambda: readout_plan(v, [[0], [1]]))}
+    assert len(verdicts) == 1
+
+
+def test_readout_plan_caps_the_control_register_before_allocation():
+    # a 13-qubit control on one qubit: the sign table alone would be 2^13 rows per live
+    # amplitude, and 2^13 x 2^13 with every amplitude live
+    m = MAX_QUBITS + 1
+    control = np.zeros(2**m, dtype=complex)
+    control[[0, -1]] = 1.0 / math.sqrt(2.0)
+    reverse = np.zeros((2**m, 1), dtype=np.int8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^state has {m} qubits, cap is {MAX_QUBITS}$"):
+            readout_plan(control, reverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**m  # below one byte per control amplitude
 
 
 def _assert_batch_reads_out_as_its_instances(plan, ends):

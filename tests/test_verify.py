@@ -322,6 +322,27 @@ def test_norm_rule_between_the_squared_and_plain_norm():
         for check in (certify_class, three_tangle, gme_concurrence):
             with pytest.raises(ValueError, match="state must be normalized"):
                 check(band)
+    # at the edge itself, one exactly rounded sum gives all three checks one verdict in any
+    # amplitude order; an index-order sum and a BLAS dot split each state below. Found by a
+    # seeded search (seed 5): a normalised draw scaled by sqrt(1 + 1e-10), its first real
+    # part then stepped 3 ulps (draw 1) and 2 ulps (draw 2)
+    accepted = np.array([
+        -0.19919327751462093 + 0.18598239126331448j, -0.3289600589748276 + 0.40606688065544716j,
+        -0.06169101740633846 + 0.0677535569166517j, 0.10443519526525277 - 0.3063488611428025j,
+        0.28218476678877263 - 0.23802532359759945j, 0.027250181944587424 + 0.39743179577101967j,
+        -0.1372731228888977 + 0.05039435667744592j, -0.19493309052043983 - 0.43024827996205156j])
+    refused = np.array([
+        -0.37876009912376024 + 0.27021067749211064j, -0.2049036269180914 - 0.5349877919020071j,
+        -0.15890045289303728 - 0.08359435770015385j, -0.23226324851193242 - 0.31934290866162474j,
+        0.1801865579593871 - 0.05638138386673102j, -0.02054153666203037 - 0.4198499547652367j,
+        -0.19192577092990454 + 0.006737036375984884j, 0.13338290868122957 - 0.012336044208791022j])
+    for state in (accepted, accepted[::-1].copy()):
+        for check in (certify_class, three_tangle, gme_concurrence):
+            check(state)
+    for state in (refused, refused[::-1].copy()):
+        for check in (certify_class, three_tangle, gme_concurrence):
+            with pytest.raises(ValueError, match="^state must be normalized$"):
+                check(state)
 
 
 def _biseparable(rng, lone_qubit):
