@@ -41,8 +41,8 @@ def concurrence(rho: np.ndarray) -> float:
     sqrt(rho) @ flip(rho) @ sqrt(rho) in decreasing order, with the spin flip
     flip(rho) = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y); without the
     entrywise conjugate the value is not an entanglement monotone on complex
-    states. ``rho`` must be a 4x4 density matrix: Hermitian and of unit trace
-    within 1e-10, and positive semidefinite, no eigenvalue below -1e-10.
+    states. ``rho``, a 4x4 matrix Hermitian within 1e-10, is read as its Hermitian part
+    (rho + rho^dagger) / 2, a density matrix: unit trace within 1e-10, no eigenvalue below -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -52,16 +52,14 @@ def concurrence(rho: np.ndarray) -> float:
         raise ValueError(f"expected a 2-qubit density matrix, got {qubits} qubits")
     if not _is_hermitian(rho):
         raise ValueError("density matrix must be Hermitian")
+    rho = (rho + rho.conj().T) / 2  # its Hermitian part, read by every step below
     if abs(np.trace(rho).real - 1.0) > _DENSITY_ATOL:
         raise ValueError("density matrix must have unit trace")
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(rho)
     if vals[0] < -_DENSITY_ATOL:
         raise ValueError("density matrix must be positive semidefinite")
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    product = root @ (_YY @ rho.conj() @ _YY) @ root
-    if not _is_hermitian(product):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(product)[::-1]
+    vals = np.linalg.eigvalsh(root @ (_YY @ rho.conj() @ _YY) @ root)[::-1]
     vals = np.where(vals < _EIGEN_DUST, 0.0, vals)  # sqrt would amplify dust
     mus = np.sqrt(vals)
     return float(_clamp_unit(mus[0] - mus[1] - mus[2] - mus[3]))

@@ -1,20 +1,19 @@
 """Network-level simulations: control-driven entanglement mapping and the
 hierarchical coordinator/edge-entangler architecture.
 
-Both operations run on the switch engine (``switch.branch_readout``, then
-``switch.canonical_phase`` on its states): a control register whose basis
-states select, per client qubit, one of the two order images of its input;
-every control qubit is then measured in the coherent basis. Each call builds,
-once, its plan (``switch.readout_plan``, which checks the control), then the
-order images (``switch._end_vectors``) and their orthogonality check
-(``verify.condition_report``); with no protocol spec, any 1 <= n <= 12 clients
-run (the engine's cap). Topology documents are parsed by
+Both operations read out through ``switch.controlled_outcomes``: a control
+register whose basis states select, per client qubit, one of the two order
+images of its input; every control qubit is then measured in the coherent
+basis. Each call builds, once, its plan (``switch.readout_plan``, which checks
+the control), then the order images (``switch._end_vectors``) and their
+orthogonality check (``verify.condition_report``); with no protocol spec, any
+1 <= n <= 12 clients run (the engine's cap). Topology documents are parsed by
 ``documents.parse_topology``.
 
 ``run_hierarchy`` returns a ``switch.Readout``, ``map_entanglement`` a ``BranchResult``
-per row of one. Its ``fidelity`` column holds each reachable branch's GHZ
-fidelity (|<F|psi>| + |<B|psi>|)^2 / 2, the best fidelity with
-(|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame:
+per row of one. Its ``fidelity`` column holds each branch's GHZ fidelity
+(|<F|psi>| + |<B|psi>|)^2 / 2 (0.0 on an unreachable branch's zero row), the best
+fidelity with (|0...0> + e^{i theta}|1...1>)/sqrt(2) in the canonical local-unitary frame:
 once the orthogonality condition holds, the conjugated order images of each
 qubit (``ends.conj()``) form a unitary that sends its forward-order image to
 |0> and its backward-order image to |1>, so F and B are the all-forward and
@@ -34,7 +33,7 @@ import numpy as np
 
 from .gates import UnitaryPair
 from .switch import (MAX_QUBITS, Readout, _as_qubit_states, _branch_stack, _end_vectors,
-                     branch_readout, canonical_phase, readout_plan, superposed_input)
+                     controlled_outcomes, readout_plan, superposed_input)
 from .verify import condition_report
 
 CONTROLS = ("ghz", "plus_product")
@@ -87,7 +86,7 @@ class Topology:
 def _reverse_table(cluster_of_qubit: list[int], m: int) -> np.ndarray:
     """reverse[b][q]: control basis state b reverses qubit q when the control
     bit of q's cluster, read most significant first, is set."""
-    shifts = m - 1 - np.asarray(cluster_of_qubit)
+    shifts = m - 1 - np.asarray(cluster_of_qubit, dtype=np.intp)
     # built as (q, b) and transposed: the shift broadcast along b takes no extra buffer,
     # so a table that the engine then refuses as too wide costs only itself
     return ((np.arange(2**m) >> shifts[:, None]) & 1).T
@@ -96,13 +95,11 @@ def _reverse_table(cluster_of_qubit: list[int], m: int) -> np.ndarray:
 def _readout(plan: tuple, ends: np.ndarray, in_frame: bool) -> Readout:
     """The phase-fixed readout of ``plan`` on ``ends``, with each branch's GHZ fidelity."""
     frame = ends if in_frame else np.broadcast_to(np.eye(2, dtype=complex), ends.shape)
-    n = len(ends)
-    fwd, bwd = _branch_stack([[0] * n, [1] * n], frame)  # all-forward F, all-backward B
-    p, reachable, states = branch_readout(plan, ends)
-    states = canonical_phase(states)  # unreachable rows are zero and come back unchanged
-    fidelity = [(abs(np.vdot(fwd, s)) + abs(np.vdot(bwd, s))) ** 2 / 2.0 if live else 0.0
-                for live, s in zip(reachable.tolist(), states)]
-    return Readout(plan[0], p, reachable, states, np.array(fidelity, dtype=float))
+    fb = _branch_stack([[0] * len(ends), [1] * len(ends)], frame)  # all-forward F, all-backward B
+    r = controlled_outcomes(plan, ends)
+    z = np.vecdot(fb[:, None, :], r.states)  # <F|psi> and <B|psi>, (2, outcomes); 0 if unreachable
+    fidelity = np.hypot(z.real, z.imag).sum(axis=0) ** 2 / 2.0  # np.hypot is the scalar abs
+    return Readout(r.labels, r.probability, r.reachable, r.states, fidelity)
 
 
 def map_entanglement(

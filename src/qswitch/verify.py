@@ -29,7 +29,7 @@ class ConditionReport:
 
 def _overlaps(ends: np.ndarray) -> tuple[complex, ...]:
     # <backward|forward> of each qubit's order-image row (forward, backward)
-    return tuple(complex(np.vdot(bwd, fwd)) for fwd, bwd in ends)
+    return tuple(np.vecdot(ends[..., 1, :], ends[..., 0, :]).tolist())
 
 
 def overlap(pair: UnitaryPair, phi: np.ndarray) -> complex:

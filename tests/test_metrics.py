@@ -66,6 +66,8 @@ def test_concurrence_rejects_invalid_input(rng):
         concurrence(np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(ValueError):
         concurrence(np.eye(8, dtype=complex) / 8)
+    with pytest.raises(ValueError, match="^density matrix must be square$"):
+        concurrence(np.full((4, 2), 0.5, dtype=complex))
     skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     skew[0, 1] = 0.1
     with pytest.raises(ValueError, match="density matrix must be Hermitian"):
@@ -76,6 +78,21 @@ def test_concurrence_rejects_invalid_input(rng):
         for rho in (np.diag(spectrum), (frame * spectrum) @ frame.conj().T):
             with pytest.raises(ValueError, match="density matrix must be positive semidefinite"):
                 concurrence(rho)
+
+
+def test_concurrence_reads_the_hermitian_part_of_an_accepted_matrix():
+    # pure states plus an anti-Hermitian part just inside the 1e-10 Hermiticity check
+    # (seed 0): draws 534, 572, 665 and 1057 were once refused by a second check on the
+    # spin-flip product, built from the raw matrix
+    rng = np.random.default_rng(0)
+    n = 1100
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    skew = (a - a.conj().swapaxes(-1, -2)) / 2
+    skew *= 0.999e-10 / np.abs(2 * skew).max(axis=(-2, -1), keepdims=True)
+    for rho in psi[:, :, None] * psi[:, None, :].conj() + skew:
+        assert same_bits(concurrence(rho), concurrence((rho + rho.conj().T) / 2))
 
 
 def test_concurrence_werner_states():

@@ -88,8 +88,9 @@ def test_map_entanglement_identity_pairs():
     (np.ones(4), 2, None, "control must be finite and normalized"),
     (np.full(4, math.nan), 2, None, "control must be finite and normalized"),
     (np.ones(4), 2, np.array([2.0, 0.0]), "control must be finite and normalized"),
+    (np.array([1.0]), 0, None, "^at least one qubit is required$"),
 ], ids=["length-mismatch", "shape-4", "norm-2", "nan", "control-norm-4", "control-nan",
-        "control-before-input"])
+        "control-before-input", "no-pairs"])
 def test_map_entanglement_rejects(control, n, bad_input, match):
     inputs = [superposed_input(0.5)] * n
     if bad_input is not None:
@@ -399,3 +400,54 @@ def test_map_entanglement_frees_the_branch_stack_after_the_readout_product(rng):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 2**20
+
+
+def _assert_same_up_to_phase(a, b, tol=1e-12):
+    # b times the phase of <b|a> against a
+    z = np.vdot(b, a)
+    assert np.max(np.abs(a - b * (z / abs(z)))) <= tol
+
+
+@pytest.mark.parametrize("in_frame", [True, False])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_swapping_every_pair_complements_the_control_index(n, in_frame):
+    # swapping u and u_tilde on pair q swaps qubit q's order images, so control basis state b
+    # then applies the orders of its complement: with c'_b = c_(~b) the joint state is the
+    # old one with its control register complemented, and outcome k only gains (-1)^|k|
+    rng = np.random.default_rng(3)
+    if in_frame:
+        pairs, inputs = condition_pairs(rng, n)
+    else:
+        pairs = [UnitaryPair(haar_unitary(rng), haar_unitary(rng)) for _ in range(n)]
+        inputs = [random_pure_state(rng, 1) for _ in range(n)]
+    control = random_pure_state(rng, n)
+    swapped = [UnitaryPair(p.u_tilde, p.u) for p in pairs]
+    before = map_entanglement(control, pairs, inputs)
+    after = map_entanglement(control[::-1], swapped, inputs)
+    assert condition_report(_end_vectors(pairs, inputs)).all_orthogonal == in_frame
+    assert [b.control_outcome for b in after] == [b.control_outcome for b in before]
+    for b, s in zip(before, after):
+        assert abs(s.probability - b.probability) <= 1e-12
+        assert s.reachable and b.reachable
+        assert abs(s.ghz_fidelity - b.ghz_fidelity) <= 1e-12
+        _assert_same_up_to_phase(s.client_state, b.client_state)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("clusters", [[5, 5], [3, 3, 3], [2, 2, 2, 2], [4, 4]])
+@pytest.mark.parametrize("control", ["ghz", "plus_product"])
+def test_swapping_the_topology_gates_keeps_its_readout(control, clusters, alpha):
+    # swapping the gates complements the control index, which leaves both controls unchanged
+    def hierarchy(u, u_tilde):
+        return run_hierarchy(parse_topology({
+            "entanglers": [{"id": f"e{j}", "clients": k} for j, k in enumerate(clusters)],
+            "gates": {"u": u, "u_tilde": u_tilde}, "alpha": alpha, "control": control}))
+
+    before, after = hierarchy("pauli_z", RY_QUARTER), hierarchy(RY_QUARTER, "pauli_z")
+    assert after.labels == before.labels
+    assert np.max(np.abs(after.probability - before.probability)) <= 1e-12
+    assert after.reachable.tolist() == before.reachable.tolist()
+    assert np.max(np.abs(after.fidelity - before.fidelity)) <= 1e-12
+    for s, b, live in zip(after.states, before.states, before.reachable.tolist()):
+        if live:
+            _assert_same_up_to_phase(s, b)

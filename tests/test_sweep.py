@@ -316,4 +316,6 @@ def test_batched_metrics_reject_values_beyond_slack():
         pure_concurrence(np.array([bell, 2.0 * bell]))
     with pytest.raises(ValueError):
         pure_gme_concurrence(np.array([ghz, 0.5 * ghz]))
+    with pytest.raises(ValueError, match="^expected two-qubit states, got dimension 8$"):
+        pure_concurrence(ghz)
     assert pure_concurrence(bell * (1.0 + 1e-10)) == 1.0  # within slack: clipped

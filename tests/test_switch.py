@@ -162,10 +162,11 @@ _EVEN = [1.0 / math.sqrt(2.0)] * 2
     ([_EVEN, _EVEN], [[0], [1]], 1,
      r"^control must be a 1-D state vector, got shape \(2, 2\)$"),
     (1.0, [[0], [1]], 1, r"^control must be a 1-D state vector, got shape \(\)$"),
+    ([0.6, 0.8, 0.0], [[0], [1]], 1, "^dimension 3 is not a power of two$"),
 ], ids=["control-norm-25", "control-nan", "control-inf", "control-sum-past-the-largest-float",
         "reverse-minus-one", "reverse-two",
         "reverse-rows-1", "reverse-rows-3", "ends-3-on-a-2-qubit-plan",
-        "ends-2-on-a-1-qubit-plan", "control-2x2", "control-scalar"])
+        "ends-2-on-a-1-qubit-plan", "control-2x2", "control-scalar", "control-3"])
 def test_readout_plan_and_branch_readout_refuse(control, reverse, width, match):
     # a control is checked where its plan is built, the order images where they are read out
     ends = _end_vectors([default_pair()] * width, [superposed_input(0.5)] * width)
@@ -685,7 +686,7 @@ def test_engine_matches_dense_reference(rng, protocol, n):
 def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypatch):
     # were the cap lost, map_entanglement would go on to a 2^n x 2^n readout (1 GiB):
     # fail before it instead
-    monkeypatch.setattr(qswitch.netsim, "branch_readout", None)
+    monkeypatch.setattr(qswitch.netsim, "controlled_outcomes", None)
     n = MAX_QUBITS + 1
     pair, eta = default_pair(), superposed_input(0.5)
     control = np.zeros(2**n, dtype=complex)

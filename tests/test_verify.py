@@ -309,6 +309,11 @@ def test_certify_class_rejects_non_finite_state(bad):
             certify_class(state)
 
 
+def test_certify_class_rejects_a_state_of_another_width():
+    with pytest.raises(ValueError, match="^certify_class expects a 3-qubit state vector$"):
+        certify_class(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+
+
 def test_norm_rule_between_the_squared_and_plain_norm():
     # every state check accepts |sum |a_i|^2 - 1| <= 1e-10, so a norm of
     # 1 + 7e-11 (squared 1 + 1.4e-10), inside the looser rule
