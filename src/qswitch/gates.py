@@ -17,18 +17,19 @@ import numpy as np
 
 ATOL = 1e-12
 
-IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+# the named gates of parse_gate and pauli, each read out as a fresh copy
+_NAMED = {"identity": np.eye(2, dtype=complex), "pauli_x": PAULI_X, "pauli_y": PAULI_Y,
+          "pauli_z": PAULI_Z}
 
 
 def pauli(axis: str) -> np.ndarray:
     """The 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
     try:
-        return _PAULIS[axis].copy()
+        return _NAMED[f"pauli_{axis}"].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
@@ -123,9 +124,9 @@ def _parse_complex(token: str) -> complex:
 
 
 def _matrix_literal_error(name: str, arg: str) -> ValueError:
-    """The error for a ``matrix(arg)`` text outside the 2x2 form: a wrong row
-    count, then an unreadable entry, then non-finite entries of two 2-entry
-    rows, and otherwise the shape itself."""
+    """The error for a ``matrix(arg)`` text that is not a finite 2x2 literal: a
+    wrong row count, then an unreadable entry, then non-finite entries of two
+    2-entry rows, and otherwise the shape itself."""
     rows = re.findall(r"\[([^][]*)\]", arg)
     if len(rows) != 2:
         return ValueError(f"matrix literal must have 2 rows: {name!r}")
@@ -146,14 +147,10 @@ def parse_gate(name: str) -> np.ndarray:
     m = _MATRIX_RE.fullmatch(name)
     if m:
         a, b, c, d = map(_parse_complex, m.groups())
-        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)
-                and cmath.isfinite(d)):
-            raise ValueError(f"matrix entries must be finite in {name!r}")
-        return np.array(((a, b), (c, d)))
-    if name in ("pauli_x", "pauli_y", "pauli_z"):
-        return pauli(name[-1])
-    if name == "identity":
-        return IDENTITY.copy()
+        if cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d):
+            return np.array(((a, b), (c, d)))  # else refused below, with every other literal
+    if name in _NAMED:
+        return _NAMED[name].copy()
     m = _RY_RE.match(name)
     if m:
         try:

@@ -6,9 +6,9 @@ register whose basis states select, per client qubit, one of the two order
 images of its input; every control qubit is then measured in the coherent
 basis. Each call builds, once, its plan (``switch.readout_plan``, which checks
 the control), then the order images (``switch._end_vectors``) and their
-orthogonality check (``verify.condition_report``); with no protocol spec, any
-1 <= n <= 12 clients run (the engine's cap). Topology documents are parsed by
-``documents.parse_topology``.
+orthogonality check (``verify.condition_report``); a topology's clients all run one
+switch on one input, so ``run_hierarchy`` builds and checks one client's, broadcast
+to all. 1 to 12 clients run. Topologies are parsed by ``documents.parse_topology``.
 
 ``run_hierarchy`` returns a ``switch.Readout``, ``map_entanglement`` a ``BranchResult``
 per row of one. Its ``fidelity`` column holds each branch's GHZ fidelity
@@ -130,14 +130,11 @@ def run_hierarchy(topo: Topology) -> Readout:
     per-qubit orthogonality condition, since the construction is only
     meaningful when every branch succeeds.
     """
-    n = topo.total_clients
-    ends = _end_vectors([topo.pair_template] * n, [superposed_input(topo.alpha)] * n)
-    report = condition_report(ends)
-    for idx, z in enumerate(report.per_qubit_overlap):
-        if abs(z) >= report.tol:
-            raise ValueError(
-                f"generation condition violated at client qubit {idx}: |overlap|={abs(z):.3g}"
-            )
+    one = _end_vectors([topo.pair_template], [superposed_input(topo.alpha)])
+    report = condition_report(one)
+    z = abs(report.per_qubit_overlap[0])
+    if z >= report.tol:
+        raise ValueError(f"generation condition violated at client qubit 0: |overlap|={z:.3g}")
     m = len(topo.entanglers)
     if topo.control == "ghz":
         control = np.zeros(2**m, dtype=complex)
@@ -146,6 +143,6 @@ def run_hierarchy(topo: Topology) -> Readout:
         plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         control = _branch_stack([[0] * m], np.broadcast_to(plus, (m, 2, 2)))[0]  # |+>^(x)m
     cluster_of_qubit = [j for j, (_, k) in enumerate(topo.entanglers) for _ in range(k)]
-    return _readout(readout_plan(control, _reverse_table(cluster_of_qubit, m)), ends,
-                    report.all_orthogonal)
+    ends = np.broadcast_to(one, (topo.total_clients, 2, 2))
+    return _readout(readout_plan(control, _reverse_table(cluster_of_qubit, m)), ends, True)
 

@@ -215,7 +215,7 @@ def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     images: the outcome labels, the H^(x)m signs times the live control amplitudes
     (2^m, live), and the live rows of ``reverse``, whose entry [b][q], 0 or 1, says
     whether control basis state b applies the backward order of qubit q's pair. A control is
-    checked here, where it enters: 2^m finite amplitudes, normalised, m and n at most the cap."""
+    checked here, where it enters: 2^m finite amplitudes, normalised, m (not n) at most the cap."""
     control = np.asarray(control, dtype=complex)
     if control.ndim != 1:
         raise ValueError(f"control must be a 1-D state vector, got shape {control.shape}")
@@ -223,7 +223,7 @@ def readout_plan(control: np.ndarray, reverse: np.ndarray) -> tuple:
     reverse = np.asarray(reverse)
     if reverse.ndim != 2 or len(reverse) != 2**m:
         raise ValueError(f"reverse table must have {2**m} rows, got shape {reverse.shape}")
-    _check_width(max(m, reverse.shape[1]))  # before anything that reads or builds 2^m entries
+    _check_width(m)  # before anything that reads or builds 2^m entries
     if not ((reverse == 0) | (reverse == 1)).all():
         raise ValueError("reverse table entries must be 0 or 1")
     _normalised_weights(control.tolist(), "control must be finite and normalized")

@@ -155,6 +155,8 @@ def test_parse_gate_rejects(bad):
     ("matrix([[1, x],[0,1]])", "cannot parse complex entry ' x'"),
     ("matrix([[x,0],[0,1]]xyz)", "cannot parse complex entry 'x'"),
     ("matrix([[inf,0],[0,1]]xyz)", "matrix entries must be finite"),
+    ("matrix([[inf+0i,0+0i],[0+0i,1+0i]])", "matrix entries must be finite"),
+    ("matrix([[1+0i,0+0i],[0+nani,1+0i]])", "matrix entries must be finite"),
     ("matrix([[1,0,0],[0,1,0]])", "matrix literal must be 2x2"),
     ("matrix([[1,0],[0,1]]xyz)", "matrix literal must be 2x2"),
 ])

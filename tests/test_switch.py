@@ -234,6 +234,23 @@ def test_readout_plan_caps_the_control_register_before_allocation():
     assert peak < 2**m  # below one byte per control amplitude
 
 
+def test_the_state_builder_refuses_a_register_over_the_cap():
+    # the plan caps only its control register: n is refused where the n-qubit states are built
+    n = MAX_QUBITS + 1
+    plan = readout_plan(np.full(2, 1.0 / math.sqrt(2.0)), np.array([[0] * n, [1] * n]))
+    assert plan[2].shape == (2, n)
+    ends = _end_vectors([default_pair()] * n, [superposed_input(0.5)] * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            branch_readout(plan, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == f"state has {n} qubits, cap is {MAX_QUBITS}"
+    assert peak < 4096  # no 2^n array: the refusal comes before the first product
+
+
 def _assert_batch_reads_out_as_its_instances(plan, ends):
     """``branch_readout`` of a batch of order images equals, bit for bit, the readouts of its
     instances, each alone and each by ``reference_branch_readout``: probabilities, reachable
