@@ -39,13 +39,21 @@ topology JSON:
 """
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object from its (name, value) pairs, refusing the first name met twice."""
+    doc, seen = dict(pairs), set()
+    if len(doc) < len(pairs):
+        raise ValueError(f"duplicate key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return doc
+
+
 def _load(path: str, parse):
     """Read the JSON document at ``path`` and ``parse`` it into its type."""
     try:  # an OSError names the path and reaches main as an I/O error
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
-        # malformed JSON, bad UTF-8, an over-long integer or nesting past the recursion limit
+        # malformed JSON, a repeated name, bad UTF-8, an over-long integer or nesting too deep
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     return parse(doc)
 

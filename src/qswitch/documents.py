@@ -3,7 +3,7 @@
 ``parse_spec`` and ``parse_topology`` take any JSON value and return a
 validated ``SwitchSpec`` or ``Topology``. Every rejection is a ValueError
 ending in the JSON pointer of the offending field or of its nearest enclosing
-one, like ``(at '/pairs/0/u')``.
+one, like ``(at '/pairs/0/u')``, and is raised by ``_refuse``.
 """
 from __future__ import annotations
 
@@ -21,10 +21,16 @@ MAX_SPEC_QUBITS = 4096  # largest spec document, checked before one pair is broa
 _DEFAULT_GATES = {"u": "pauli_z", "u_tilde": f"ry({math.pi / 2})"}
 
 
+def _refuse(pointer: str, message):
+    """Refuse the document field at the JSON pointer ``pointer`` (RFC 6901): a
+    ValueError of ``message`` followed by the pointer, like ``(at '/pairs/0/u')``."""
+    raise ValueError(f"{message} (at '{pointer}')") from None
+
+
 class _at:
-    """Context manager appending the JSON pointer of the document field it
-    concerns to a ValueError from its block, like ``(at '/pairs/0/u')``; an
-    OverflowError, from a JSON number that no float can hold, becomes one."""
+    """Context manager passing a ValueError from its block to ``_refuse`` at
+    ``pointer``, for checks that ``documents`` does not own: a constructor's, or
+    the OverflowError of a JSON number that no float can hold."""
 
     def __init__(self, pointer: str):
         self.pointer = pointer
@@ -34,18 +40,21 @@ class _at:
 
     def __exit__(self, kind, exc, traceback) -> None:
         if kind is not None and issubclass(kind, (ValueError, OverflowError)):
-            raise ValueError(f"{exc} (at '{self.pointer}')") from None
+            _refuse(self.pointer, exc)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number"}
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` if it has the JSON type ``kind``, where float stands for any
-    number; booleans are neither integers nor numbers."""
+def _expect(value, kind: type, what: str, pointer: str | None = None):
+    """``value`` if it has the JSON type ``kind`` (float stands for any number; booleans are
+    neither integers nor numbers), else a ValueError, refused at ``pointer`` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+        message = f"{what} must be {_JSON_TYPES[kind]}, got {value!r}"
+        if pointer is None:
+            raise ValueError(message)
+        _refuse(pointer, message)
     return value
 
 
@@ -58,24 +67,20 @@ def _only_keys(doc: dict, pointer: str, keys: tuple[str, ...]) -> None:
     """Reject a member of the object ``doc`` at ``pointer`` not named in ``keys``."""
     for key in doc:
         if key not in keys:
-            with _at(f"{pointer}/{_token(key)}"):
-                raise ValueError(f"unknown key {key!r}")
+            _refuse(f"{pointer}/{_token(key)}", f"unknown key {key!r}")
 
 
 def _member(doc: dict, pointer: str, kind: type, default=None):
     """The member of ``doc`` named by the last token of ``pointer``, type-checked."""
     key = pointer.rsplit("/", 1)[1]
-    with _at(pointer):
-        if key not in doc and default is None:
-            raise ValueError(f"{key} is required")
-        return _expect(doc.get(key, default), kind, key)
+    if key not in doc and default is None:
+        _refuse(pointer, f"{key} is required")
+    return _expect(doc.get(key, default), kind, key, pointer)
 
 
 def _parse_pair(doc, pointer: str) -> UnitaryPair:
     """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
-    if not isinstance(doc, dict):
-        with _at(pointer):
-            _expect(doc, dict, "gate pair")
+    _expect(doc, dict, "gate pair", pointer)
     _only_keys(doc, pointer, ("u", "u_tilde"))
     mats = []
     try:
@@ -85,7 +90,7 @@ def _parse_pair(doc, pointer: str) -> UnitaryPair:
     except ValueError as exc:
         if len(mats) == 2:  # parsed gates are 2x2, so one of them is not unitary
             key = "u" if not is_unitary(mats[0]) else "u_tilde"
-        raise ValueError(f"{exc} (at '{pointer}/{key}')") from None
+        _refuse(f"{pointer}/{key}", exc)
 
 
 def _amplitudes_to_state(entries) -> np.ndarray:
@@ -118,36 +123,29 @@ def _amplitudes_to_state(entries) -> np.ndarray:
 
 def parse_spec(doc) -> SwitchSpec:
     """Parse and validate a switch spec document (any JSON value)."""
-    with _at(""):
-        _expect(doc, dict, "spec document")
+    _expect(doc, dict, "spec document", "")
     _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
-    # each _at block below is entered only to raise, which spares its setup on every request
     version = doc.get("version", 1)
     if version != 1 or isinstance(version, bool):
-        with _at("/version"):
-            raise ValueError(f"unsupported spec version {version!r}")
+        _refuse("/version", f"unsupported spec version {version!r}")
     if doc.get("control", "even") != "even":
-        with _at("/control"):
-            raise ValueError(f"control must be 'even', got {doc['control']!r}")
+        _refuse("/control", f"control must be 'even', got {doc['control']!r}")
     protocol = doc.get("protocol")
     if protocol not in PROTOCOLS:
-        with _at("/protocol"):
-            raise ValueError(f"unknown protocol {protocol!r}")
+        _refuse("/protocol", f"unknown protocol {protocol!r}")
     pair_docs = _member(doc, "/pairs", list)
     n = _member(doc, "/n", int, len(pair_docs))
-    with _at("/n"):
-        if n > MAX_SPEC_QUBITS:
-            raise ValueError(f"spec has {n} qubits, cap is {MAX_SPEC_QUBITS}")
-        if len(pair_docs) != 1 and n != len(pair_docs):
-            raise ValueError(f"'n' is {n} but {len(pair_docs)} pairs are given")
+    if n > MAX_SPEC_QUBITS:
+        _refuse("/n", f"spec has {n} qubits, cap is {MAX_SPEC_QUBITS}")
+    if len(pair_docs) != 1 and n != len(pair_docs):
+        _refuse("/n", f"'n' is {n} but {len(pair_docs)} pairs are given")
     pairs = [_parse_pair(p, f"/pairs/{i}") for i, p in enumerate(pair_docs)]
     if len(pairs) == 1:
         pairs *= n
     inp = _member(doc, "/input", dict, {"alpha": 0.5})
     _only_keys(inp, "/input", ("alpha", "amplitudes"))
     if len(inp) > 1:
-        with _at("/input"):
-            raise ValueError("input takes exactly one of 'alpha' and 'amplitudes'")
+        _refuse("/input", "input takes exactly one of 'alpha' and 'amplitudes'")
     if "alpha" in inp:
         with _at("/input/alpha"):
             alpha = float(_expect(inp["alpha"], float, "alpha"))
@@ -155,14 +153,13 @@ def parse_spec(doc) -> SwitchSpec:
     else:
         amplitudes = _member(inp, "/input/amplitudes", list)
         if len(amplitudes) != len(pairs):
-            with _at("/input/amplitudes"):
-                raise ValueError(f"{len(amplitudes)} input states for {len(pairs)} qubits")
+            _refuse("/input/amplitudes", f"{len(amplitudes)} input states for {len(pairs)} qubits")
         inputs = []
         try:
             for entries in amplitudes:
                 inputs.append(_amplitudes_to_state(entries))
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{exc} (at '/input/amplitudes/{len(inputs)}')") from None
+            _refuse(f"/input/amplitudes/{len(inputs)}", exc)
     with _at("/n" if "n" in doc else "/pairs"):
         return SwitchSpec(protocol=protocol, pairs=pairs, inputs=inputs)
 
@@ -170,13 +167,11 @@ def parse_spec(doc) -> SwitchSpec:
 def parse_topology(doc) -> Topology:
     """Parse and validate a topology document (any JSON value): ``entanglers``,
     and optionally ``gates``, ``alpha`` and ``control``."""
-    with _at(""):
-        _expect(doc, dict, "topology document")
+    _expect(doc, dict, "topology document", "")
     _only_keys(doc, "", ("entanglers", "gates", "alpha", "control"))
     entanglers = []
     for i, e in enumerate(_member(doc, "/entanglers", list)):
-        with _at(f"/entanglers/{i}"):
-            _expect(e, dict, "entangler")
+        _expect(e, dict, "entangler", f"/entanglers/{i}")
         _only_keys(e, f"/entanglers/{i}", ("id", "clients"))
         entanglers.append((_member(e, f"/entanglers/{i}/id", str),
                            _member(e, f"/entanglers/{i}/clients", int)))
@@ -185,8 +180,7 @@ def parse_topology(doc) -> Topology:
         alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
         superposed_input(alpha)  # raises unless 0 <= alpha <= 1
     control = doc.get("control", "ghz")
-    with _at("/control"):
-        if control not in CONTROLS:
-            raise ValueError(f"unknown control preparation {control!r}")
+    if control not in CONTROLS:
+        _refuse("/control", f"unknown control preparation {control!r}")
     with _at("/entanglers"):
         return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)

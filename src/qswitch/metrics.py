@@ -6,13 +6,13 @@ from typing import Optional
 
 import numpy as np
 
+from .gates import PAULI_Y
 from .switch import _normalised_weights, num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots
 _DENSITY_ATOL = 1e-10  # Hermiticity, trace and smallest-eigenvalue slack of a density matrix
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_YY = np.kron(PAULI_Y, PAULI_Y)
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,10 @@ def pure_concurrence(states: np.ndarray) -> np.ndarray:
     return _clamp_unit(np.where(c * c < _EIGEN_DUST, 0.0, c))
 
 
+def _purity(r00, r11, r01):  # scalars, or arrays of them
+    return r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag)
+
+
 def _cut_purities(states: np.ndarray) -> np.ndarray:
     """Tr(rho_q^2) of every single-qubit marginal of pure states: (..., 2^n) -> (..., n)."""
     n = num_qubits(states.shape[-1])
@@ -96,12 +100,8 @@ def _cut_purities(states: np.ndarray) -> np.ndarray:
         # product then runs in place through another loop, with other last bits than alone
         conj = b.conj()
         r01 = (a * conj).sum(axis=(-2, -1))
-        out.append(r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
+        out.append(_purity(r00, r11, r01))
     return np.stack(out, axis=-1)
-
-
-def _purity(r00: float, r11: float, r01: complex) -> float:
-    return r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag)
 
 
 def _cut_purities_scalar(a: list[complex], weights: list[float]) -> list[float]:

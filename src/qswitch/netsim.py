@@ -132,8 +132,8 @@ def run_hierarchy(topo: Topology) -> Readout:
     """
     one = _end_vectors([topo.pair_template], [superposed_input(topo.alpha)])
     report = condition_report(one)
-    z = abs(report.per_qubit_overlap[0])
-    if z >= report.tol:
+    if not report.all_orthogonal:
+        z = abs(report.per_qubit_overlap[0])
         raise ValueError(f"generation condition violated at client qubit 0: |overlap|={z:.3g}")
     m = len(topo.entanglers)
     if topo.control == "ghz":

@@ -244,7 +244,7 @@ def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     input after order o (0 forward, 1 backward), with any leading batch axes. Every
     control qubit is measured in the {|+>, |->} basis, outcomes ordered with the
     control qubits read most significant first. Returns the probabilities (..., 2^m),
-    clamped at 0; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and
+    never negative; the reachable mask (..., 2^m), probability >= UNREACHABLE_TOL; and
     the normalised states (..., 2^m, 2^n), zero where unreachable.
 
     A batch is read out in one product, (2^m, live) @ (live, instances x 2^n). With
@@ -267,7 +267,7 @@ def branch_readout(plan: tuple, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     raw /= np.sqrt(np.where(reachable, probabilities, 1.0))[..., None]  # in place: the states
     if not reachable.all():
         raw[~reachable] = 0.0
-    return np.maximum(probabilities, 0.0), reachable, raw
+    return probabilities, reachable, raw
 
 
 def controlled_outcomes(plan: tuple, ends: np.ndarray) -> Readout:

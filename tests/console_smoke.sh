@@ -59,4 +59,12 @@ cat "$tmp/alpha.err"
 if [ "$rc" != 1 ] || ! grep -qF "(at '/alpha')" "$tmp/alpha.err" || [ -s "$tmp/alpha.out" ]; then
   echo "netsim on a topology with alpha 1.5 exited $rc; it must exit 1 with the pointer and no stdout"; exit 1
 fi
+# a name repeated in one object is refused, not read as its last value
+echo '{"protocol": "bell", "protocol": "ghz", "n": 2, "pairs": [{"u": "pauli_z", "u_tilde": "pauli_x"}]}' > "$tmp/dup.json"
+rc=0
+qswitch run --spec "$tmp/dup.json" > "$tmp/dup.out" 2> "$tmp/dup.err" || rc=$?
+cat "$tmp/dup.err"
+if [ "$rc" != 1 ] || ! grep -qF "duplicate key 'protocol'" "$tmp/dup.err" || [ -s "$tmp/dup.out" ]; then
+  echo "run on a spec naming protocol twice exited $rc; it must exit 1 with the key and no stdout"; exit 1
+fi
 echo "console smoke: ok"

@@ -282,6 +282,24 @@ def test_deeply_nested_json_is_malformed(tmp_path, capsys, verb, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb,text,key", [
+    ("run", '{"protocol": "bell", "protocol": "ghz", "n": 2, "pairs": [{"u": "pauli_z", '
+            '"u_tilde": "pauli_x"}]}', "protocol"),
+    ("verify", '{"protocol": "bell", "pairs": [{"u": "pauli_x", "u_tilde": "pauli_z", '
+               '"u": "pauli_z"}]}', "u"),
+    ("netsim", '{"entanglers": [{"id": "e1", "clients": 2}, {"id": "e2", "clients": 2}], '
+               '"alpha": 0.5, "alpha": 0.25}', "alpha"),
+], ids=["spec-protocol", "pair-u", "topology-alpha"])
+def test_a_repeated_key_is_refused_not_read_as_its_last_value(tmp_path, capsys, verb, text, key):
+    # RFC 8259 says the names of an object SHOULD be unique; json.load alone keeps the last
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([verb, "--topology" if verb == "netsim" else "--spec", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed JSON in {path}: duplicate key {key!r}\n"
+    assert captured.out == ""
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "nope.json")]) == EXIT_IO
 

@@ -290,6 +290,28 @@ def test_a_batch_reads_out_as_its_instances_under_random_controls_bitwise():
         _assert_batch_reads_out_as_its_instances(plan, _random_order_images(rng, (3, 4), n))
 
 
+def test_readout_probabilities_never_have_the_sign_bit_set():
+    # each probability is the real part of sum conj(z) z, a sum of squared moduli, so it is
+    # returned unclamped: never negative, and never -0.0. Aligned qubits and controls uniform
+    # over their live states make branches coincide, so that some outcomes vanish
+    rng = np.random.default_rng(35)
+    vanished = 0
+    for _ in range(500):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        control = random_pure_state(rng, m) * (rng.random(2**m) > 0.3)
+        control[0] = control[0] or 1.0
+        if rng.random() < 0.5:
+            control = (control != 0) * 1.0
+        plan = readout_plan(control / np.linalg.norm(control), rng.integers(0, 2, (2**m, n)))
+        ends = _random_order_images(rng, (2,), n)
+        aligned = rng.random(n) < 0.5
+        ends[:, aligned, 1] = ends[:, aligned, 0]
+        p = branch_readout(plan, ends)[0]
+        assert not np.signbit(p).any()
+        vanished += np.count_nonzero(p < UNREACHABLE_TOL)
+    assert vanished > 0
+
+
 @pytest.mark.parametrize("protocol,n", SWEEP_PROTOCOLS)
 def test_a_sweep_grid_reads_out_as_its_points_bitwise(protocol, n):
     ends = sweep_order_images(n)
