@@ -262,10 +262,20 @@ def test_verify_rejects_bad_tol_on_three_qubits(tmp_path, capsys, protocol):
     assert captured.out == ""
 
 
-def test_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize("data,reason", [
+    (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("\ufeff{}".encode(), "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"{} {}", "Extra data: line 1 column 4 (char 3)"),
+    (b'{"protocol": "\xff"}',
+     "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+], ids=["syntax", "byte-order-mark", "extra-data", "bad-utf-8"])
+def test_invalid_json(tmp_path, capsys, data, reason):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(data)
     assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed JSON in {path}: {reason}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("verb", ["run", "verify", "netsim"])
@@ -466,11 +476,20 @@ def _ghz3_doc(pair_2=None, input_2=(1, 0)):
      "error: u is not unitary within tolerance (at '/pairs/2/u')\n"),
     (_ghz3_doc(input_2=[0, 0]),
      "error: amplitude vector must have a nonzero, finite norm (at '/input/amplitudes/2')\n"),
+    # two faults: the first field checked is the one refused
+    (_bell_doc(pairs=[{"u": "hadamard", "u_tilde": RY_QUARTER}] * 2, input={"alpha": 2}),
+     "'/pairs/0/u'"),
+    (_bell_doc(pairs=[{"u": 1, "u_tilde": _NOT_UNITARY}] * 2),
+     "gate name must be a string, got 1 (at '/pairs/0/u')"),
+    (_bell_doc(input={"amplitudes": [[0, 0], ["x", 1]]}), "'/input/amplitudes/0'"),
+    (_bell_doc(n=3, input={"alpha": "x"}), "'/n'"),
 ], ids=["n-string", "n-boolean", "alpha-null", "alpha-boolean", "version-string",
         "control-biased", "amplitudes-number", "amplitudes-flat", "gate-unknown",
         "gate-not-unitary", "bell-three-pairs", "bell-n-three", "pairs-missing",
         "amplitudes-zero", "amplitudes-too-few", "ghz3-gate-unknown-at-2",
-        "ghz3-u-tilde-not-unitary-at-2", "ghz3-u-not-unitary-at-2", "ghz3-amplitudes-zero-at-2"])
+        "ghz3-u-tilde-not-unitary-at-2", "ghz3-u-not-unitary-at-2", "ghz3-amplitudes-zero-at-2",
+        "gate-unknown-and-alpha-two", "gate-number-and-not-unitary",
+        "amplitudes-zero-and-mistyped", "n-three-and-alpha-string"])
 def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -495,9 +514,15 @@ def test_run_rejects_mistyped_spec_fields(tmp_path, capsys, doc, pointer):
     (_topology_doc(alpha=1.5), "'/alpha'"),
     (_topology_doc(entanglers=[{"id": "e1"}, {"id": "e2", "clients": 3}]),
      "'/entanglers/0/clients'"),
+    # two faults: the first field checked is the one refused
+    (_topology_doc(entanglers=[{"id": "e1", "clients": 3}], alpha=3, control="x"), "'/alpha'"),
+    (_topology_doc(gates={"u": "pauli_z", "u_tilde": "pauli_z"}, alpha=1.5), "'/alpha'"),
+    (_topology_doc(entanglers=[{"id": 7, "clients": 3}, {"id": "e2", "clients": 1.5}]),
+     "'/entanglers/0/id'"),
 ], ids=["not-an-object", "entanglers-string", "gates-string", "alpha-null", "clients-fraction",
         "link-loss-nonzero", "gates-without-u", "control-unknown", "one-entangler",
-        "alpha-above-one", "clients-missing"])
+        "alpha-above-one", "clients-missing", "one-entangler-alpha-three-control-unknown",
+        "aligned-gates-alpha-above-one", "id-number-and-clients-fraction"])
 def test_netsim_rejects_mistyped_topology_fields(tmp_path, capsys, doc, pointer):
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(doc))
