@@ -47,11 +47,18 @@ def _json_object(pairs: list) -> dict:
     return doc
 
 
+# Built once per process: json.load with any keyword builds a new decoder on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def _load(path: str, parse):
     """Read the JSON document at ``path`` and ``parse`` it into its type."""
     try:  # an OSError names the path and reaches main as an I/O error
         with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_json_object)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads' own check, which a decoder does not make
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         # malformed JSON, a repeated name, bad UTF-8, an over-long integer or nesting too deep
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc

@@ -3,7 +3,8 @@
 ``parse_spec`` and ``parse_topology`` take any JSON value and return a
 validated ``SwitchSpec`` or ``Topology``. Every rejection is a ValueError
 ending in the JSON pointer of the offending field or of its nearest enclosing
-one, like ``(at '/pairs/0/u')``, and is raised by ``_refuse``.
+one, like ``(at '/pairs/0/u')``, and is raised by ``_refuse``: straight from a
+check made here, or through ``_at`` from a call that raises.
 """
 from __future__ import annotations
 
@@ -27,34 +28,24 @@ def _refuse(pointer: str, message):
     raise ValueError(f"{message} (at '{pointer}')") from None
 
 
-class _at:
-    """Context manager passing a ValueError from its block to ``_refuse`` at
-    ``pointer``, for checks that ``documents`` does not own: a constructor's, or
-    the OverflowError of a JSON number that no float can hold."""
-
-    def __init__(self, pointer: str):
-        self.pointer = pointer
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if kind is not None and issubclass(kind, (ValueError, OverflowError)):
-            _refuse(self.pointer, exc)
+def _at(pointer: str, build, *args):
+    """``build(*args)``, its ValueError refused at ``pointer``, as is the OverflowError of a
+    JSON number no float can hold: for a call whose checks ``documents`` does not own."""
+    try:
+        return build(*args)
+    except (ValueError, OverflowError) as exc:
+        _refuse(pointer, exc)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number"}
 
 
-def _expect(value, kind: type, what: str, pointer: str | None = None):
+def _expect(value, kind: type, what: str):
     """``value`` if it has the JSON type ``kind`` (float stands for any number; booleans are
-    neither integers nor numbers), else a ValueError, refused at ``pointer`` if given."""
+    neither integers nor numbers), else a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        message = f"{what} must be {_JSON_TYPES[kind]}, got {value!r}"
-        if pointer is None:
-            raise ValueError(message)
-        _refuse(pointer, message)
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -75,22 +66,30 @@ def _member(doc: dict, pointer: str, kind: type, default=None):
     key = pointer.rsplit("/", 1)[1]
     if key not in doc and default is None:
         _refuse(pointer, f"{key} is required")
-    return _expect(doc.get(key, default), kind, key, pointer)
+    return _at(pointer, _expect, doc.get(key, default), kind, key)
+
+
+def _gate(name) -> np.ndarray:
+    """The matrix of a document's gate name."""
+    return parse_gate(_expect(name, str, "gate name"))
+
+
+def _alpha(value) -> float:
+    """A document's alpha: a number that a float can hold, with 0 <= alpha <= 1."""
+    alpha = float(_expect(value, float, "alpha"))
+    superposed_input(alpha)  # raises unless 0 <= alpha <= 1
+    return alpha
 
 
 def _parse_pair(doc, pointer: str) -> UnitaryPair:
     """The pair of a ``{"u": <gate>, "u_tilde": <gate>}`` object."""
-    _expect(doc, dict, "gate pair", pointer)
+    _at(pointer, _expect, doc, dict, "gate pair")
     _only_keys(doc, pointer, ("u", "u_tilde"))
-    mats = []
+    mats = [_at(f"{pointer}/{key}", _gate, doc.get(key)) for key in ("u", "u_tilde")]
     try:
-        for key in ("u", "u_tilde"):
-            mats.append(parse_gate(_expect(doc.get(key), str, "gate name")))
         return UnitaryPair(*mats)
-    except ValueError as exc:
-        if len(mats) == 2:  # parsed gates are 2x2, so one of them is not unitary
-            key = "u" if not is_unitary(mats[0]) else "u_tilde"
-        _refuse(f"{pointer}/{key}", exc)
+    except ValueError as exc:  # parsed gates are 2x2, so one of them is not unitary
+        _refuse(f"{pointer}/{'u' if not is_unitary(mats[0]) else 'u_tilde'}", exc)
 
 
 def _amplitudes_to_state(entries) -> np.ndarray:
@@ -123,7 +122,7 @@ def _amplitudes_to_state(entries) -> np.ndarray:
 
 def parse_spec(doc) -> SwitchSpec:
     """Parse and validate a switch spec document (any JSON value)."""
-    _expect(doc, dict, "spec document", "")
+    _at("", _expect, doc, dict, "spec document")
     _only_keys(doc, "", ("version", "protocol", "n", "pairs", "input", "control"))
     version = doc.get("version", 1)
     if version != 1 or isinstance(version, bool):
@@ -147,40 +146,30 @@ def parse_spec(doc) -> SwitchSpec:
     if len(inp) > 1:
         _refuse("/input", "input takes exactly one of 'alpha' and 'amplitudes'")
     if "alpha" in inp:
-        with _at("/input/alpha"):
-            alpha = float(_expect(inp["alpha"], float, "alpha"))
-            inputs = [superposed_input(alpha)] * len(pairs)
+        inputs = [superposed_input(_at("/input/alpha", _alpha, inp["alpha"]))] * len(pairs)
     else:
         amplitudes = _member(inp, "/input/amplitudes", list)
         if len(amplitudes) != len(pairs):
             _refuse("/input/amplitudes", f"{len(amplitudes)} input states for {len(pairs)} qubits")
-        inputs = []
-        try:
-            for entries in amplitudes:
-                inputs.append(_amplitudes_to_state(entries))
-        except (ValueError, OverflowError) as exc:
-            _refuse(f"/input/amplitudes/{len(inputs)}", exc)
-    with _at("/n" if "n" in doc else "/pairs"):
-        return SwitchSpec(protocol=protocol, pairs=pairs, inputs=inputs)
+        inputs = [_at(f"/input/amplitudes/{i}", _amplitudes_to_state, entries)
+                  for i, entries in enumerate(amplitudes)]
+    return _at("/n" if "n" in doc else "/pairs", SwitchSpec, protocol, pairs, inputs)
 
 
 def parse_topology(doc) -> Topology:
     """Parse and validate a topology document (any JSON value): ``entanglers``,
     and optionally ``gates``, ``alpha`` and ``control``."""
-    _expect(doc, dict, "topology document", "")
+    _at("", _expect, doc, dict, "topology document")
     _only_keys(doc, "", ("entanglers", "gates", "alpha", "control"))
     entanglers = []
     for i, e in enumerate(_member(doc, "/entanglers", list)):
-        _expect(e, dict, "entangler", f"/entanglers/{i}")
+        _at(f"/entanglers/{i}", _expect, e, dict, "entangler")
         _only_keys(e, f"/entanglers/{i}", ("id", "clients"))
         entanglers.append((_member(e, f"/entanglers/{i}/id", str),
                            _member(e, f"/entanglers/{i}/clients", int)))
     pair = _parse_pair(doc.get("gates", _DEFAULT_GATES), "/gates")
-    with _at("/alpha"):
-        alpha = float(_expect(doc.get("alpha", 0.5), float, "alpha"))
-        superposed_input(alpha)  # raises unless 0 <= alpha <= 1
+    alpha = _at("/alpha", _alpha, doc.get("alpha", 0.5))
     control = doc.get("control", "ghz")
     if control not in CONTROLS:
         _refuse("/control", f"unknown control preparation {control!r}")
-    with _at("/entanglers"):
-        return Topology(entanglers=entanglers, pair_template=pair, alpha=alpha, control=control)
+    return _at("/entanglers", Topology, entanglers, pair, alpha, control)

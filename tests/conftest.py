@@ -1,5 +1,7 @@
 import cmath
 import csv
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -652,6 +654,23 @@ def _golden_digest(case, tmp):
         paths["out"].unlink()
     masked = [text.getvalue().replace(str(tmp), "<tmp>") for text in (out, err)]
     return hashlib.sha256(json.dumps([code, *masked, sweep_file]).encode()).hexdigest()
+
+
+def blas_core():
+    """The core name of numpy's bundled OpenBLAS, the kernel its BLAS calls run on (such as
+    ``SkylakeX`` or ``Haswell``), or None where numpy bundles no OpenBLAS."""
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(dll, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def golden_digests(cases, tmp):
