@@ -26,13 +26,13 @@ def main() -> None:
     old = json.loads(manifest.read_text())["digests"] if manifest.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         digests = golden_digests(cases, tmp)
-    python = "{}.{}".format(*sys.version_info[:2])
-    manifest.write_text(json.dumps({"python": python, "blas_core": blas_core(), "digests": digests},
+    python, core = "{}.{}".format(*sys.version_info[:2]), blas_core()
+    manifest.write_text(json.dumps({"python": python, "blas_core": core, "digests": digests},
                                    indent=1) + "\n")
     for case_id, digest in digests.items():
         if old.get(case_id) != digest:
             print("moved" if case_id in old else "new", case_id)
-    print(f"{len(digests)} cases recorded under Python {python} on OpenBLAS core {blas_core()}")
+    print(f"{len(digests)} cases recorded under Python {python} on OpenBLAS core {core}")
 
 
 if __name__ == "__main__":

@@ -281,7 +281,7 @@ def test_invalid_json(tmp_path, capsys, data, reason):
 @pytest.mark.parametrize("verb", ["run", "verify", "netsim"])
 @pytest.mark.parametrize("where", ["document", "pairs"])
 def test_deeply_nested_json_is_malformed(tmp_path, capsys, verb, where):
-    # json.load recurses once per nesting level and raises RecursionError
+    # the JSON decoder recurses once per nesting level and raises RecursionError
     nested = "[" * 200_000 + "]" * 200_000
     path = tmp_path / "deep.json"
     path.write_text(nested if where == "document" else f'{{"protocol": "ghz", "pairs": {nested}}}')
