@@ -163,6 +163,11 @@ def test_run_rejects_spec_over_qubit_cap(tmp_path, capsys):
     assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
     # the engine refuses the state, with no pointer, since the spec itself is valid
     assert capsys.readouterr().err == "error: state has 13 qubits, cap is 12\n"
+    # at the document cap too, which verify reads
+    path.write_text(json.dumps({"protocol": "ghz", "n": 4096,
+                                "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
+    assert main(["run", "--spec", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: state has 4096 qubits, cap is 12\n"
     # the document cap comes before a single pair is broadcast n times
     path.write_text(json.dumps({"protocol": "w", "n": 4097,
                                 "pairs": [{"u": "pauli_z", "u_tilde": RY_QUARTER}]}))
