@@ -755,6 +755,23 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     assert protocol_plan.cache_info().currsize == cached  # no refused width is cached
 
 
+# no float n: lru_cache reads 3.0 as the key 3, so a cached plan would answer it
+@pytest.mark.parametrize("protocol,n,message", [
+    ("foo", 3, "unknown protocol 'foo'"),
+    ("bell", 5, "bell protocol requires exactly 2 qubits"),
+    ("w", 2, "w protocol requires at least 3 qubits"),
+    ("ghz", 1, "ghz protocol requires at least 2 qubits"),
+    ("ghz", 0, "ghz protocol requires at least 2 qubits"),
+    ("ghz", -1, "ghz protocol requires at least 2 qubits"),
+    ("ghz", True, "qubit count must be an integer, got True"),
+], ids=["foo-3", "bell-5", "w-2", "ghz-1", "ghz-0", "ghz-minus-1", "ghz-True"])
+def test_protocol_plan_refuses_what_check_protocol_refuses(protocol, n, message):
+    cached = protocol_plan.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        protocol_plan(protocol, n)
+    assert protocol_plan.cache_info().currsize == cached
+
+
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 5)])
 def test_protocol_readout_tables_are_built_once_and_read_only(monkeypatch, protocol, n):
     spec = SwitchSpec(protocol, [default_pair()] * n, [superposed_input(0.3)] * n)
