@@ -298,9 +298,8 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)  # at most one entry per protocol and width up to the cap
 def protocol_plan(protocol: str, n: int) -> tuple:
-    """The ``readout_plan`` of a protocol on n qubits, built once per (protocol, n);
-    what ``check_protocol`` refuses, and a width over the cap, is refused first, and so
-    never cached."""
+    """The ``readout_plan`` of a protocol on n qubits, built once per (protocol, n); what
+    ``check_protocol`` refuses and a width over the cap are refused first, so never cached."""
     check_protocol(protocol, n)
     _check_width(n)
     return readout_plan(*protocol_control(protocol, n))
