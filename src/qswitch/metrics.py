@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .gates import PAULI_Y
-from .switch import _normalised_weights, num_qubits
+from .switch import _checked_norm, num_qubits
 
 _CLAMP_SLACK = 1e-8
 _EIGEN_DUST = 1e-12  # eigenvalue dust zeroed before square roots
@@ -83,9 +83,55 @@ def _purity(r00, r11, r01):  # scalars, or arrays of them
     return r00 * r00 + r11 * r11 + 2.0 * (r01.real * r01.real + r01.imag * r01.imag)
 
 
+def _pairwise_sum(terms: list, lanes: int):
+    """The sum of ``terms``, a power of two of arrays of one shape, in the order in which
+    numpy's ``pairwise_sum`` adds one contiguous row of them, ``lanes`` doubles to a term
+    (1 real, 2 complex, whose doubles numpy sums interleaved): left to right below 8 doubles;
+    else into 8 // lanes accumulators, term i into accumulator i mod (8 // lanes), which are
+    then added as a pairwise tree. Rows of up to 128 doubles, so n <= 4 here, take no other step."""
+    if len(terms) * lanes < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    width = 8 // lanes
+    acc = terms[:width]
+    for i in range(width, len(terms)):
+        acc[i % width] = acc[i % width] + terms[i]
+    while len(acc) > 1:
+        acc = [acc[i] + acc[i + 1] for i in range(0, len(acc), 2)]
+    return acc[0]
+
+
 def _cut_purities(states: np.ndarray) -> np.ndarray:
-    """Tr(rho_q^2) of every single-qubit marginal of pure states: (..., 2^n) -> (..., n)."""
+    """Tr(rho_q^2) of every single-qubit marginal of pure states: (..., 2^n) -> (..., n).
+
+    Qubit q's marginal has r00 = sum |a_i|^2, r11 = sum |a_(i|bit)|^2 and
+    r01 = sum a_i conj(a_(i|bit)) over the 2^(n-1) indices i without q's bit.
+    A C-contiguous stack of states of n <= 4 qubits, such as every sweep's, sums them over
+    amplitude columns, one numpy call per column, where a reduction pays one inner loop per
+    row of 4 or 8 terms; the columns are added in ``_pairwise_sum``'s order, the one numpy's
+    reduction takes over such a stack, so every purity has the reduction's bits. A single
+    state, and any other layout, is reduced over packed half copies, in the order numpy
+    picks from the layout.
+    """
     n = num_qubits(states.shape[-1])
+    if n <= 4 and states.ndim > 1 and states.flags.c_contiguous:
+        columns = states.reshape(-1, 2**n).T  # row i: amplitude i of every state
+        weights = np.square(columns.real, order="C")  # |a_i|^2, one contiguous row each
+        weights += np.square(columns.imag)
+        lanes = 2 if np.iscomplexobj(columns) else 1
+        out = []
+        for q in range(n):
+            bit = 2 ** (n - q - 1)
+            low = [i for i in range(2**n) if not i & bit]
+            # np.multiply, not *: a conj temporary above 256 KiB would be elided, and the
+            # product would run in place through another loop, with other last bits
+            products = [np.multiply(columns[i], columns[i | bit].conj()) for i in low]
+            out.append(_purity(_pairwise_sum([weights[i] for i in low], 1),
+                               _pairwise_sum([weights[i | bit] for i in low], 1),
+                               _pairwise_sum(products, lanes)))
+        return np.stack(out, axis=-1).reshape(states.shape[:-1] + (n,))
     weights = states.real**2 + states.imag**2  # |a_i|^2, squared once for every qubit
     out = []
     for q in range(n):
@@ -135,18 +181,24 @@ def pure_gme_concurrence(states: np.ndarray) -> np.ndarray:
     """Single-cut GME concurrence of normalised pure states over any leading
     batch axes: (..., 2^n) -> (...), equal to ``gme_concurrence(psi).value``."""
     states = np.asarray(states, dtype=complex)
-    return _gme_from_entropy(np.min(1.0 - _cut_purities(states), axis=-1))
+    entropies = 1.0 - _cut_purities(states)
+    minimum = entropies[..., 0]
+    for q in range(1, entropies.shape[-1]):  # one call per cut, not per row; exact like np.min
+        minimum = np.minimum(minimum, entropies[..., q])
+    return _gme_from_entropy(minimum)
 
 
 def gme_concurrence(state: np.ndarray) -> MetricReport:
     """sqrt(2 * min over the n single-qubit cuts of (1 - Tr rho_q^2)) for a pure n-qubit
-    state, normalised by the rule of every state check (``switch._normalised_weights``), with
+    state, normalised by the rule of every state check (``switch._checked_norm``), with
     each cut's linear entropy keyed by its qubit index (Ma et al., PRA 83, 062325, 2011)."""
     state = np.asarray(state, dtype=complex)
     size = state.shape[0] if state.ndim == 1 else 0
     if size < 2 or size & (size - 1):
         raise ValueError(f"expected a 1-D state of length 2^n with n >= 1, got shape {state.shape}")
-    _normalised_weights(state.tolist(), "state must be normalized")
+    with np.errstate(over="ignore"):  # an overflowing weight is inf, which the rule refuses
+        weights = state.real**2 + state.imag**2  # the bits of z.real^2 + z.imag^2
+    _checked_norm(weights.tolist(), "state must be normalized")
     per_cut = {str(q): v for q, v in enumerate((1.0 - _cut_purities(state)).tolist())}
     return MetricReport(value=float(_gme_from_entropy(min(per_cut.values()))),
                         subsystem_values=per_cut)

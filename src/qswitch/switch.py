@@ -72,10 +72,15 @@ def canonical_phase(states: np.ndarray) -> np.ndarray:
 
 
 def _normalised_weights(amplitudes: list[complex], refusal: str) -> list[float]:
-    """The squared magnitudes |a_i|^2 of ``amplitudes``, refused with ``refusal`` unless they
+    """The squared magnitudes |a_i|^2 of ``amplitudes``, each z.real^2 + z.imag^2, refused by
+    ``_checked_norm``'s rule."""
+    return _checked_norm([z.real * z.real + z.imag * z.imag for z in amplitudes], refusal)
+
+
+def _checked_norm(weights: list[float], refusal: str) -> list[float]:
+    """``weights``, the squared magnitudes of a state, refused with ``refusal`` unless they
     sum to 1 within ``NORM_TOL``, the one norm rule of every state check: ``math.fsum`` rounds
     the sum exactly, in any order of the amplitudes. NaN, inf and an overflowing sum fail."""
-    weights = [z.real * z.real + z.imag * z.imag for z in amplitudes]
     try:
         if abs(math.fsum(weights) - 1.0) <= NORM_TOL:
             return weights
@@ -296,7 +301,7 @@ def protocol_control(protocol: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return control, np.eye(2**d, n, dtype=bool)
 
 
-@lru_cache(maxsize=None)  # at most one entry per protocol and width up to the cap
+@lru_cache(maxsize=None, typed=True)  # typed: the key 3.0 is not the key 3
 def protocol_plan(protocol: str, n: int) -> tuple:
     """The ``readout_plan`` of a protocol on n qubits, built once per (protocol, n); what
     ``check_protocol`` refuses and a width over the cap are refused first, so never cached."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qswitch.metrics import (
     _gme_from_entropy,
     pure_gme_concurrence,
 )
-from qswitch.switch import branch_readout, protocol_plan
+from qswitch.switch import NORM_TOL, _normalised_weights, branch_readout, protocol_plan
 
 PHI_PLUS = (np.array([1, 0, 0, 1], dtype=complex)) / math.sqrt(2)
 W3 = (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1)) / math.sqrt(3)
@@ -190,6 +191,47 @@ def test_gme_rejects_non_finite_state(bad):
             gme_concurrence(state)
 
 
+def _verdict(check, state):
+    """None if ``check(state)`` accepts the state, else its refusal's message."""
+    try:
+        check(state)
+    except ValueError as refusal:
+        return str(refusal)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_gme_norm_check_gives_the_verdicts_of_the_scalar_rule(n):
+    # gme_concurrence squares its amplitudes in numpy; the rule squares Python scalars
+    def scalar_rule(state):
+        _normalised_weights(state.tolist(), "state must be normalized")
+
+    def last(base, value):  # base with its last amplitude set to value
+        state = base.copy()
+        state[-1] = value
+        return state
+
+    size = 2**n
+    zero, spread = np.zeros(size, dtype=complex), np.full(size, 1.0 / math.sqrt(size) + 0j)
+    one = last(zero, 1.0)
+    states = [np.full(size, 1e154 + 0j), np.full(size, 1e154j), np.full(size, 1e155 + 1e155j),
+              last(zero, 1e154 + 1e154j), last(zero, 1e200)]
+    for bad in (math.nan, math.inf, -math.inf):
+        states += [last(zero, bad), last(zero, complex(0.0, bad)), last(spread, bad)]
+    for base in (one, spread):
+        for scale in (1.0 - NORM_TOL, 1.0 + NORM_TOL):
+            for nudge in (0.99, 1.01):  # just inside and just outside the tolerance
+                states.append(base * math.sqrt(1.0 + (scale - 1.0) * nudge))
+    verdicts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in states:
+            expected = _verdict(scalar_rule, state)
+            assert _verdict(gme_concurrence, state) == expected, state[-1]
+            verdicts.append(expected)
+    assert verdicts.count(None) == 4 and set(verdicts) == {None, "state must be normalized"}
+
+
 def _weights(a):
     """The |a_i|^2 that ``certify_class`` hands to ``_cut_purities_scalar``."""
     return [z.real * z.real + z.imag * z.imag for z in a]
@@ -218,11 +260,26 @@ def test_scalar_cut_purities_equal_the_pair_loop_bitwise(rng):
         assert np.array(got).tobytes() == np.array(expected).tobytes(), a
 
 
+def _minimum_gme(states):
+    """``pure_gme_concurrence`` with its minimum over cuts taken by ``np.min``."""
+    return _gme_from_entropy(np.min(1.0 - _cut_purities(states), axis=-1))
+
+
+def _chunked_reference_cut_purities(states):
+    """``reference_cut_purities`` over chunks of a C-contiguous batch, each below 256 KiB:
+    over a larger batch its unnamed product ``a * b.conj()`` is elided and runs in place,
+    with other last bits than over the same rows in a smaller batch."""
+    chunks = np.array_split(states, -(-states.nbytes // 2**17))
+    return np.concatenate([reference_cut_purities(chunk) for chunk in chunks])
+
+
 @pytest.mark.parametrize("protocol,n", SWEEP_PROTOCOLS)
 def test_cut_purities_of_a_sweep_equal_the_per_half_form_bitwise(protocol, n):
     _, reachable, states = branch_readout(protocol_plan(protocol, n), sweep_order_images(n))
     states = states[reachable]  # the batch that run_sweep hands to its metric
+    assert states.flags.c_contiguous  # so it takes the column path
     assert same_bits(_cut_purities(states), reference_cut_purities(states))
+    assert same_bits(pure_gme_concurrence(states), _minimum_gme(states))
 
 
 def test_cut_purities_equal_the_per_half_form_bitwise(rng):
@@ -231,9 +288,26 @@ def test_cut_purities_equal_the_per_half_form_bitwise(rng):
             states = np.array([random_pure_state(rng, n) for _ in range(math.prod(batch))])
             states = states.reshape(batch + (2**n,))
             assert same_bits(_cut_purities(states), reference_cut_purities(states)), (n, batch)
+            assert same_bits(pure_gme_concurrence(states), _minimum_gme(states)), (n, batch)
+            real = np.ascontiguousarray(states.real)
+            assert same_bits(_cut_purities(real), reference_cut_purities(real)), (n, batch)
+        empty = np.zeros((0, 2**n), dtype=complex)
+        assert same_bits(_cut_purities(empty), reference_cut_purities(empty))
+        assert same_bits(pure_gme_concurrence(empty), _minimum_gme(empty))
         zeros = np.zeros((4, 2**n), dtype=complex)
         zeros[1] = random_pure_state(rng, n)  # all-zero rows beside a state
         assert same_bits(_cut_purities(zeros), reference_cut_purities(zeros))
+        if n in (3, 4):  # halves past 256 KiB: the size of a w3 and a ghz4 sweep batch
+            count = {3: 4356, 4: 2112}[n]
+            states = np.array([random_pure_state(rng, n) for _ in range(count)])
+            assert states[:, : 2 ** (n - 1)].nbytes > 2**18
+            assert same_bits(_cut_purities(states), _chunked_reference_cut_purities(states)), n
+            assert same_bits(pure_gme_concurrence(states), _minimum_gme(states)), n
+        if n == 2:  # amplitude columns past 256 KiB
+            states = rng.normal(size=(17000, 4)) + 1j * rng.normal(size=(17000, 4))
+            states /= np.linalg.norm(states, axis=-1, keepdims=True)
+            assert states[:, 0].nbytes > 2**18
+            assert same_bits(_cut_purities(states), _chunked_reference_cut_purities(states))
         # non-contiguous views: every other amplitude of wider rows, and a transposed stack
         wide = np.stack([random_pure_state(rng, n + 1) for _ in range(6)])
         transposed = np.stack([random_pure_state(rng, n) for _ in range(9)], axis=-1).T

@@ -755,7 +755,6 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     assert protocol_plan.cache_info().currsize == cached  # no refused width is cached
 
 
-# no float n: lru_cache reads 3.0 as the key 3, so a cached plan would answer it
 @pytest.mark.parametrize("protocol,n,message", [
     ("foo", 3, "unknown protocol 'foo'"),
     ("bell", 5, "bell protocol requires exactly 2 qubits"),
@@ -764,12 +763,23 @@ def test_engine_refuses_a_state_over_the_cap_before_allocating_it(call, monkeypa
     ("ghz", 0, "ghz protocol requires at least 2 qubits"),
     ("ghz", -1, "ghz protocol requires at least 2 qubits"),
     ("ghz", True, "qubit count must be an integer, got True"),
-], ids=["foo-3", "bell-5", "w-2", "ghz-1", "ghz-0", "ghz-minus-1", "ghz-True"])
+    ("ghz", 3.0, "qubit count must be an integer, got 3.0"),
+], ids=["foo-3", "bell-5", "w-2", "ghz-1", "ghz-0", "ghz-minus-1", "ghz-True", "ghz-3.0"])
 def test_protocol_plan_refuses_what_check_protocol_refuses(protocol, n, message):
     cached = protocol_plan.cache_info().currsize
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         protocol_plan(protocol, n)
     assert protocol_plan.cache_info().currsize == cached
+
+
+def test_protocol_plan_refuses_a_float_width_after_caching_its_integer_plan():
+    # 3.0 == 3 and hash(3.0) == hash(3): an untyped cache would answer the third call
+    refusal = "^qubit count must be an integer, got 3.0$"
+    with pytest.raises(ValueError, match=refusal):
+        protocol_plan("ghz", 3.0)
+    assert protocol_plan("ghz", 3)[0] == ("+", "-")  # the 3-qubit plan's outcome labels
+    with pytest.raises(ValueError, match=refusal):
+        protocol_plan("ghz", 3.0)
 
 
 @pytest.mark.parametrize("protocol,n", [("bell", 2), ("ghz", 3), ("w", 5)])
